@@ -12,30 +12,27 @@ from .analytic import (OverdampedError, SlowModel, ZenoReport, build_slow_model,
                        omega_pm, p0_closed_form, slow_amplitudes, slow_propagator,
                        zeno_timescale_check)
 from .dfs import (DfsBasis, dfs_basis, dfs_dimension, dfs_projector, dicke_degeneracy,
-                  effective_hamiltonian, export_basis, generating_states)
-from .dynamics import (EnsembleResult, Schedule, TraceDriftError, Trajectory,
-                       conditional_state, fidelity, jump_operators,
-                       master_equation_evolve, no_detection_mixture,
-                       no_photon_probability, propagate_conditional, run_ensemble,
+                  export_basis, generating_states)
+from .dynamics import (EnsembleResult, Schedule, Trajectory, conditional_state, fidelity,
+                       jump_operators, no_detection_mixture, no_photon_probability,
+                       propagate_conditional, propagate_schedule, run_ensemble,
                        sample_trajectory)
 from .hamiltonians import (Pulse, conditional_hamiltonian, laser_hamiltonian,
-                           photon_loss_density, two_atom_ode_rhs, two_atom_pair_basis)
+                           photon_loss_density)
 from .hilbert import (DeskScaleError, HilbertSpace, SystemParams, atomic_lowering,
-                      build_space, cavity_annihilation, collective_lowering, expectation)
+                      build_space, cavity_annihilation)
 
 __version__ = "0.1.0"
 
 __all__ = [
     "DeskScaleError", "DfsBasis", "EnsembleResult", "HilbertSpace", "OverdampedError",
-    "Pulse", "Schedule", "SlowModel", "SystemParams", "TraceDriftError", "Trajectory",
-    "ZenoReport", "atomic_lowering", "build_slow_model", "build_space",
-    "cavity_annihilation", "collective_lowering", "conditional_hamiltonian",
-    "conditional_state", "dfs_basis", "dfs_dimension", "dfs_projector",
-    "dicke_degeneracy", "effective_hamiltonian", "effective_rates",
-    "entangling_pulse_duration", "expectation", "export_basis", "fidelity",
-    "final_dfs_state", "generating_states", "jump_operators", "laser_hamiltonian",
-    "master_equation_evolve", "no_detection_mixture", "no_photon_probability",
-    "omega_pm", "p0_closed_form", "photon_loss_density", "propagate_conditional",
+    "Pulse", "Schedule", "SlowModel", "SystemParams", "Trajectory", "ZenoReport",
+    "atomic_lowering", "build_slow_model", "build_space", "cavity_annihilation",
+    "conditional_hamiltonian", "conditional_state", "dfs_basis", "dfs_dimension",
+    "dfs_projector", "dicke_degeneracy", "effective_rates", "entangling_pulse_duration",
+    "export_basis", "fidelity", "final_dfs_state", "generating_states", "jump_operators",
+    "laser_hamiltonian", "no_detection_mixture", "no_photon_probability", "omega_pm",
+    "p0_closed_form", "photon_loss_density", "propagate_conditional", "propagate_schedule",
     "run_ensemble", "sample_trajectory", "slow_amplitudes", "slow_propagator",
-    "two_atom_ode_rhs", "two_atom_pair_basis", "zeno_timescale_check",
+    "zeno_timescale_check",
 ]

@@ -7,7 +7,7 @@ of 1/g.  Outputs are plain CSV/JSON written with full double precision
 so identical (config, seed) pairs produce byte-identical files.
 
 Exit codes: 0 success, 2 config error, 3 numerical-guard abort.
-`DFS_SIM_THREADS` caps the worker count for sweeps and ensembles.
+`DFS_SIM_THREADS` caps the worker count for trajectory ensembles.
 """
 
 from __future__ import annotations
@@ -18,7 +18,6 @@ import csv
 import json
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -27,13 +26,13 @@ import numpy as np
 from .analytic import (OverdampedError, build_slow_model, entangling_pulse_duration,
                        p0_closed_form, zeno_timescale_check)
 from .dfs import dfs_basis, dicke_degeneracy, export_basis
-from .dynamics import (Schedule, TraceDriftError, no_detection_mixture,
-                       propagate_conditional, run_ensemble)
+from .dynamics import (Schedule, no_detection_mixture, propagate_conditional,
+                       propagate_schedule, run_ensemble)
 from .hamiltonians import Pulse, conditional_hamiltonian
 from .hilbert import DeskScaleError, SystemParams, build_space
 
 MODES = ("basis", "evolve", "pulse", "sweep", "trajectories")
-GUARD_ERRORS = (DeskScaleError, OverdampedError, TraceDriftError, ArithmeticError)
+GUARD_ERRORS = (DeskScaleError, OverdampedError, ArithmeticError)
 DEFAULT_OMEGA1_MIN = 1e-3
 DEFAULT_OMEGA1_MAX = 0.3
 DEFAULT_OMEGA1_POINTS = 40
@@ -150,6 +149,8 @@ def load_config(path: str | Path, mode: str) -> RunConfig:
     if not 0 <= cfg.eta <= 1:
         raise ConfigError(f"eta must lie in [0, 1], got {cfg.eta}")
     cfg.settle = _get_float(raw, "settle", 0.0)
+    if cfg.settle < 0:
+        raise ConfigError("settle must be >= 0")
     cfg.samples = _get_int(raw, "samples", 10000)
     cfg.jump_log = _get_bool(raw, "jump_log", False)
     cfg.evolve_points = _get_int(raw, "evolve_points", 200)
@@ -205,6 +206,8 @@ def load_config(path: str | Path, mode: str) -> RunConfig:
             cfg.gamma_list = gammas
         elif "gamma" in raw:
             cfg.gamma_list = (params.gamma,)
+    if params.kappa == 0 and (mode == "sweep" or cfg.duration == "auto"):
+        raise ConfigError("the slow model behind sweep and duration = auto needs kappa > 0")
     return cfg
 
 
@@ -267,12 +270,7 @@ def _sweep_point(args) -> tuple[float, ...]:
 def cmd_sweep(cfg: RunConfig, out: Path) -> None:
     points = [(o, gm, cfg.params.kappa, cfg.params.n_max, cfg.eta)
               for gm in cfg.gamma_list for o in cfg.omega1_grid]
-    workers = _workers()
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(_sweep_point, points))
-    else:
-        rows = [_sweep_point(p) for p in points]
+    rows = [_sweep_point(p) for p in points]
     csv_path = out / "sweep.csv"
     with csv_path.open("w", newline="") as fh:
         writer = csv.writer(fh)
@@ -300,13 +298,8 @@ def cmd_pulse(cfg: RunConfig, out: Path) -> None:
     space = build_space(cfg.params)
     basis = dfs_basis(space)
     schedule, duration = _resolve_schedule(cfg)
-    psi = space.ground_state()
-    for seg in schedule.segments:
-        h = conditional_hamiltonian(space, cfg.params, seg)
-        psi = propagate_conditional(h, psi, seg.duration)
+    psi = propagate_schedule(space, cfg.params, schedule)
     p0 = float(np.vdot(psi, psi).real)
-    if p0 <= 0:
-        raise TraceDriftError("conditional state vanished entirely")
     psi_hat = psi / np.sqrt(p0)
     overlaps = [float(abs(np.vdot(basis.vectors[k], psi_hat)) ** 2)
                 for k in range(len(basis))]
@@ -340,19 +333,15 @@ def cmd_pulse(cfg: RunConfig, out: Path) -> None:
 def cmd_trajectories(cfg: RunConfig, out: Path) -> None:
     if cfg.samples < 1:
         raise ConfigError("samples must be >= 1")
+    if cfg.seed < 0:
+        raise ConfigError("seed must be >= 0")
     space = build_space(cfg.params)
     schedule, _ = _resolve_schedule(cfg)
+    # deterministic no-jump reference state for the mixture
+    psi0 = propagate_schedule(space, cfg.params, schedule)
+    psi0 = psi0 / np.linalg.norm(psi0)
     result = run_ensemble(space, cfg.params, schedule, cfg.samples, cfg.seed,
                           workers=_workers())
-    # deterministic no-jump reference state for the mixture
-    psi0 = space.ground_state()
-    for seg in schedule.segments:
-        h = conditional_hamiltonian(space, cfg.params, seg)
-        psi0 = propagate_conditional(h, psi0, seg.duration)
-    nrm = np.linalg.norm(psi0)
-    if nrm < 1e-300:
-        raise TraceDriftError("no-jump reference state vanished entirely")
-    psi0 = psi0 / nrm
     rho_perp = result.rho_perp
     if rho_perp is None:
         rho_perp = np.outer(psi0, psi0.conj())
@@ -397,22 +386,9 @@ def cmd_evolve(cfg: RunConfig, out: Path) -> None:
     proj = basis.projector()
     schedule, _ = _resolve_schedule(cfg)
     times = np.linspace(0.0, schedule.total_duration, cfg.evolve_points)
+    states = propagate_schedule(space, cfg.params, schedule, times)
     rows = []
-    psi = space.ground_state()
-    cursor = 0.0
-    seg_iter = iter(schedule.segments)
-    seg = next(seg_iter)
-    seg_end = seg.duration
-    h = conditional_hamiltonian(space, cfg.params, seg)
-    for t in times:
-        while t > seg_end + 1e-12:
-            psi = propagate_conditional(h, psi, seg_end - cursor)
-            cursor = seg_end
-            seg = next(seg_iter)
-            h = conditional_hamiltonian(space, cfg.params, seg)
-            seg_end += seg.duration
-        psi = propagate_conditional(h, psi, min(t, seg_end) - cursor)
-        cursor = t
+    for t, psi in zip(times, states):
         p0 = float(np.vdot(psi, psi).real)
         dfs_pop = float(np.vdot(psi, proj @ psi).real / p0) if p0 > 0 else 0.0
         rows.append((float(t), p0, dfs_pop))
@@ -421,7 +397,7 @@ def cmd_evolve(cfg: RunConfig, out: Path) -> None:
         writer.writerow(["time_g", "p0", "dfs_population"])
         for row in rows:
             writer.writerow([f"{x:.17g}" for x in row])
-    final = psi / np.linalg.norm(psi)
+    final = states[-1] / np.linalg.norm(states[-1])
     _write_json(out / "evolve.json", {
         "mode": "evolve",
         "total_duration_g": schedule.total_duration,

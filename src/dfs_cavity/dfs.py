@@ -28,8 +28,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .hamiltonians import Pulse, conditional_hamiltonian
-from .hilbert import HilbertSpace, SystemParams
+from .hilbert import HilbertSpace
 
 RANK_TOL = 1e-10
 
@@ -175,20 +174,6 @@ def dfs_basis(space: HilbertSpace) -> DfsBasis:
 def dfs_projector(space: HilbertSpace) -> np.ndarray:
     """Projector onto the trapped subspace; idempotent and Hermitian."""
     return dfs_basis(space).projector()
-
-
-def effective_hamiltonian(space: HilbertSpace, pulse: Pulse,
-                          params: SystemParams) -> np.ndarray:
-    """Zeno-projected generator P H_cond P.
-
-    The continuously monitored leaky cavity confines weak driving to the
-    trapped subspace, so the drive acts through its projection.  For
-    gamma = 0 the cavity coupling projects to zero exactly and the result
-    reduces to P H_laser P, which is Hermitian.
-    """
-    p = dfs_projector(space)
-    h = conditional_hamiltonian(space, params, pulse)
-    return p @ h @ p
 
 
 def export_basis(basis: DfsBasis, csv_path: str | Path, sidecar_path: str | Path) -> None:

@@ -1,4 +1,4 @@
-"""No-jump propagation, quantum-jump trajectories, and the Lindblad oracle.
+"""No-jump propagation and quantum-jump trajectories.
 
 Between emission events the state evolves with U_cond(t) = exp(-i H_cond t),
 computed by dense matrix exponential (exact for the piecewise-constant
@@ -8,8 +8,8 @@ sampling inverts: draw r uniform in (0, 1), evolve until the norm falls
 to r, then apply a jump operator sqrt(2*gamma)*sigma_i or sqrt(2*kappa)*b
 chosen with probability proportional to its emission weight.  That choice
 of jump operators makes conditional evolution plus jumps exactly
-trace-preserving on average, which the Lindblad integrator here verifies
-independently.
+trace-preserving on average, which the test suite checks against an
+independent Lindblad integrator.
 """
 
 from __future__ import annotations
@@ -25,12 +25,7 @@ from .hamiltonians import Pulse, conditional_hamiltonian
 from .hilbert import HilbertSpace, SystemParams
 
 NORM_BISECTION_TOL = 1e-10
-ME_STEP_FACTOR = 1e-2
 ENSEMBLE_CHUNK = 256  # fixed so reductions are identical for any worker count
-
-
-class TraceDriftError(RuntimeError):
-    """Lindblad integration lost more trace than the 1e-6 guard allows."""
 
 
 @dataclass(frozen=True)
@@ -105,6 +100,49 @@ def propagate_conditional(h_cond: np.ndarray, state: np.ndarray, t: float) -> np
     if h_cond.shape != (state.shape[0], state.shape[0]):
         raise ValueError("Hamiltonian and state dimensions disagree")
     return expm(-1j * t * h_cond) @ state
+
+
+def propagate_schedule(space: HilbertSpace, params: SystemParams, schedule: Schedule,
+                       times: np.ndarray | None = None) -> np.ndarray:
+    """No-emission evolution of the ground state through the schedule.
+
+    Returns the unnormalized final state or, given non-decreasing
+    ``times`` inside the schedule span, one row per time holding the
+    state at that time.  A step that passes a segment end by more than
+    1e-12 is split there.  Raises ArithmeticError when the squared norm
+    of the final state underflows to zero.
+    """
+    if schedule.n_atoms != space.n_atoms:
+        raise ValueError("schedule and space disagree on the atom count")
+    psi = space.ground_state()
+    if times is None:
+        for seg in schedule.segments:
+            psi = propagate_conditional(conditional_hamiltonian(space, params, seg),
+                                        psi, seg.duration)
+        out = psi
+    else:
+        times = np.asarray(times, dtype=float)
+        if (times.ndim != 1 or not times.size or times[0] < 0 or np.any(np.diff(times) < 0)
+                or times[-1] > schedule.total_duration + 1e-12):
+            raise ValueError("times must be non-decreasing and lie within the schedule span")
+        out = np.empty((times.size, space.dim), dtype=complex)
+        segments = iter(schedule.segments)
+        seg = next(segments)
+        h = conditional_hamiltonian(space, params, seg)
+        cursor, seg_end = 0.0, seg.duration
+        for k, t in enumerate(times):
+            while t > seg_end + 1e-12:
+                psi = propagate_conditional(h, psi, seg_end - cursor)
+                cursor = seg_end
+                seg = next(segments)
+                h = conditional_hamiltonian(space, params, seg)
+                seg_end += seg.duration
+            psi = propagate_conditional(h, psi, min(t, seg_end) - cursor)
+            cursor = t
+            out[k] = psi
+    if not np.vdot(psi, psi).real > 0:
+        raise ArithmeticError("conditional state vanished entirely")
+    return out
 
 
 def no_photon_probability(h_cond: np.ndarray, state: np.ndarray, t: float) -> float:
@@ -287,65 +325,6 @@ def run_ensemble(space: HilbertSpace, params: SystemParams, schedule: Schedule,
     rho = 0.5 * (rho + rho.conj().T)  # strip accumulation roundoff
     rho_perp = 0.5 * (perp_sum + perp_sum.conj().T) / jumped if jumped else None
     return EnsembleResult(survived / n_samples, rho, n_samples, seed, rho_perp, records)
-
-
-def _lindblad_rhs(rho: np.ndarray, h_herm: np.ndarray,
-                  ops: list[np.ndarray], ops_sq: list[np.ndarray]) -> np.ndarray:
-    out = -1j * (h_herm @ rho - rho @ h_herm)
-    for c, csq in zip(ops, ops_sq):
-        out += c @ rho @ c.conj().T - 0.5 * (csq @ rho + rho @ csq)
-    return out
-
-
-def master_equation_evolve(space: HilbertSpace, params: SystemParams, schedule: Schedule,
-                           rho0: np.ndarray, t: float | None = None) -> np.ndarray:
-    """Trace-preserving evolution of a density matrix through the schedule.
-
-    H is the Hermitian part of the conditional Hamiltonian and the jump
-    operators are the emission channels, so this is the unconditioned
-    average of the trajectory unraveling.  Classic fixed-step RK4 with
-    step <= 1e-2 / max(g, kappa, ||H||); a trace drift beyond 1e-6 aborts.
-    """
-    rho = np.asarray(rho0, dtype=complex)
-    if np.max(np.abs(rho - rho.conj().T)) > 1e-10:
-        raise ValueError("rho0 is not Hermitian")
-    if abs(np.trace(rho).real - 1.0) > 1e-10:
-        raise ValueError("rho0 trace differs from 1")
-    if np.linalg.eigvalsh(rho).min() < -1e-10:
-        raise ValueError("rho0 has a negative eigenvalue")
-    total = schedule.total_duration
-    if t is None:
-        t = total
-    if not 0 <= t <= total + 1e-12:
-        raise ValueError(f"t = {t} outside the schedule span [0, {total}]")
-    ops = [op for _, op in jump_operators(space, params)]
-    ops_sq = [op.conj().T @ op for op in ops]
-    remaining = t
-    rho = rho.copy()
-    for seg in schedule.segments:
-        if remaining <= 0:
-            break
-        span = min(seg.duration, remaining)
-        remaining -= span
-        if span == 0:
-            continue
-        h_cond = conditional_hamiltonian(space, params, seg)
-        h_herm = 0.5 * (h_cond + h_cond.conj().T)
-        scale = max(params.g, params.kappa, np.linalg.norm(h_herm, 2))
-        n_steps = max(1, int(np.ceil(span * scale / ME_STEP_FACTOR)))
-        dt = span / n_steps
-        for _ in range(n_steps):
-            k1 = _lindblad_rhs(rho, h_herm, ops, ops_sq)
-            k2 = _lindblad_rhs(rho + 0.5 * dt * k1, h_herm, ops, ops_sq)
-            k3 = _lindblad_rhs(rho + 0.5 * dt * k2, h_herm, ops, ops_sq)
-            k4 = _lindblad_rhs(rho + dt * k3, h_herm, ops, ops_sq)
-            rho = rho + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-            drift = abs(np.trace(rho).real - 1.0)
-            if drift > 1e-6:
-                raise TraceDriftError(
-                    f"trace drifted by {drift:.3e} (step {dt:.3e}); "
-                    "the integration step guard failed")
-    return rho
 
 
 def no_detection_mixture(p0: float, psi0: np.ndarray, rho_perp: np.ndarray,

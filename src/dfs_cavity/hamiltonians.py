@@ -17,13 +17,10 @@ their phases are physical and cannot be absorbed into the atomic basis.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
 from .hilbert import HilbertSpace, SystemParams, atomic_lowering, cavity_annihilation
-
-PAIR_LABELS = ("g", "a", "s", "e")
 
 
 @dataclass(frozen=True)
@@ -57,15 +54,6 @@ class Pulse:
     @property
     def is_off(self) -> bool:
         return all(r == 0 for r in self.rabi)
-
-    def in_zeno_regime(self, params: SystemParams) -> bool:
-        """Soft diagnostic: drive weak against g, kappa and strong against gamma.
-
-        True iff max|Omega_i| <= 0.1 * min(g, kappa) and
-        gamma <= 0.1 * max|Omega_i|.  Never used to block a computation.
-        """
-        peak = max(abs(r) for r in self.rabi)
-        return peak <= 0.1 * min(params.g, params.kappa) and params.gamma <= 0.1 * peak
 
 
 def _check_pulse(space: HilbertSpace, pulse: Pulse) -> None:
@@ -128,70 +116,3 @@ def photon_loss_density(space: HilbertSpace, params: SystemParams,
         s = atomic_lowering(space, i)
         val += 2.0 * params.gamma * np.vdot(s @ state, s @ state).real
     return float(val)
-
-
-@lru_cache(maxsize=16)
-def two_atom_pair_basis(space: HilbertSpace) -> np.ndarray:
-    """Unitary whose columns are |n g>, |n a>, |n s>, |n e> for n = 0..n_max.
-
-    Column 4*n + k holds the k-th pair state (order g, a, s, e) in the
-    photon-n sector, with a/s the antisymmetric/symmetric single
-    excitation shared by the two atoms.  Only defined for N = 2.
-    """
-    if space.n_atoms != 2:
-        raise ValueError("pair basis is defined for exactly two atoms")
-    w = np.zeros((space.dim, space.dim), dtype=complex)
-    rt = 1.0 / np.sqrt(2.0)
-    for n in range(space.n_max + 1):
-        base = 4 * n
-        w[space.flat_index(n, 0b00), base + 0] = 1.0          # g
-        w[space.flat_index(n, 0b10), base + 1] = rt           # a
-        w[space.flat_index(n, 0b01), base + 1] = -rt
-        w[space.flat_index(n, 0b10), base + 2] = rt           # s
-        w[space.flat_index(n, 0b01), base + 2] = rt
-        w[space.flat_index(n, 0b11), base + 3] = 1.0          # e
-    return w
-
-
-def two_atom_ode_rhs(coeffs: np.ndarray, params: SystemParams,
-                     omega_plus: complex, omega_minus: complex) -> np.ndarray:
-    """Time derivatives of the pair-basis amplitudes c[n, x] for two atoms.
-
-    ``coeffs`` has shape (n_max + 1, 4) with columns ordered (g, a, s, e).
-    The four coupled lines are, per Fock level n (amplitudes outside the
-    truncation window are zero):
-
-        dc_ng = -i W- c_na - i W+ c_ns - sqrt(2n) g c_(n-1)s - n kappa c_ng
-        dc_na = -i W-* c_ng + i W- c_ne - (gamma + n kappa) c_na
-        dc_ns = -i W+* c_ng - i W+ c_ne - sqrt(2n) g c_(n-1)e
-                + sqrt(2(n+1)) g c_(n+1)g - (gamma + n kappa) c_ns
-        dc_ne = +i W-* c_na - i W+* c_ns + sqrt(2(n+1)) g c_(n+1)s
-                - (2 gamma + n kappa) c_ne
-
-    with W+- the symmetric/antisymmetric drive combinations
-    (Omega_1 +- Omega_2)/(2 sqrt(2)).  Identical to -i H_cond c after the
-    pair-basis change (verified in the test suite).
-    """
-    if params.n_atoms != 2:
-        raise ValueError("the pair-basis amplitude equations require exactly two atoms")
-    c = np.asarray(coeffs, dtype=complex)
-    if c.shape != (params.n_max + 1, 4):
-        raise ValueError(f"coeffs must have shape ({params.n_max + 1}, 4), got {c.shape}")
-    g, kap, gam = params.g, params.kappa, params.gamma
-    wp, wm = complex(omega_plus), complex(omega_minus)
-    cg, ca, cs, ce = c[:, 0], c[:, 1], c[:, 2], c[:, 3]
-    n = np.arange(params.n_max + 1)
-    sq_dn = np.sqrt(2.0 * n)            # sqrt(2n), pairs with c_(n-1)
-    sq_up = np.sqrt(2.0 * (n + 1))      # sqrt(2(n+1)), pairs with c_(n+1)
-    cs_dn = np.concatenate(([0.0], cs[:-1]))
-    ce_dn = np.concatenate(([0.0], ce[:-1]))
-    cg_up = np.concatenate((cg[1:], [0.0]))
-    cs_up = np.concatenate((cs[1:], [0.0]))
-    out = np.empty_like(c)
-    out[:, 0] = -1j * wm * ca - 1j * wp * cs - sq_dn * g * cs_dn - n * kap * cg
-    out[:, 1] = -1j * np.conj(wm) * cg + 1j * wm * ce - (gam + n * kap) * ca
-    out[:, 2] = (-1j * np.conj(wp) * cg - 1j * wp * ce - sq_dn * g * ce_dn
-                 + sq_up * g * cg_up - (gam + n * kap) * cs)
-    out[:, 3] = (1j * np.conj(wm) * ca - 1j * np.conj(wp) * cs
-                 + sq_up * g * cs_up - (2 * gam + n * kap) * ce)
-    return out

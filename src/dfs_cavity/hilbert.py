@@ -158,18 +158,3 @@ def cavity_annihilation(space: HilbertSpace) -> np.ndarray:
         for bits in range(nc):
             op[(n - 1) * nc + bits, n * nc + bits] = root
     return op
-
-
-def collective_lowering(space: HilbertSpace) -> np.ndarray:
-    """Collective atomic lowering J_minus = sum_i sigma_i."""
-    op = np.zeros((space.dim, space.dim), dtype=complex)
-    for i in range(1, space.n_atoms + 1):
-        op += atomic_lowering(space, i)
-    return op
-
-
-def expectation(op: np.ndarray, state: np.ndarray) -> complex:
-    """<psi|A|psi> with the raw (possibly unnormalized) amplitudes."""
-    if op.shape != (state.shape[0], state.shape[0]):
-        raise ValueError(f"operator shape {op.shape} does not match state length {state.shape[0]}")
-    return complex(np.vdot(state, op @ state))

@@ -3,13 +3,18 @@
 Everything here is written out from scratch (explicit matrix elements,
 explicit product states, series expansions, black-box ODE integration)
 so the package paths are checked against genuinely independent
-arithmetic rather than against themselves.
+arithmetic rather than against themselves.  The pair-basis amplitude
+equations, the fixed-step Lindblad integrator and a few operator helpers
+that only the tests use live here as well.
 """
+
+from functools import lru_cache
 
 import numpy as np
 from scipy.integrate import solve_ivp
 
-from dfs_cavity import SystemParams, omega_pm, two_atom_ode_rhs
+from dfs_cavity import (HilbertSpace, Pulse, Schedule, SystemParams, atomic_lowering,
+                        conditional_hamiltonian, dfs_projector, jump_operators, omega_pm)
 
 PAIR_INDEX = {"g": 0, "a": 1, "s": 2, "e": 3}
 
@@ -158,3 +163,165 @@ def integrate_pair_amplitudes(params: SystemParams, omega1, omega2, duration,
                     method="DOP853", rtol=rtol, atol=atol)
     assert sol.success, sol.message
     return sol.y[:, -1].copy().view(complex).reshape(nlev, 4)
+
+
+@lru_cache(maxsize=16)
+def two_atom_pair_basis(space: HilbertSpace) -> np.ndarray:
+    """Unitary whose columns are |n g>, |n a>, |n s>, |n e> for n = 0..n_max.
+
+    Column 4*n + k holds the k-th pair state (order g, a, s, e) in the
+    photon-n sector, with a/s the antisymmetric/symmetric single
+    excitation shared by the two atoms.  Only defined for N = 2.
+    """
+    if space.n_atoms != 2:
+        raise ValueError("pair basis is defined for exactly two atoms")
+    w = np.zeros((space.dim, space.dim), dtype=complex)
+    rt = 1.0 / np.sqrt(2.0)
+    for n in range(space.n_max + 1):
+        base = 4 * n
+        w[space.flat_index(n, 0b00), base + 0] = 1.0          # g
+        w[space.flat_index(n, 0b10), base + 1] = rt           # a
+        w[space.flat_index(n, 0b01), base + 1] = -rt
+        w[space.flat_index(n, 0b10), base + 2] = rt           # s
+        w[space.flat_index(n, 0b01), base + 2] = rt
+        w[space.flat_index(n, 0b11), base + 3] = 1.0          # e
+    return w
+
+
+def two_atom_ode_rhs(coeffs: np.ndarray, params: SystemParams,
+                     omega_plus: complex, omega_minus: complex) -> np.ndarray:
+    """Time derivatives of the pair-basis amplitudes c[n, x] for two atoms.
+
+    ``coeffs`` has shape (n_max + 1, 4) with columns ordered (g, a, s, e).
+    The four coupled lines are, per Fock level n (amplitudes outside the
+    truncation window are zero):
+
+        dc_ng = -i W- c_na - i W+ c_ns - sqrt(2n) g c_(n-1)s - n kappa c_ng
+        dc_na = -i W-* c_ng + i W- c_ne - (gamma + n kappa) c_na
+        dc_ns = -i W+* c_ng - i W+ c_ne - sqrt(2n) g c_(n-1)e
+                + sqrt(2(n+1)) g c_(n+1)g - (gamma + n kappa) c_ns
+        dc_ne = +i W-* c_na - i W+* c_ns + sqrt(2(n+1)) g c_(n+1)s
+                - (2 gamma + n kappa) c_ne
+
+    with W+- the symmetric/antisymmetric drive combinations
+    (Omega_1 +- Omega_2)/(2 sqrt(2)).  Identical to -i H_cond c after the
+    pair-basis change (verified in the test suite).
+    """
+    if params.n_atoms != 2:
+        raise ValueError("the pair-basis amplitude equations require exactly two atoms")
+    c = np.asarray(coeffs, dtype=complex)
+    if c.shape != (params.n_max + 1, 4):
+        raise ValueError(f"coeffs must have shape ({params.n_max + 1}, 4), got {c.shape}")
+    g, kap, gam = params.g, params.kappa, params.gamma
+    wp, wm = complex(omega_plus), complex(omega_minus)
+    cg, ca, cs, ce = c[:, 0], c[:, 1], c[:, 2], c[:, 3]
+    n = np.arange(params.n_max + 1)
+    sq_dn = np.sqrt(2.0 * n)            # sqrt(2n), pairs with c_(n-1)
+    sq_up = np.sqrt(2.0 * (n + 1))      # sqrt(2(n+1)), pairs with c_(n+1)
+    cs_dn = np.concatenate(([0.0], cs[:-1]))
+    ce_dn = np.concatenate(([0.0], ce[:-1]))
+    cg_up = np.concatenate((cg[1:], [0.0]))
+    cs_up = np.concatenate((cs[1:], [0.0]))
+    out = np.empty_like(c)
+    out[:, 0] = -1j * wm * ca - 1j * wp * cs - sq_dn * g * cs_dn - n * kap * cg
+    out[:, 1] = -1j * np.conj(wm) * cg + 1j * wm * ce - (gam + n * kap) * ca
+    out[:, 2] = (-1j * np.conj(wp) * cg - 1j * wp * ce - sq_dn * g * ce_dn
+                 + sq_up * g * cg_up - (gam + n * kap) * cs)
+    out[:, 3] = (1j * np.conj(wm) * ca - 1j * np.conj(wp) * cs
+                 + sq_up * g * cs_up - (2 * gam + n * kap) * ce)
+    return out
+
+
+def collective_lowering(space: HilbertSpace) -> np.ndarray:
+    """Collective atomic lowering J_minus = sum_i sigma_i."""
+    op = np.zeros((space.dim, space.dim), dtype=complex)
+    for i in range(1, space.n_atoms + 1):
+        op += atomic_lowering(space, i)
+    return op
+
+
+def expectation(op: np.ndarray, state: np.ndarray) -> complex:
+    """<psi|A|psi> with the raw (possibly unnormalized) amplitudes."""
+    if op.shape != (state.shape[0], state.shape[0]):
+        raise ValueError(f"operator shape {op.shape} does not match state length {state.shape[0]}")
+    return complex(np.vdot(state, op @ state))
+
+
+def effective_hamiltonian(space: HilbertSpace, pulse: Pulse,
+                          params: SystemParams) -> np.ndarray:
+    """Zeno-projected generator P H_cond P.
+
+    The continuously monitored leaky cavity confines weak driving to the
+    trapped subspace, so the drive acts through its projection.  For
+    gamma = 0 the cavity coupling projects to zero exactly and the result
+    reduces to P H_laser P, which is Hermitian.
+    """
+    p = dfs_projector(space)
+    h = conditional_hamiltonian(space, params, pulse)
+    return p @ h @ p
+
+
+ME_STEP_FACTOR = 1e-2
+
+
+class TraceDriftError(RuntimeError):
+    """Lindblad integration lost more trace than the 1e-6 guard allows."""
+
+
+def _lindblad_rhs(rho: np.ndarray, h_herm: np.ndarray,
+                  ops: list[np.ndarray], ops_sq: list[np.ndarray]) -> np.ndarray:
+    out = -1j * (h_herm @ rho - rho @ h_herm)
+    for c, csq in zip(ops, ops_sq):
+        out += c @ rho @ c.conj().T - 0.5 * (csq @ rho + rho @ csq)
+    return out
+
+
+def master_equation_evolve(space: HilbertSpace, params: SystemParams, schedule: Schedule,
+                           rho0: np.ndarray, t: float | None = None) -> np.ndarray:
+    """Trace-preserving evolution of a density matrix through the schedule.
+
+    H is the Hermitian part of the conditional Hamiltonian and the jump
+    operators are the emission channels, so this is the unconditioned
+    average of the trajectory unraveling.  Classic fixed-step RK4 with
+    step <= 1e-2 / max(g, kappa, ||H||); a trace drift beyond 1e-6 aborts.
+    """
+    rho = np.asarray(rho0, dtype=complex)
+    if np.max(np.abs(rho - rho.conj().T)) > 1e-10:
+        raise ValueError("rho0 is not Hermitian")
+    if abs(np.trace(rho).real - 1.0) > 1e-10:
+        raise ValueError("rho0 trace differs from 1")
+    if np.linalg.eigvalsh(rho).min() < -1e-10:
+        raise ValueError("rho0 has a negative eigenvalue")
+    total = schedule.total_duration
+    if t is None:
+        t = total
+    if not 0 <= t <= total + 1e-12:
+        raise ValueError(f"t = {t} outside the schedule span [0, {total}]")
+    ops = [op for _, op in jump_operators(space, params)]
+    ops_sq = [op.conj().T @ op for op in ops]
+    remaining = t
+    rho = rho.copy()
+    for seg in schedule.segments:
+        if remaining <= 0:
+            break
+        span = min(seg.duration, remaining)
+        remaining -= span
+        if span == 0:
+            continue
+        h_cond = conditional_hamiltonian(space, params, seg)
+        h_herm = 0.5 * (h_cond + h_cond.conj().T)
+        scale = max(params.g, params.kappa, np.linalg.norm(h_herm, 2))
+        n_steps = max(1, int(np.ceil(span * scale / ME_STEP_FACTOR)))
+        dt = span / n_steps
+        for _ in range(n_steps):
+            k1 = _lindblad_rhs(rho, h_herm, ops, ops_sq)
+            k2 = _lindblad_rhs(rho + 0.5 * dt * k1, h_herm, ops, ops_sq)
+            k3 = _lindblad_rhs(rho + 0.5 * dt * k2, h_herm, ops, ops_sq)
+            k4 = _lindblad_rhs(rho + dt * k3, h_herm, ops, ops_sq)
+            rho = rho + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            drift = abs(np.trace(rho).real - 1.0)
+            if drift > 1e-6:
+                raise TraceDriftError(
+                    f"trace drifted by {drift:.3e} (step {dt:.3e}); "
+                    "the integration step guard failed")
+    return rho

@@ -8,14 +8,15 @@ import numpy as np
 from scipy.linalg import null_space
 
 from dfs_cavity import (Pulse, Schedule, SystemParams, build_slow_model, build_space,
-                        collective_lowering, conditional_hamiltonian, dfs_basis,
-                        dfs_dimension, effective_hamiltonian, entangling_pulse_duration,
-                        master_equation_evolve, no_photon_probability, p0_closed_form,
-                        propagate_conditional, sample_trajectory, two_atom_pair_basis)
+                        conditional_hamiltonian, dfs_basis, dfs_dimension,
+                        entangling_pulse_duration, no_photon_probability, p0_closed_form,
+                        propagate_conditional, sample_trajectory)
 from dfs_cavity.cli import (DEFAULT_GAMMA_LIST, DEFAULT_OMEGA1_MAX, DEFAULT_OMEGA1_MIN,
                             DEFAULT_OMEGA1_POINTS, _sweep_point)
-from oracles import (embed_vacuum, four_atom_effective_matrix, four_atom_trapped_states,
-                     integrate_pair_amplitudes, pair_ladder_matrix, pair_vector)
+from oracles import (collective_lowering, effective_hamiltonian, embed_vacuum,
+                     four_atom_effective_matrix, four_atom_trapped_states,
+                     integrate_pair_amplitudes, master_equation_evolve, pair_ladder_matrix,
+                     pair_vector, two_atom_pair_basis)
 
 # Frozen reference for criterion 7 (omega1 = -omega2 = 0.02, kappa = g,
 # gamma = 0, full-rotation pulse): no-emission probability from a DOP853

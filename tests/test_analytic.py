@@ -228,6 +228,7 @@ def test_zeno_timescale_check():
     assert report.drive_ratio == pytest.approx(0.01)
     assert report.spontaneous_ratio == pytest.approx(0.01)
     assert not zeno_timescale_check(params, Pulse((0.5,), 1.0)).passed
+    assert not zeno_timescale_check(params, Pulse((1e-4,), 1.0)).passed  # gamma ~ drive
     strong_gamma = SystemParams(n_atoms=1, g=1.0, kappa=1.0, gamma=0.01)
     report = zeno_timescale_check(strong_gamma, Pulse((0.01,), 1.0))
     assert not report.passed and report.spontaneous_ratio == pytest.approx(1.0)

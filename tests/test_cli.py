@@ -5,10 +5,9 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from dfs_cavity import (SystemParams, build_space, dfs_basis, effective_hamiltonian,
-                        Pulse)
+from dfs_cavity import SystemParams, build_space, dfs_basis, Pulse
 from dfs_cavity.cli import main
-from oracles import embed_vacuum, four_atom_state
+from oracles import effective_hamiltonian, embed_vacuum, four_atom_state
 
 OMEGA_MINUS_002 = 0.02 / np.sqrt(2.0)  # antisymmetric combination for 0.02, -0.02
 
@@ -67,6 +66,18 @@ def test_config_errors_exit_code(tmp_path):
     assert main(["basis", "--config", bad_eta, "--out", str(tmp_path)]) == 2
     three_atom_sweep = write_config(tmp_path, "n_atoms = 3\n", name="three.ini")
     assert main(["sweep", "--config", three_atom_sweep, "--out", str(tmp_path)]) == 2
+    closed_cavity = write_config(tmp_path, "n_atoms = 2\nkappa = 0\nrabi = 0.02, -0.02\n"
+                                 "duration = auto\n", name="closed.ini")
+    assert main(["pulse", "--config", closed_cavity, "--out", str(tmp_path)]) == 2
+    assert main(["sweep", "--config", closed_cavity, "--out", str(tmp_path)]) == 2
+    traj = "n_atoms = 2\nrabi = 0.05, -0.05\nduration = 1\nsamples = 5\n"
+    negative_seed = write_config(tmp_path, traj + "seed = -1\n", name="seed.ini")
+    assert main(["trajectories", "--config", negative_seed, "--out", str(tmp_path)]) == 2
+    plain = write_config(tmp_path, traj, name="plain.ini")
+    assert main(["trajectories", "--config", plain, "--out", str(tmp_path),
+                 "--seed", "-1"]) == 2
+    negative_settle = write_config(tmp_path, traj + "settle = -1\n", name="settle.ini")
+    assert main(["pulse", "--config", negative_settle, "--out", str(tmp_path)]) == 2
 
 
 def test_pulse_auto_duration_prepares_entangled_state(tmp_path):
@@ -231,6 +242,14 @@ def test_evolve_timeseries(tmp_path):
     assert payload["p0_final"] == pytest.approx(p0[-1])
     pops = [float(r["dfs_population"]) for r in rows]
     assert all(0.9 <= v <= 1.0 + 1e-12 for v in pops)
+
+
+def test_vanished_state_exits_with_guard_code(tmp_path):
+    # the no-emission probability underflows to exactly zero long before t = 5000
+    cfg = write_config(tmp_path, "n_atoms = 1\ngamma = 1\nrabi = 1.0\nduration = 5000\n")
+    for mode in ("pulse", "evolve", "trajectories"):
+        assert main([mode, "--config", cfg, "--out", str(tmp_path)]) == 3
+    assert not (tmp_path / "evolve.json").exists()
 
 
 def test_samples_override(tmp_path):

