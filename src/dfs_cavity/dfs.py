@@ -10,10 +10,11 @@ full 2**N.
 
 The basis builder spans each excitation sector with products of singlet
 pairs: place n disjoint atom pairs in (|10> - |01>)/sqrt(2) and every
-remaining atom in the ground state.  Running over all pairings covers
-the sector (for a single pairing it generally does not), and a modified
-Gram-Schmidt pass in a fixed enumeration order makes the output
-deterministic.
+remaining atom in the ground state.  Only the pairings read off the
+columns of the two-row standard Young tableaux of shape (N - n, n) are
+used; there is exactly one per trapped state and they are linearly
+independent.  Modified Gram-Schmidt within each sector, in a fixed
+enumeration order, makes the output orthonormal and deterministic.
 """
 
 from __future__ import annotations
@@ -59,23 +60,19 @@ def dicke_degeneracy(n_atoms: int, l: float) -> int:
     return math.comb(n_atoms, n) - math.comb(n_atoms, n - 1)
 
 
-def _pairings(atoms: tuple[int, ...], n_pairs: int):
-    """All ways to pick n_pairs disjoint ordered pairs (i < j), lexicographic.
+def _tableau_pairings(n_atoms: int, n_pairs: int):
+    """Column pairs of the two-row standard Young tableaux of shape (N - n, n).
 
-    Atoms left over stay unpaired, so the leading atom is first matched
-    with every later partner and then skipped entirely.
+    The lower row b_1 < ... < b_n runs over combinations in lexicographic
+    order; the upper row a_1 < a_2 < ... holds the remaining atoms.  The
+    filling is standard iff a_k < b_k for every k; the pairs (a_k, b_k)
+    then come out sorted.  There are dicke_degeneracy(N, N/2 - n) of them.
     """
-    if n_pairs == 0:
-        yield ()
-        return
-    if len(atoms) < 2 * n_pairs:
-        return
-    first, rest = atoms[0], atoms[1:]
-    for k, partner in enumerate(rest):
-        remaining = rest[:k] + rest[k + 1:]
-        for sub in _pairings(remaining, n_pairs - 1):
-            yield ((first, partner),) + sub
-    yield from _pairings(rest, n_pairs)
+    atoms = range(1, n_atoms + 1)
+    for lower in itertools.combinations(atoms, n_pairs):
+        upper = [a for a in atoms if a not in lower]
+        if all(a < b for a, b in zip(upper, lower)):
+            yield tuple(zip(upper, lower))
 
 
 def _singlet_product(n_atoms: int, pairs: tuple[tuple[int, int], ...]) -> np.ndarray:
@@ -95,15 +92,15 @@ def _singlet_product(n_atoms: int, pairs: tuple[tuple[int, int], ...]) -> np.nda
 
 
 def generating_states(n_atoms: int, n_pairs: int) -> list[np.ndarray]:
-    """Singlet-product generators of the excitation-n sector (atomic part only).
+    """Standard-tableau singlet generators of the excitation-n sector (atomic part).
 
-    Returns vectors of length 2**N, each annihilated by J_minus; their
-    span has dimension ``dicke_degeneracy(N, N/2 - n_pairs)``.
+    Returns ``dicke_degeneracy(N, N/2 - n_pairs)`` linearly independent
+    vectors of length 2**N, each annihilated by J_minus, so they span the
+    sector exactly.
     """
     if not 0 <= n_pairs <= n_atoms // 2:
         raise ValueError(f"n_pairs = {n_pairs} outside [0, {n_atoms // 2}]")
-    atoms = tuple(range(1, n_atoms + 1))
-    return [_singlet_product(n_atoms, p) for p in _pairings(atoms, n_pairs)]
+    return [_singlet_product(n_atoms, p) for p in _tableau_pairings(n_atoms, n_pairs)]
 
 
 @dataclass(frozen=True, eq=False)
@@ -140,24 +137,25 @@ class DfsBasis:
 def dfs_basis(space: HilbertSpace) -> DfsBasis:
     """Build the orthonormal trapped-state basis for the given space.
 
-    Generators are orthonormalized sector by sector with modified
-    Gram-Schmidt (two passes), dropping any candidate whose residual norm
-    falls below 1e-10; the generators are exact rationals over sqrt(2),
-    so the tolerance is safe.  The result is cached per space; treat the
-    arrays as read-only.
+    Each sector's generators are orthonormalized with modified Gram-Schmidt
+    (two passes) against the earlier vectors of the same sector only:
+    sectors have disjoint support, so they are already orthogonal.  The
+    generators are independent, so a residual norm below RANK_TOL raises
+    RuntimeError.  The result is cached per space; treat the arrays as
+    read-only.
     """
     n_atoms = space.n_atoms
     accepted: list[np.ndarray] = []
     excitations: list[int] = []
     for n in range(n_atoms // 2 + 1):
-        for gen in generating_states(n_atoms, n):
-            v = gen.copy()
+        start = len(accepted)
+        for v in generating_states(n_atoms, n):
             for _ in range(2):
-                for u in accepted:
+                for u in accepted[start:]:
                     v -= np.vdot(u, v) * u
             nrm = np.linalg.norm(v)
             if nrm < RANK_TOL:
-                continue
+                raise RuntimeError(f"dependent generator in excitation sector {n}")
             accepted.append(v / nrm)
             excitations.append(n)
     count = dfs_dimension(n_atoms)

@@ -203,11 +203,10 @@ def _bisect_jump(h: np.ndarray, psi: np.ndarray, r: float,
                  t_max: float) -> tuple[float, np.ndarray]:
     """Locate tau in (0, t_max] where ||U(tau) psi||^2 crosses r.
 
-    The norm is non-increasing along the conditional evolution, so plain
-    bisection converges; iterate until the norm matches r within 1e-10.
+    The norm is non-increasing along the conditional evolution, so 200
+    halvings reach |norm^2 - r| <= 1e-10; if not, raise ArithmeticError.
     """
     lo, hi = 0.0, t_max
-    mid, cand = t_max, None
     for _ in range(200):
         mid = 0.5 * (lo + hi)
         cand = expm(-1j * mid * h) @ psi
@@ -218,6 +217,8 @@ def _bisect_jump(h: np.ndarray, psi: np.ndarray, r: float,
             lo = mid
         else:
             hi = mid
+    else:
+        raise ArithmeticError(f"jump-time bisection did not reach norm^2 = {r} in (0, {t_max}]")
     return mid, cand
 
 

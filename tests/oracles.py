@@ -4,8 +4,9 @@ Everything here is written out from scratch (explicit matrix elements,
 explicit product states, series expansions, black-box ODE integration)
 so the package paths are checked against genuinely independent
 arithmetic rather than against themselves.  The pair-basis amplitude
-equations, the fixed-step Lindblad integrator and a few operator helpers
-that only the tests use live here as well.
+equations, the fixed-step Lindblad integrator, the greedy all-pairings
+trapped basis and a few operator helpers that only the tests use live
+here as well.
 """
 
 from functools import lru_cache
@@ -15,6 +16,7 @@ from scipy.integrate import solve_ivp
 
 from dfs_cavity import (HilbertSpace, Pulse, Schedule, SystemParams, atomic_lowering,
                         conditional_hamiltonian, dfs_projector, jump_operators, omega_pm)
+from dfs_cavity.dfs import RANK_TOL, _singlet_product
 
 PAIR_INDEX = {"g": 0, "a": 1, "s": 2, "e": 3}
 
@@ -93,6 +95,48 @@ def four_atom_trapped_states():
     x2 = (four_atom_state("e", "g") + four_atom_state("g", "e")
           - four_atom_state("s", "s")) / np.sqrt(3.0)
     return {"gg": gg, "ga": ga, "ag": ag, "aa": aa, "x1": x1, "x2": x2}
+
+
+def _pairings(atoms: tuple[int, ...], n_pairs: int):
+    """All ways to pick n_pairs disjoint ordered pairs (i < j), lexicographic.
+
+    Atoms left over stay unpaired, so the leading atom is first matched
+    with every later partner and then skipped entirely.
+    """
+    if n_pairs == 0:
+        yield ()
+        return
+    if len(atoms) < 2 * n_pairs:
+        return
+    first, rest = atoms[0], atoms[1:]
+    for k, partner in enumerate(rest):
+        remaining = rest[:k] + rest[k + 1:]
+        for sub in _pairings(remaining, n_pairs - 1):
+            yield ((first, partner),) + sub
+    yield from _pairings(rest, n_pairs)
+
+
+def greedy_pairing_basis(n_atoms):
+    """Trapped basis from every partial singlet pairing, dependent ones dropped.
+
+    Each sector enumerates all (2n - 1)!! * C(N, 2n) pairings and Gram-Schmidts
+    every candidate (two passes) against all vectors accepted so far,
+    skipping those whose residual falls below RANK_TOL.  Returns the atomic
+    vectors as rows, grouped by increasing excitation number.
+    """
+    atoms = tuple(range(1, n_atoms + 1))
+    accepted = []
+    for n in range(n_atoms // 2 + 1):
+        for pairs in _pairings(atoms, n):
+            v = _singlet_product(n_atoms, pairs)
+            for _ in range(2):
+                for u in accepted:
+                    v -= np.vdot(u, v) * u
+            nrm = np.linalg.norm(v)
+            if nrm < RANK_TOL:
+                continue
+            accepted.append(v / nrm)
+    return np.array(accepted)
 
 
 def embed_vacuum(space, atomic_vec):

@@ -191,16 +191,19 @@ def test_sweep_agreement_wherever_weak_driving_holds(tmp_path):
         assert float(row["fidelity_conditional"]) > 0.99
 
 
-def test_sweep_worker_pool_matches_serial(tmp_path, monkeypatch):
-    text = ("n_atoms = 2\nkappa = 1.0\nn_max = 3\n"
-            "omega1_list = 0.03, 0.08\ngamma_list = 0, 0.0001\n")
+def test_trajectories_worker_pool_matches_serial(tmp_path, monkeypatch):
+    text = ("n_atoms = 2\nkappa = 1.0\ngamma = 0.001\nn_max = 3\n"
+            "rabi = 0.1, -0.1\nduration = 20.0\nsamples = 300\nseed = 5\n"
+            "jump_log = true\n")
     cfg = write_config(tmp_path, text)
     serial_out, pooled_out = tmp_path / "serial", tmp_path / "pooled"
     monkeypatch.delenv("DFS_SIM_THREADS", raising=False)
-    assert main(["sweep", "--config", cfg, "--out", str(serial_out)]) == 0
+    assert main(["trajectories", "--config", cfg, "--out", str(serial_out)]) == 0
     monkeypatch.setenv("DFS_SIM_THREADS", "2")
-    assert main(["sweep", "--config", cfg, "--out", str(pooled_out)]) == 0
-    assert (serial_out / "sweep.csv").read_bytes() == (pooled_out / "sweep.csv").read_bytes()
+    assert main(["trajectories", "--config", cfg, "--out", str(pooled_out)]) == 0
+    for name in ("ensemble.json", "jumps.csv"):
+        assert (serial_out / name).read_bytes() == (pooled_out / name).read_bytes()
+    assert len((serial_out / "jumps.csv").read_text().splitlines()) > 1
 
 
 def test_outputs_byte_identical_for_same_config_and_seed(tmp_path):

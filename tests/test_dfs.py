@@ -9,7 +9,8 @@ from dfs_cavity import (Pulse, SystemParams, build_space, conditional_hamiltonia
                         dfs_dimension, dfs_projector, dicke_degeneracy, export_basis,
                         generating_states, laser_hamiltonian)
 from oracles import (collective_lowering, effective_hamiltonian, embed_vacuum,
-                     four_atom_effective_matrix, four_atom_trapped_states, pair_vector)
+                     four_atom_effective_matrix, four_atom_trapped_states,
+                     greedy_pairing_basis, pair_vector)
 
 
 def space_of(n_atoms, n_max=1, **rates):
@@ -57,10 +58,10 @@ def test_dicke_degeneracies_sum_to_dimension():
 
 
 def test_generating_states_counts():
-    assert len(generating_states(4, 1)) == 6
+    assert len(generating_states(4, 1)) == 3
     assert len(generating_states(2, 1)) == 1
-    assert len(generating_states(3, 1)) == 3
-    assert len(generating_states(4, 2)) == 3
+    assert len(generating_states(3, 1)) == 2
+    assert len(generating_states(4, 2)) == 2
     with pytest.raises(ValueError):
         generating_states(4, 3)
 
@@ -73,10 +74,19 @@ def test_generating_states_are_trapped():
 
 
 def test_generating_states_span_rank():
-    gens = np.array(generating_states(3, 1))
-    assert np.linalg.matrix_rank(gens, tol=1e-10) == 2 == dicke_degeneracy(3, 0.5)
-    gens4 = np.array(generating_states(4, 1))
-    assert np.linalg.matrix_rank(gens4, tol=1e-10) == 3 == dicke_degeneracy(4, 1)
+    # one independent generator per trapped state, in every sector
+    for n_atoms in range(1, 12):
+        for n_pairs in range(n_atoms // 2 + 1):
+            gens = np.array(generating_states(n_atoms, n_pairs))
+            assert (len(gens) == np.linalg.matrix_rank(gens, tol=1e-10)
+                    == dicke_degeneracy(n_atoms, n_atoms / 2 - n_pairs))
+
+
+def test_dfs_basis_matches_greedy_pairing_oracle():
+    for n_atoms in range(1, 9):
+        basis = dfs_basis(space_of(n_atoms, n_max=1))
+        oracle = greedy_pairing_basis(n_atoms)
+        assert np.array_equal(oracle, basis.vectors[:, : basis.space.n_configs])
 
 
 def test_dfs_basis_two_atoms():

@@ -8,6 +8,7 @@ from dfs_cavity import (Pulse, Schedule, SystemParams, build_slow_model, build_s
                         jump_operators, no_detection_mixture,
                         no_photon_probability, propagate_conditional, propagate_schedule,
                         run_ensemble, sample_trajectory)
+from dfs_cavity.dynamics import _bisect_jump
 from oracles import master_equation_evolve, pair_vector
 
 
@@ -156,6 +157,14 @@ def test_conditional_state_rejects_vanished_state():
     with pytest.raises(ValueError):
         # the symmetric state has completely leaked out by t ~ 1500/g
         conditional_state(h, pair_vector(space, 0, "s"), 1500.0)
+
+
+def test_bisect_jump_raises_when_the_norm_never_reaches_the_threshold():
+    # a Hermitian generator keeps ||psi||^2 = 1, so the threshold 0.5 is never crossed
+    h = np.array([[0.0, 0.3], [0.3, 1.0]], dtype=complex)
+    psi = np.array([1.0, 0.0], dtype=complex)
+    with pytest.raises(ArithmeticError):
+        _bisect_jump(h, psi, 0.5, 1.0)
 
 
 def test_jump_operators_channel_list():
