@@ -7,7 +7,6 @@ of 1/g.  Outputs are plain CSV/JSON written with full double precision
 so identical (config, seed) pairs produce byte-identical files.
 
 Exit codes: 0 success, 2 config error, 3 numerical-guard abort.
-`DFS_SIM_THREADS` caps the worker count for trajectory ensembles.
 """
 
 from __future__ import annotations
@@ -16,7 +15,6 @@ import argparse
 import configparser
 import csv
 import json
-import os
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -59,16 +57,6 @@ class RunConfig:
     gamma_list: tuple[float, ...] = DEFAULT_GAMMA_LIST
     grid_source: str = "default"
     raw: dict[str, str] = field(default_factory=dict)
-
-
-def _workers() -> int:
-    env = os.environ.get("DFS_SIM_THREADS", "")
-    if not env:
-        return 1
-    try:
-        return max(1, int(env))
-    except ValueError:
-        raise ConfigError(f"DFS_SIM_THREADS must be an integer, got {env!r}")
 
 
 def _parse_flat(text: str) -> dict[str, str]:
@@ -340,8 +328,7 @@ def cmd_trajectories(cfg: RunConfig, out: Path) -> None:
     # deterministic no-jump reference state for the mixture
     psi0 = propagate_schedule(space, cfg.params, schedule)
     psi0 = psi0 / np.linalg.norm(psi0)
-    result = run_ensemble(space, cfg.params, schedule, cfg.samples, cfg.seed,
-                          workers=_workers())
+    result = run_ensemble(space, cfg.params, schedule, cfg.samples, cfg.seed)
     rho_perp = result.rho_perp
     if rho_perp is None:
         rho_perp = np.outer(psi0, psi0.conj())

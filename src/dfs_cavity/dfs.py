@@ -184,10 +184,9 @@ def export_basis(basis: DfsBasis, csv_path: str | Path, sidecar_path: str | Path
     with csv_path.open("w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["vector_index", "flat_basis_index", "re_amplitude", "im_amplitude"])
-        for k in range(len(basis)):
-            for flat in range(basis.space.dim):
-                amp = basis.vectors[k, flat]
-                writer.writerow([k, flat, f"{amp.real:.17g}", f"{amp.imag:.17g}"])
+        writer.writerows([k, flat, f"{amp.real:.17g}", f"{amp.imag:.17g}"]
+                         for k, row in enumerate(basis.vectors.tolist())
+                         for flat, amp in enumerate(row))
     sidecar = {
         "n_atoms": basis.space.n_atoms,
         "n_max": basis.space.n_max,

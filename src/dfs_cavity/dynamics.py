@@ -14,7 +14,6 @@ independent Lindblad integrator.
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -22,10 +21,10 @@ import numpy as np
 from scipy.linalg import expm
 
 from .hamiltonians import Pulse, conditional_hamiltonian
-from .hilbert import HilbertSpace, SystemParams
+from .hilbert import HilbertSpace, SystemParams, atomic_lowering, cavity_annihilation
 
 NORM_BISECTION_TOL = 1e-10
-ENSEMBLE_CHUNK = 256  # fixed so reductions are identical for any worker count
+ENSEMBLE_CHUNK = 256  # trajectories summed per partial sum; fixes the summation order
 
 
 @dataclass(frozen=True)
@@ -170,8 +169,6 @@ def jump_operators(space: HilbertSpace,
     Channels with zero rate are omitted.  The ordering is part of the
     deterministic RNG contract for trajectory sampling.
     """
-    from .hilbert import atomic_lowering, cavity_annihilation
-
     ops: list[tuple[str, np.ndarray]] = []
     if params.kappa > 0:
         ops.append(("cavity", np.sqrt(2.0 * params.kappa) * cavity_annihilation(space)))
@@ -278,54 +275,39 @@ def sample_trajectory(space: HilbertSpace, params: SystemParams, schedule: Sched
     return Trajectory(tuple(jumps), psi / nrm, survived=not jumps)
 
 
-def _ensemble_chunk(args):
-    space, params, schedule, child_seeds = args
-    dim = space.dim
-    outer_sum = np.zeros((dim, dim), dtype=complex)
-    perp_sum = np.zeros((dim, dim), dtype=complex)
-    survived = 0
-    jumped = 0
-    records: list[tuple[int, float, str]] = []
-    for idx, child in child_seeds:
-        traj = sample_trajectory(space, params, schedule, child)
-        outer = np.outer(traj.final_state, traj.final_state.conj())
-        outer_sum += outer
-        if traj.survived:
-            survived += 1
-        else:
-            jumped += 1
-            perp_sum += outer
-            records.extend((idx, t, chan) for t, chan in traj.jumps)
-    return survived, jumped, outer_sum, perp_sum, records
-
-
 def run_ensemble(space: HilbertSpace, params: SystemParams, schedule: Schedule,
-                 n_samples: int, seed: int, workers: int = 1) -> EnsembleResult:
+                 n_samples: int, seed: int) -> EnsembleResult:
     """Sample n_samples seeded trajectories from the ground state.
 
-    Child seeds are spawned from a SeedSequence over ``seed``; chunked
-    reduction uses a fixed chunk size, so the result is identical for any
-    worker count.
+    Child seeds are spawned from a SeedSequence over ``seed``.  Outer
+    products are summed per chunk of ENSEMBLE_CHUNK trajectories and the
+    chunk sums are then added in order.
     """
     if n_samples < 1:
         raise ValueError(f"n_samples must be >= 1, got {n_samples}")
-    children = list(enumerate(np.random.SeedSequence(seed).spawn(n_samples)))
-    chunks = [children[i:i + ENSEMBLE_CHUNK] for i in range(0, n_samples, ENSEMBLE_CHUNK)]
-    payloads = [(space, params, schedule, chunk) for chunk in chunks]
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_ensemble_chunk, payloads))
-    else:
-        results = [_ensemble_chunk(p) for p in payloads]
-    survived = sum(r[0] for r in results)
-    jumped = sum(r[1] for r in results)
-    outer_sum = sum((r[2] for r in results), start=np.zeros((space.dim, space.dim), complex))
-    perp_sum = sum((r[3] for r in results), start=np.zeros((space.dim, space.dim), complex))
-    records = tuple(rec for r in results for rec in r[4])
+    children = np.random.SeedSequence(seed).spawn(n_samples)
+    outer_sum = np.zeros((space.dim, space.dim), dtype=complex)
+    perp_sum = np.zeros((space.dim, space.dim), dtype=complex)
+    survived = 0
+    records: list[tuple[int, float, str]] = []
+    for start in range(0, n_samples, ENSEMBLE_CHUNK):
+        chunk_outer, chunk_perp = np.zeros_like(outer_sum), np.zeros_like(perp_sum)
+        for idx in range(start, min(start + ENSEMBLE_CHUNK, n_samples)):
+            traj = sample_trajectory(space, params, schedule, children[idx])
+            outer = np.outer(traj.final_state, traj.final_state.conj())
+            chunk_outer += outer
+            if traj.survived:
+                survived += 1
+            else:
+                chunk_perp += outer
+                records.extend((idx, t, chan) for t, chan in traj.jumps)
+        outer_sum += chunk_outer
+        perp_sum += chunk_perp
+    jumped = n_samples - survived
     rho = outer_sum / n_samples
     rho = 0.5 * (rho + rho.conj().T)  # strip accumulation roundoff
     rho_perp = 0.5 * (perp_sum + perp_sum.conj().T) / jumped if jumped else None
-    return EnsembleResult(survived / n_samples, rho, n_samples, seed, rho_perp, records)
+    return EnsembleResult(survived / n_samples, rho, n_samples, seed, rho_perp, tuple(records))
 
 
 def no_detection_mixture(p0: float, psi0: np.ndarray, rho_perp: np.ndarray,

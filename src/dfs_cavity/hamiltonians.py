@@ -12,15 +12,22 @@ Its anti-Hermitian part is exactly -i(gamma * sum sigma^dag sigma +
 kappa * b^dag b), so the norm of a conditionally evolved state decays at
 the instantaneous emission rate.  Rabi frequencies stay fully complex:
 their phases are physical and cannot be absorbed into the atomic basis.
+
+Every term is a cavity factor (x) an atomic factor (``hilbert.embed``):
+i g (B - B^T) with B = b J_plus, a decay diagonal, and identity (x) the
+2**N drive.  Zero entries are +0.0, so the bytes equal those of the
+term-by-term sum of full-space products that starts from zeros.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
-from .hilbert import HilbertSpace, SystemParams, atomic_lowering, cavity_annihilation
+from .hilbert import (HilbertSpace, SystemParams, atom_factor, atomic_lowering,
+                      cavity_annihilation, cavity_factor, embed)
 
 
 @dataclass(frozen=True)
@@ -65,14 +72,25 @@ def _check_pulse(space: HilbertSpace, pulse: Pulse) -> None:
 def laser_hamiltonian(space: HilbertSpace, pulse: Pulse) -> np.ndarray:
     """Hermitian drive (1/2) sum_i Omega_i sigma_i + h.c."""
     _check_pulse(space, pulse)
-    h = np.zeros((space.dim, space.dim), dtype=complex)
-    for i, omega in enumerate(pulse.rabi, start=1):
-        if omega == 0:
-            continue
-        s = atomic_lowering(space, i)
-        h += 0.5 * omega * s
-        h += 0.5 * np.conj(omega) * s.conj().T
-    return h
+    masks = 1 << np.array([space.atom_bit(i) for i in range(1, space.n_atoms + 1)])[:, None]
+    ground = np.arange(space.n_configs) & ~masks  # row i-1: configs with atom i in |0>, twice
+    half = 0.5 * np.array(pulse.rabi)[:, None]
+    drive = np.zeros((space.n_configs, space.n_configs), dtype=complex)
+    drive[ground, ground | masks] = half  # the atoms' sigma_i have disjoint support
+    drive[ground | masks, ground] = np.conj(half)
+    return embed(space, np.eye(space.n_max + 1), drive) + 0.0  # + 0.0 turns -0.0 into +0.0
+
+
+@lru_cache(maxsize=32)
+def _rate_free_parts(space: HilbertSpace) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """B - B^T with B = a (x) J_plus, diag(sigma_i^dag sigma_i) per atom and diag(b^dag b)."""
+    a = cavity_factor(space)
+    lowerings = [atom_factor(space, i) for i in range(1, space.n_atoms + 1)]
+    b = embed(space, a, sum(lowerings).T)
+    ones = np.ones(space.n_max + 1)
+    excited = np.array([embed(space, ones, np.diag(s.T @ s)) for s in lowerings])
+    photons = embed(space, np.diag(a.T @ a), np.ones(space.n_configs))  # sqrt(n)^2, not n
+    return b - b.T, excited, photons
 
 
 def conditional_hamiltonian(space: HilbertSpace, params: SystemParams,
@@ -85,16 +103,14 @@ def conditional_hamiltonian(space: HilbertSpace, params: SystemParams,
     """
     if (params.n_atoms, params.n_max) != (space.n_atoms, space.n_max):
         raise ValueError("params disagree with the space on n_atoms/n_max")
-    b = cavity_annihilation(space)
+    coupling, excited, photons = _rate_free_parts(space)
+    loss = np.zeros(space.dim)
+    if params.gamma:
+        for bits in excited:  # one atom at a time, as the sum of gamma sigma^dag sigma rounds
+            loss += params.gamma * bits
+    loss += params.kappa * photons
     h = np.zeros((space.dim, space.dim), dtype=complex)
-    for i in range(1, space.n_atoms + 1):
-        s = atomic_lowering(space, i)
-        sdag = s.conj().T
-        h += 1j * params.g * (b @ sdag - b.conj().T @ s)
-        if params.gamma:
-            h += -1j * params.gamma * (sdag @ s)
-    if params.kappa:
-        h += -1j * params.kappa * (b.conj().T @ b)
+    h.imag = params.g * coupling - np.diag(loss)  # i g (B - B^T) - i diag(loss)
     if pulse is not None and not pulse.is_off:
         h += laser_hamiltonian(space, pulse)
     return h

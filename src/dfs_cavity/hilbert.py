@@ -11,6 +11,8 @@ Conventions used throughout the package:
 * Operators are dense complex ``numpy`` matrices, states are complex
   vectors of length ``dim``.  Dimensions stay desk-scale by construction
   (guarded in :func:`build_space`).
+* Operators are built as cavity factor (x) atomic factor: :func:`embed`
+  is the one operator routine that knows the photon-major layout.
 """
 
 from __future__ import annotations
@@ -127,21 +129,39 @@ def build_space(params: SystemParams) -> HilbertSpace:
     return HilbertSpace(params)
 
 
+def cavity_factor(space: HilbertSpace) -> np.ndarray:
+    """Truncated annihilation a|n> = sqrt(n)|n-1> on the Fock ladder alone (real)."""
+    return np.diag(np.sqrt(np.arange(1, space.n_max + 1)), k=1)
+
+
+def atom_factor(space: HilbertSpace, i: int) -> np.ndarray:
+    """sigma_i = |0><1| of atom i on the 2**N atomic configurations alone (real)."""
+    mask = 1 << space.atom_bit(i)
+    ground = np.arange(space.n_configs) & ~mask  # each config with atom i in |0>, twice
+    s = np.zeros((space.n_configs, space.n_configs))
+    s[ground, ground | mask] = 1.0
+    return s
+
+
+def embed(space: HilbertSpace, photon_op: np.ndarray, atom_op: np.ndarray) -> np.ndarray:
+    """photon_op (x) atom_op on the flat index n * 2**N + bits; 1-D arguments are diagonals.
+
+    Zero entries may come out as -0.0 (0 times a negative entry).
+    """
+    if photon_op.shape[0] != space.n_max + 1 or atom_op.shape[0] != space.n_configs:
+        raise ValueError("factor shapes disagree with the space")
+    if photon_op.ndim == 1:
+        return (photon_op[:, None] * atom_op[None, :]).reshape(space.dim)
+    return (photon_op[:, None, :, None] * atom_op[None, :, None, :]).reshape(space.dim, space.dim)
+
+
 @lru_cache(maxsize=64)
 def atomic_lowering(space: HilbertSpace, i: int) -> np.ndarray:
     """Lowering operator sigma_i = |0><1| on atom i, identity elsewhere.
 
     Treat the cached return value as read-only.
     """
-    bit = space.atom_bit(i)
-    mask = 1 << bit
-    op = np.zeros((space.dim, space.dim), dtype=complex)
-    for n in range(space.n_max + 1):
-        base = n * space.n_configs
-        for bits in range(space.n_configs):
-            if bits & mask:
-                op[base + (bits & ~mask), base + bits] = 1.0
-    return op
+    return embed(space, np.eye(space.n_max + 1), atom_factor(space, i)).astype(complex)
 
 
 @lru_cache(maxsize=32)
@@ -151,10 +171,4 @@ def cavity_annihilation(space: HilbertSpace) -> np.ndarray:
     The truncation only breaks the ladder algebra at the cutoff row:
     b_dag |n_max> = 0.  Treat the cached return value as read-only.
     """
-    op = np.zeros((space.dim, space.dim), dtype=complex)
-    nc = space.n_configs
-    for n in range(1, space.n_max + 1):
-        root = np.sqrt(n)
-        for bits in range(nc):
-            op[(n - 1) * nc + bits, n * nc + bits] = root
-    return op
+    return embed(space, cavity_factor(space), np.eye(space.n_configs)).astype(complex)

@@ -5,8 +5,8 @@ explicit product states, series expansions, black-box ODE integration)
 so the package paths are checked against genuinely independent
 arithmetic rather than against themselves.  The pair-basis amplitude
 equations, the fixed-step Lindblad integrator, the greedy all-pairings
-trapped basis and a few operator helpers that only the tests use live
-here as well.
+trapped basis, the loop- and product-built operators and a few operator
+helpers that only the tests use live here as well.
 """
 
 from functools import lru_cache
@@ -17,6 +17,7 @@ from scipy.integrate import solve_ivp
 from dfs_cavity import (HilbertSpace, Pulse, Schedule, SystemParams, atomic_lowering,
                         conditional_hamiltonian, dfs_projector, jump_operators, omega_pm)
 from dfs_cavity.dfs import RANK_TOL, _singlet_product
+from dfs_cavity.hamiltonians import _check_pulse
 
 PAIR_INDEX = {"g": 0, "a": 1, "s": 2, "e": 3}
 
@@ -274,6 +275,81 @@ def two_atom_ode_rhs(coeffs: np.ndarray, params: SystemParams,
     out[:, 3] = (1j * np.conj(wm) * ca - 1j * np.conj(wp) * cs
                  + sq_up * g * cs_up - (2 * gam + n * kap) * ce)
     return out
+
+
+# The loop- and product-built operators the package used before it
+# assembled every operator as a photon factor (x) an atomic factor; the
+# package must reproduce them bit for bit.
+
+@lru_cache(maxsize=64)
+def atomic_lowering_loops(space: HilbertSpace, i: int) -> np.ndarray:
+    """Lowering operator sigma_i = |0><1| on atom i, identity elsewhere.
+
+    Treat the cached return value as read-only.
+    """
+    bit = space.atom_bit(i)
+    mask = 1 << bit
+    op = np.zeros((space.dim, space.dim), dtype=complex)
+    for n in range(space.n_max + 1):
+        base = n * space.n_configs
+        for bits in range(space.n_configs):
+            if bits & mask:
+                op[base + (bits & ~mask), base + bits] = 1.0
+    return op
+
+
+@lru_cache(maxsize=32)
+def cavity_annihilation_loops(space: HilbertSpace) -> np.ndarray:
+    """Bosonic annihilation b with b|n> = sqrt(n)|n-1>, truncated at n_max.
+
+    The truncation only breaks the ladder algebra at the cutoff row:
+    b_dag |n_max> = 0.  Treat the cached return value as read-only.
+    """
+    op = np.zeros((space.dim, space.dim), dtype=complex)
+    nc = space.n_configs
+    for n in range(1, space.n_max + 1):
+        root = np.sqrt(n)
+        for bits in range(nc):
+            op[(n - 1) * nc + bits, n * nc + bits] = root
+    return op
+
+
+def laser_hamiltonian_products(space: HilbertSpace, pulse: Pulse) -> np.ndarray:
+    """Hermitian drive (1/2) sum_i Omega_i sigma_i + h.c."""
+    _check_pulse(space, pulse)
+    h = np.zeros((space.dim, space.dim), dtype=complex)
+    for i, omega in enumerate(pulse.rabi, start=1):
+        if omega == 0:
+            continue
+        s = atomic_lowering_loops(space, i)
+        h += 0.5 * omega * s
+        h += 0.5 * np.conj(omega) * s.conj().T
+    return h
+
+
+def conditional_hamiltonian_products(space: HilbertSpace, params: SystemParams,
+                                     pulse: Pulse | None = None) -> np.ndarray:
+    """Non-Hermitian generator of the no-emission evolution.
+
+    ``params`` may carry different rates than the ones the space was
+    built with, but must agree on n_atoms and n_max.  ``pulse=None``
+    means lasers off.
+    """
+    if (params.n_atoms, params.n_max) != (space.n_atoms, space.n_max):
+        raise ValueError("params disagree with the space on n_atoms/n_max")
+    b = cavity_annihilation_loops(space)
+    h = np.zeros((space.dim, space.dim), dtype=complex)
+    for i in range(1, space.n_atoms + 1):
+        s = atomic_lowering_loops(space, i)
+        sdag = s.conj().T
+        h += 1j * params.g * (b @ sdag - b.conj().T @ s)
+        if params.gamma:
+            h += -1j * params.gamma * (sdag @ s)
+    if params.kappa:
+        h += -1j * params.kappa * (b.conj().T @ b)
+    if pulse is not None and not pulse.is_off:
+        h += laser_hamiltonian_products(space, pulse)
+    return h
 
 
 def collective_lowering(space: HilbertSpace) -> np.ndarray:

@@ -191,21 +191,6 @@ def test_sweep_agreement_wherever_weak_driving_holds(tmp_path):
         assert float(row["fidelity_conditional"]) > 0.99
 
 
-def test_trajectories_worker_pool_matches_serial(tmp_path, monkeypatch):
-    text = ("n_atoms = 2\nkappa = 1.0\ngamma = 0.001\nn_max = 3\n"
-            "rabi = 0.1, -0.1\nduration = 20.0\nsamples = 300\nseed = 5\n"
-            "jump_log = true\n")
-    cfg = write_config(tmp_path, text)
-    serial_out, pooled_out = tmp_path / "serial", tmp_path / "pooled"
-    monkeypatch.delenv("DFS_SIM_THREADS", raising=False)
-    assert main(["trajectories", "--config", cfg, "--out", str(serial_out)]) == 0
-    monkeypatch.setenv("DFS_SIM_THREADS", "2")
-    assert main(["trajectories", "--config", cfg, "--out", str(pooled_out)]) == 0
-    for name in ("ensemble.json", "jumps.csv"):
-        assert (serial_out / name).read_bytes() == (pooled_out / name).read_bytes()
-    assert len((serial_out / "jumps.csv").read_text().splitlines()) > 1
-
-
 def test_outputs_byte_identical_for_same_config_and_seed(tmp_path):
     text = ("n_atoms = 2\nkappa = 1.0\nn_max = 3\n"
             "omega1_list = 0.03, 0.08\ngamma_list = 0, 0.001\n")
@@ -228,6 +213,16 @@ def test_outputs_byte_identical_for_same_config_and_seed(tmp_path):
     assert main(["trajectories", "--config", traj_cfg, "--out", str(t3),
                  "--seed", "4"]) == 0
     assert (t1 / "ensemble.json").read_bytes() != (t3 / "ensemble.json").read_bytes()
+
+    # 300 samples span two ENSEMBLE_CHUNK partial sums
+    chunked_cfg = write_config(tmp_path, traj_text.replace("samples = 120", "samples = 300"),
+                               name="chunked.ini")
+    c1, c2 = tmp_path / "c1", tmp_path / "c2"
+    assert main(["trajectories", "--config", chunked_cfg, "--out", str(c1)]) == 0
+    assert main(["trajectories", "--config", chunked_cfg, "--out", str(c2)]) == 0
+    for name in ("ensemble.json", "jumps.csv"):
+        assert (c1 / name).read_bytes() == (c2 / name).read_bytes()
+    assert len((c1 / "jumps.csv").read_text().splitlines()) > 1
 
 
 def test_evolve_timeseries(tmp_path):

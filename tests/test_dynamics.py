@@ -252,16 +252,6 @@ def test_run_ensemble_trapped_start():
     assert fidelity(result.density_matrix, space.ground_state()) == pytest.approx(1.0)
 
 
-def test_run_ensemble_worker_count_invariance():
-    space, params = two_atom_setup(gamma=1e-3)
-    schedule = Schedule((Pulse((0.15, -0.15), 12.0),))
-    serial = run_ensemble(space, params, schedule, 300, seed=5, workers=1)
-    parallel = run_ensemble(space, params, schedule, 300, seed=5, workers=2)
-    assert serial.p0_estimate == parallel.p0_estimate
-    assert np.array_equal(serial.density_matrix, parallel.density_matrix)
-    assert serial.jump_records == parallel.jump_records
-
-
 def test_master_equation_preserves_trace_and_trapped_states():
     space, params = two_atom_setup(gamma=1e-3)
     schedule = Schedule((Pulse((0.1, -0.1), 6.0),))

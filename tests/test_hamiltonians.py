@@ -1,10 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dfs_cavity import (Pulse, SystemParams, atomic_lowering, build_space,
-                        cavity_annihilation, conditional_hamiltonian, laser_hamiltonian,
-                        photon_loss_density)
-from oracles import pair_ladder_matrix, pair_vector, two_atom_ode_rhs, two_atom_pair_basis
+                        cavity_annihilation, conditional_hamiltonian, jump_operators,
+                        laser_hamiltonian, photon_loss_density)
+from oracles import (atomic_lowering_loops, cavity_annihilation_loops,
+                     conditional_hamiltonian_products, laser_hamiltonian_products,
+                     pair_ladder_matrix, pair_vector, two_atom_ode_rhs, two_atom_pair_basis)
 
 
 @pytest.fixture
@@ -182,3 +186,52 @@ def test_two_atom_ode_rhs_rejects_other_sizes():
     params2 = SystemParams(n_atoms=2, n_max=3)
     with pytest.raises(ValueError):
         two_atom_ode_rhs(np.zeros((2, 4), complex), params2, 0.0, 0.0)
+
+
+def assert_operators_match_oracle(params, pulse):
+    """Every operator function gives the same bytes as the loop/product oracle."""
+    space = build_space(params)
+    assert (conditional_hamiltonian(space, params, pulse).tobytes()
+            == conditional_hamiltonian_products(space, params, pulse).tobytes())
+    if pulse is not None:
+        assert (laser_hamiltonian(space, pulse).tobytes()
+                == laser_hamiltonian_products(space, pulse).tobytes())
+    expected_jumps = []
+    if params.kappa > 0:
+        expected_jumps.append(np.sqrt(2.0 * params.kappa) * cavity_annihilation_loops(space))
+    for i in range(1, params.n_atoms + 1):
+        assert atomic_lowering(space, i).tobytes() == atomic_lowering_loops(space, i).tobytes()
+        if params.gamma > 0:
+            expected_jumps.append(np.sqrt(2.0 * params.gamma) * atomic_lowering_loops(space, i))
+    assert cavity_annihilation(space).tobytes() == cavity_annihilation_loops(space).tobytes()
+    jumps = [op for _, op in jump_operators(space, params)]
+    assert [op.tobytes() for op in jumps] == [op.tobytes() for op in expected_jumps]
+
+
+rates = st.one_of(st.just(0.0), st.floats(0.0, 1e3))
+drives = st.one_of(st.just(0j), st.complex_numbers(max_magnitude=1e3, allow_nan=False,
+                                                   allow_infinity=False))
+
+
+@st.composite
+def operator_cases(draw):
+    n_atoms = draw(st.integers(1, 6))
+    params = SystemParams(n_atoms=n_atoms, n_max=draw(st.integers(0, 3)),
+                          g=draw(st.floats(0.0, 1e3, exclude_min=True)),
+                          kappa=draw(rates), gamma=draw(rates))
+    pulse = draw(st.one_of(st.none(), st.just(Pulse.off(n_atoms, 1.0)),
+                           st.lists(drives, min_size=n_atoms, max_size=n_atoms).map(
+                               lambda rabi: Pulse(tuple(rabi), 1.0))))
+    return params, pulse
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(operator_cases())
+def test_operators_bit_identical_to_loop_and_product_oracle(case):
+    assert_operators_match_oracle(*case)
+
+
+def test_operators_bit_identical_to_oracle_at_seven_atoms():
+    params = SystemParams(n_atoms=7, g=0.9, kappa=0.7, gamma=0.37, n_max=3)
+    rabi = (0.05, -0.05j, 0.0, 0.03 - 0.02j, -0.07, 1e-9 + 0.1j, -0.0 - 0.2j)
+    assert_operators_match_oracle(params, Pulse(rabi, 1.0))
