@@ -24,8 +24,8 @@ import numpy as np
 from .analytic import (OverdampedError, build_slow_model, entangling_pulse_duration,
                        p0_closed_form, zeno_timescale_check)
 from .dfs import dfs_basis, dicke_degeneracy, export_basis
-from .dynamics import (Schedule, no_detection_mixture, propagate_conditional,
-                       propagate_schedule, run_ensemble)
+from .dynamics import (Schedule, no_detection_mixture, no_jump_state,
+                       propagate_conditional, propagate_schedule, run_ensemble)
 from .hamiltonians import Pulse, conditional_hamiltonian
 from .hilbert import DeskScaleError, SystemParams, build_space
 
@@ -325,9 +325,7 @@ def cmd_trajectories(cfg: RunConfig, out: Path) -> None:
         raise ConfigError("seed must be >= 0")
     space = build_space(cfg.params)
     schedule, _ = _resolve_schedule(cfg)
-    # deterministic no-jump reference state for the mixture
-    psi0 = propagate_schedule(space, cfg.params, schedule)
-    psi0 = psi0 / np.linalg.norm(psi0)
+    psi0 = no_jump_state(space, cfg.params, schedule)
     result = run_ensemble(space, cfg.params, schedule, cfg.samples, cfg.seed)
     rho_perp = result.rho_perp
     if rho_perp is None:
@@ -370,14 +368,14 @@ def cmd_evolve(cfg: RunConfig, out: Path) -> None:
         raise ConfigError("evolve_points must be >= 2")
     space = build_space(cfg.params)
     basis = dfs_basis(space)
-    proj = basis.projector()
     schedule, _ = _resolve_schedule(cfg)
     times = np.linspace(0.0, schedule.total_duration, cfg.evolve_points)
     states = propagate_schedule(space, cfg.params, schedule, times)
     rows = []
     for t, psi in zip(times, states):
         p0 = float(np.vdot(psi, psi).real)
-        dfs_pop = float(np.vdot(psi, proj @ psi).real / p0) if p0 > 0 else 0.0
+        amps = basis.vectors.conj() @ psi
+        dfs_pop = float(np.vdot(amps, amps).real / p0) if p0 > 0 else 0.0
         rows.append((float(t), p0, dfs_pop))
     with (out / "evolve.csv").open("w", newline="") as fh:
         writer = csv.writer(fh)

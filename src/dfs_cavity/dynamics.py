@@ -1,21 +1,26 @@
 """No-jump propagation and quantum-jump trajectories.
 
 Between emission events the state evolves with U_cond(t) = exp(-i H_cond t),
-computed by dense matrix exponential (exact for the piecewise-constant
-schedules used here).  The squared norm of the unnormalized state is the
-probability that no photon has been emitted, which is what trajectory
-sampling inverts: draw r uniform in (0, 1), evolve until the norm falls
-to r, then apply a jump operator sqrt(2*gamma)*sigma_i or sqrt(2*kappa)*b
-chosen with probability proportional to its emission weight.  That choice
-of jump operators makes conditional evolution plus jumps exactly
-trace-preserving on average, which the test suite checks against an
-independent Lindblad integrator.
+exact for the piecewise-constant schedules used here.  Above
+DENSE_MAX_DIM the schedule propagator applies it to the state with
+scipy's truncated-Taylor ``expm_multiply`` on a sparse H_cond (Al-Mohy &
+Higham, SIAM J. Sci. Comput. 33, 488 (2011)) and forms no dim x dim
+exponential; up to DENSE_MAX_DIM, and in single propagations and the jump
+sampler, it uses the dense matrix exponential.  The squared norm
+of the unnormalized state is the probability that no photon has been
+emitted, which is what trajectory sampling inverts: draw r uniform in
+(0, 1), evolve until the norm falls to r, then apply a jump operator
+sqrt(2*gamma)*sigma_i or sqrt(2*kappa)*b chosen with probability
+proportional to its emission weight.  That choice of jump operators makes
+conditional evolution plus jumps exactly trace-preserving on average,
+which the test suite checks against an independent Lindblad integrator.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 
 import numpy as np
 from scipy.linalg import expm
@@ -24,6 +29,14 @@ from .hamiltonians import Pulse, conditional_hamiltonian
 from .hilbert import HilbertSpace, SystemParams, atomic_lowering, cavity_annihilation
 
 NORM_BISECTION_TOL = 1e-10
+# Largest dim the schedule propagator steps with the dense exponential.  Up to here it
+# is faster than expm_multiply at every duration, and its bytes were measured not to
+# depend on the BLAS thread count; at dim 128 they do.
+DENSE_MAX_DIM = 64
+# Largest ||t (A - mu I)||_1 handed to one expm_multiply call.  Above about 63.4
+# (condition 3.13 of Al-Mohy & Higham) scipy estimates ||A^p||_1 with onenormest,
+# which draws from numpy's global RNG; below it every call takes the exact-norm branch.
+KRYLOV_STEP_NORM = 32.0
 ENSEMBLE_CHUNK = 256  # trajectories summed per partial sum; fixes the summation order
 
 
@@ -108,16 +121,25 @@ def propagate_schedule(space: HilbertSpace, params: SystemParams, schedule: Sche
     Returns the unnormalized final state or, given non-decreasing
     ``times`` inside the schedule span, one row per time holding the
     state at that time.  A step that passes a segment end by more than
-    1e-12 is split there.  Raises ArithmeticError when the squared norm
-    of the final state underflows to zero.
+    1e-12 is split there.  Each step applies exp(-i H_cond t): up to
+    DENSE_MAX_DIM as the dense exponential, above it with
+    ``expm_multiply`` in equal sub-steps of norm at most KRYLOV_STEP_NORM,
+    so the result does not depend on numpy's global RNG, which is left
+    untouched.  Raises ArithmeticError when the squared norm of the final
+    state underflows to zero.
     """
     if schedule.n_atoms != space.n_atoms:
         raise ValueError("schedule and space disagree on the atom count")
+    if space.dim <= DENSE_MAX_DIM:
+        generator = partial(conditional_hamiltonian, space, params)
+        advance = propagate_conditional
+    else:
+        generator, advance = _krylov_stepper(space, params)
+
     psi = space.ground_state()
     if times is None:
         for seg in schedule.segments:
-            psi = propagate_conditional(conditional_hamiltonian(space, params, seg),
-                                        psi, seg.duration)
+            psi = advance(generator(seg), psi, seg.duration)
         out = psi
     else:
         times = np.asarray(times, dtype=float)
@@ -127,21 +149,60 @@ def propagate_schedule(space: HilbertSpace, params: SystemParams, schedule: Sche
         out = np.empty((times.size, space.dim), dtype=complex)
         segments = iter(schedule.segments)
         seg = next(segments)
-        h = conditional_hamiltonian(space, params, seg)
+        gen = generator(seg)
         cursor, seg_end = 0.0, seg.duration
         for k, t in enumerate(times):
             while t > seg_end + 1e-12:
-                psi = propagate_conditional(h, psi, seg_end - cursor)
+                psi = advance(gen, psi, seg_end - cursor)
                 cursor = seg_end
                 seg = next(segments)
-                h = conditional_hamiltonian(space, params, seg)
+                gen = generator(seg)
                 seg_end += seg.duration
-            psi = propagate_conditional(h, psi, min(t, seg_end) - cursor)
-            cursor = t
+            psi = advance(gen, psi, min(t, seg_end) - cursor)
+            cursor = min(t, seg_end)
             out[k] = psi
     if not np.vdot(psi, psi).real > 0:
         raise ArithmeticError("conditional state vanished entirely")
     return out
+
+
+def _krylov_stepper(space: HilbertSpace, params: SystemParams):
+    """(generator, advance) pair stepping exp(-i H_cond t) psi with expm_multiply."""
+    # imported on first use: scipy.sparse.linalg adds about 2.6 MB to every process
+    from scipy.sparse import csr_array
+    from scipy.sparse.linalg import expm_multiply
+
+    def generator(seg: Pulse) -> tuple[csr_array, float]:
+        a = csr_array(-1j * conditional_hamiltonian(space, params, seg))
+        # ||A||_1 + |mu| bounds ||A - mu I||_1, the norm expm_multiply tests after
+        # shifting A by mu = trace(A) / dim
+        return a, float(abs(a).sum(axis=0).max()) + abs(a.trace()) / space.dim
+
+    def advance(gen: tuple[csr_array, float], psi: np.ndarray, t: float) -> np.ndarray:
+        a, norm = gen
+        steps = math.ceil(t * norm / KRYLOV_STEP_NORM)
+        for _ in range(steps):
+            psi = expm_multiply((t / steps) * a, psi)
+        return psi
+
+    return generator, advance
+
+
+def no_jump_state(space: HilbertSpace, params: SystemParams, schedule: Schedule) -> np.ndarray:
+    """Normalized final state of a trajectory that emits no photon.
+
+    Applies the sampler's cached full-segment propagators to the ground
+    state, the same products a surviving trajectory applies.  Raises
+    ArithmeticError when the no-emission probability underflows to zero.
+    """
+    if schedule.n_atoms != space.n_atoms:
+        raise ValueError("schedule and space disagree on the atom count")
+    psi = space.ground_state()
+    for _, u_full, _ in _segment_propagators(space, params, schedule):
+        psi = u_full @ psi
+    if not np.vdot(psi, psi).real > 0:
+        raise ArithmeticError("conditional state vanished entirely")
+    return psi / np.linalg.norm(psi)
 
 
 def no_photon_probability(h_cond: np.ndarray, state: np.ndarray, t: float) -> float:

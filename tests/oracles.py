@@ -5,14 +5,16 @@ explicit product states, series expansions, black-box ODE integration)
 so the package paths are checked against genuinely independent
 arithmetic rather than against themselves.  The pair-basis amplitude
 equations, the fixed-step Lindblad integrator, the greedy all-pairings
-trapped basis, the loop- and product-built operators and a few operator
-helpers that only the tests use live here as well.
+trapped basis, the loop- and product-built operators, the dense-exponential
+schedule chain and a few operator helpers that only the tests use live
+here as well.
 """
 
 from functools import lru_cache
 
 import numpy as np
 from scipy.integrate import solve_ivp
+from scipy.linalg import expm
 
 from dfs_cavity import (HilbertSpace, Pulse, Schedule, SystemParams, atomic_lowering,
                         conditional_hamiltonian, dfs_projector, jump_operators, omega_pm)
@@ -186,6 +188,30 @@ def expm_taylor(m, t, terms=20):
         power = power @ (-m * t) / k
         acc = acc + power
     return acc
+
+
+def schedule_states_dense(space: HilbertSpace, params: SystemParams, schedule: Schedule,
+                          times) -> np.ndarray:
+    """Unnormalized no-emission state at each time, by dense exponentials.
+
+    Every row restarts from the ground state: the full-segment exponentials
+    of the segments before the one holding t, then that segment's exponential
+    over the rest.  t belongs to the first segment whose end it does not pass
+    by more than 1e-12.
+    """
+    rows = []
+    for t in times:
+        psi, start = space.ground_state(), 0.0
+        for seg in schedule.segments:
+            h = conditional_hamiltonian(space, params, seg)
+            end = start + seg.duration
+            if t <= end + 1e-12:
+                psi = expm(-1j * (min(t, end) - start) * h) @ psi
+                break
+            psi = expm(-1j * seg.duration * h) @ psi
+            start = end
+        rows.append(psi)
+    return np.array(rows)
 
 
 def integrate_pair_amplitudes(params: SystemParams, omega1, omega2, duration,

@@ -1,21 +1,38 @@
 import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy.linalg import expm
 
+import dfs_cavity
 from dfs_cavity import SystemParams, build_space, dfs_basis, Pulse
 from dfs_cavity.cli import main
 from oracles import effective_hamiltonian, embed_vacuum, four_atom_state
 
 OMEGA_MINUS_002 = 0.02 / np.sqrt(2.0)  # antisymmetric combination for 0.02, -0.02
+PACKAGE_ROOT = str(Path(dfs_cavity.__file__).resolve().parents[1])
 
 
 def write_config(tmp_path, text, name="run.ini"):
     path = tmp_path / name
     path.write_text(text)
     return str(path)
+
+
+def run_python(code, **env):
+    """Run `python -c code` in a fresh interpreter with the package importable."""
+    child_env = dict(os.environ, **env)
+    child_env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (PACKAGE_ROOT, os.environ.get("PYTHONPATH")) if p)
+    result = subprocess.run([sys.executable, "-c", code], env=child_env,
+                            capture_output=True, text=True, timeout=300)
+    assert result.returncode == 0, result.stderr
+    return result.stdout
 
 
 def load_state(payload_path):
@@ -223,6 +240,43 @@ def test_outputs_byte_identical_for_same_config_and_seed(tmp_path):
     for name in ("ensemble.json", "jumps.csv"):
         assert (c1 / name).read_bytes() == (c2 / name).read_bytes()
     assert len((c1 / "jumps.csv").read_text().splitlines()) > 1
+
+
+def test_pulse_and_evolve_bytes_independent_of_blas_threads(tmp_path):
+    # N=4 (dim 64) runs the dense exponential, N=5 (dim 128) the Krylov steps
+    rabi = ("0.049+0.008j", "-0.048+0.012j", "0.05-0.003j", "-0.047-0.015j", "0.046+0.019j")
+    cfgs = []
+    for n in (4, 5):
+        text = (f"n_atoms = {n}\nkappa = 1.0\nn_max = 3\nduration = 30\nevolve_points = 100\n"
+                f"rabi = {', '.join(rabi[:n])}\n")
+        cfgs.append((n, write_config(tmp_path, text, name=f"pulse{n}.ini"),
+                     write_config(tmp_path, text + "settle = 5\n", name=f"evolve{n}.ini")))
+    outputs = {}
+    for threads in ("1", "2"):
+        code = "from dfs_cavity.cli import main"
+        for n, pulse_cfg, evolve_cfg in cfgs:
+            out = str(tmp_path / f"threads{threads}" / f"n{n}")
+            code += (f"; assert main(['pulse', '--config', {pulse_cfg!r}, '--out', {out!r}]) == 0"
+                     f"; assert main(['evolve', '--config', {evolve_cfg!r}, '--out', {out!r}]) == 0")
+        run_python(code, OPENBLAS_NUM_THREADS=threads)
+        outputs[threads] = {(n, name): (tmp_path / f"threads{threads}" / f"n{n}" / name).read_bytes()
+                            for n, _, _ in cfgs
+                            for name in ("pulse.json", "evolve.csv", "evolve.json")}
+    assert outputs["1"] == outputs["2"]
+
+
+def test_sweep_and_trajectories_do_not_load_sparse_linalg(tmp_path):
+    # scipy.sparse.linalg is imported on first use by propagate_schedule only
+    sweep = write_config(tmp_path, "n_atoms = 2\nomega1_list = 0.05\ngamma_list = 0\n",
+                         name="sweep.ini")
+    traj = write_config(tmp_path, ("n_atoms = 2\ngamma = 0.01\nrabi = 0.1, -0.1\n"
+                                   "duration = 20\nsettle = 5\nsamples = 20\n"), name="traj.ini")
+    loaded = run_python(
+        "import sys; from dfs_cavity.cli import main; "
+        f"assert main(['sweep', '--config', {sweep!r}, '--out', {str(tmp_path)!r}]) == 0; "
+        f"assert main(['trajectories', '--config', {traj!r}, '--out', {str(tmp_path)!r}]) == 0; "
+        "print('loaded' if 'scipy.sparse.linalg' in sys.modules else 'absent')")
+    assert loaded.splitlines()[-1] == "absent"
 
 
 def test_evolve_timeseries(tmp_path):

@@ -1,5 +1,10 @@
+from functools import partial
+from unittest.mock import patch
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import solve_ivp
 
 from dfs_cavity import (Pulse, Schedule, SystemParams, build_slow_model, build_space,
@@ -8,8 +13,9 @@ from dfs_cavity import (Pulse, Schedule, SystemParams, build_slow_model, build_s
                         jump_operators, no_detection_mixture,
                         no_photon_probability, propagate_conditional, propagate_schedule,
                         run_ensemble, sample_trajectory)
+from dfs_cavity import dynamics
 from dfs_cavity.dynamics import _bisect_jump
-from oracles import master_equation_evolve, pair_vector
+from oracles import master_equation_evolve, pair_vector, schedule_states_dense
 
 
 def two_atom_setup(gamma=0.0, kappa=1.0, n_max=3):
@@ -31,7 +37,7 @@ def test_propagate_identity_at_zero():
         propagate_conditional(h, psi, -1.0)
 
 
-def test_propagate_schedule_chains_segments():
+def test_propagate_schedule_chains_segments(monkeypatch):
     space, params = two_atom_setup(gamma=1e-3)
     segments = (Pulse((0.1, -0.1), 3.0), Pulse.off(2, 0.0), Pulse((0.05, 0.02), 2.5))
     schedule = Schedule(segments)
@@ -39,21 +45,83 @@ def test_propagate_schedule_chains_segments():
     chained = space.ground_state()
     for h, seg in zip((h1, h2, h3), segments):
         chained = propagate_conditional(h, chained, seg.duration)
-    assert np.array_equal(propagate_schedule(space, params, schedule), chained)
-
     # time grid: a step ends at each segment end it passes, as evolve steps
-    rows = propagate_schedule(space, params, schedule, [0.0, 1.5, 3.0, 4.0, 5.5])
     at_start = propagate_conditional(h1, space.ground_state(), 0.0)
     at_boundary = propagate_conditional(h1, propagate_conditional(h1, at_start, 1.5), 1.5)
     at_4 = propagate_conditional(h1, at_boundary, 0.0)
     at_4 = propagate_conditional(h3, propagate_conditional(h2, at_4, 0.0), 1.0)
     at_end = propagate_conditional(h3, at_4, 1.5)
-    assert np.array_equal(rows[2], at_boundary)
-    assert np.array_equal(rows[4], at_end)
-    assert np.allclose(rows[4], chained, rtol=0, atol=1e-12)
-    for bad in ([0.0, 5.6], [1.0, 0.5], [-0.1], []):
-        with pytest.raises(ValueError):
-            propagate_schedule(space, params, schedule, bad)
+
+    # dim 16 steps with the dense exponential, the chain's own products; forced onto
+    # the Krylov steps, which round differently, it must agree to 1e-12
+    for dense_max_dim, same in ((dynamics.DENSE_MAX_DIM, np.array_equal),
+                                (0, partial(np.allclose, rtol=0, atol=1e-12))):
+        monkeypatch.setattr(dynamics, "DENSE_MAX_DIM", dense_max_dim)
+        assert same(propagate_schedule(space, params, schedule), chained)
+        rows = propagate_schedule(space, params, schedule, [0.0, 1.5, 3.0, 4.0, 5.5])
+        assert same(rows[2], at_boundary)
+        assert same(rows[4], at_end)
+        assert np.allclose(rows[4], chained, rtol=0, atol=1e-12)
+        for bad in ([0.0, 5.6], [1.0, 0.5], [-0.1], []):
+            with pytest.raises(ValueError):
+                propagate_schedule(space, params, schedule, bad)
+
+
+@st.composite
+def schedule_cases(draw):
+    n_atoms = draw(st.integers(1, 4))
+    params = SystemParams(n_atoms=n_atoms, g=1.0, n_max=draw(st.integers(0, 3)),
+                          kappa=draw(st.floats(0.0, 2.0)), gamma=draw(st.floats(0.0, 1.0)))
+    drive = st.complex_numbers(max_magnitude=1.0, allow_nan=False, allow_infinity=False)
+    durations = st.one_of(st.just(0.0), st.floats(0.0, 40.0))
+    segments = draw(st.lists(
+        st.builds(lambda rabi, d: Pulse(tuple(rabi), d),
+                  st.lists(drive, min_size=n_atoms, max_size=n_atoms), durations),
+        min_size=1, max_size=3))
+    schedule = Schedule(tuple(segments))
+    ends = np.cumsum([seg.duration for seg in segments]).tolist()
+    span = min(schedule.total_duration, ends[-1])
+    times = sorted(draw(st.lists(st.one_of(st.floats(0.0, span), st.sampled_from([0.0] + ends)),
+                                 min_size=1, max_size=6)))
+    return build_space(params), params, schedule, [min(t, span) for t in times]
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(schedule_cases())
+def test_propagate_schedule_matches_dense_expm_chain(case):
+    space, params, schedule, times = case
+    expected_rows = schedule_states_dense(space, params, schedule, times)
+    expected_final = schedule_states_dense(space, params, schedule, [schedule.total_duration])[0]
+    # as configured (dense up to dim 64), then on the Krylov steps at every dim
+    for dense_max_dim in (dynamics.DENSE_MAX_DIM, 0):
+        with patch.object(dynamics, "DENSE_MAX_DIM", dense_max_dim):
+            rows = propagate_schedule(space, params, schedule, times)
+            final = propagate_schedule(space, params, schedule)
+        assert np.allclose(rows, expected_rows, rtol=0, atol=1e-12)
+        assert np.allclose(final, expected_final, rtol=0, atol=1e-12)
+
+
+def test_propagate_schedule_leaves_the_global_rng_alone(monkeypatch):
+    # ||t A||_1 is about 294 over the first segment: a single expm_multiply call
+    # over it would estimate matrix-power norms from numpy's global RNG
+    monkeypatch.setattr(dynamics, "DENSE_MAX_DIM", 0)  # Krylov steps at dim 16
+    space, params = two_atom_setup()
+    schedule = Schedule((Pulse((0.05, -0.05), 45.2), Pulse.off(2, 10)))
+    saved = np.random.get_state()
+    try:
+        results = []
+        for seed in (0, 1):
+            np.random.seed(seed)
+            before = np.random.get_state()
+            final = propagate_schedule(space, params, schedule)
+            rows = propagate_schedule(space, params, schedule, [0.0, 20.0, 45.2, 55.2])
+            after = np.random.get_state()
+            assert before[0] == after[0] and before[2:] == after[2:]
+            assert np.array_equal(before[1], after[1])
+            results.append((final.tobytes(), rows.tobytes()))
+        assert results[0] == results[1]
+    finally:
+        np.random.set_state(saved)
 
 
 def test_trapped_state_is_stable():
