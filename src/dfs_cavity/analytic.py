@@ -98,47 +98,6 @@ def _sin_over_s(s: complex, t: float) -> complex:
     return np.sin(st) / s
 
 
-def slow_propagator(model: SlowModel, t: float) -> np.ndarray:
-    """exp(-M t) via the two-eigenprojector expansion.
-
-    Falls back to the confluent limit exp(-l t) (I - (M - l) t) when the
-    eigenvalues coincide (critically damped model).
-    """
-    l1, l2 = model.eigenvalues
-    m = model.matrix
-    eye = np.eye(2, dtype=complex)
-    if abs(l1 - l2) < 1e-13 * max(1.0, abs(l1) + abs(l2)):
-        return np.exp(-l1 * t) * (eye - (m - l1 * eye) * t)
-    return ((m - l2 * eye) / (l1 - l2) * np.exp(-l1 * t)
-            + (m - l1 * eye) / (l2 - l1) * np.exp(-l2 * t))
-
-
-def slow_amplitudes(model: SlowModel, t: float) -> tuple[complex, complex]:
-    """Trapped amplitudes (c_g(t), c_a(t)) for the ground-state initial condition.
-
-    Closed form:
-        exp(-(k1+k2) t / 2) * [ (1, 0) cos(S t)
-                                - (1/2) ((k1-k2), 2 i W-*) sin(S t)/S ].
-    """
-    mu = (model.k1 + model.k2) / 2.0
-    d = (model.k1 - model.k2) / 2.0
-    s = model.s_freq
-    sinc = _sin_over_s(s, t)
-    decay = np.exp(-mu * t)
-    c_g = decay * (np.cos(s * t) - d * sinc)
-    c_a = decay * (-1j * np.conj(model.omega_minus) * sinc)
-    return complex(c_g), complex(c_a)
-
-
-def final_dfs_state(model: SlowModel, duration: float) -> np.ndarray:
-    """Normalized trapped-state 2-vector at the end of the pulse."""
-    c_g, c_a = slow_amplitudes(model, duration)
-    nrm = np.sqrt(abs(c_g) ** 2 + abs(c_a) ** 2)
-    if nrm < 1e-300:
-        raise ValueError("trapped amplitudes vanished; no state to normalize")
-    return np.array([c_g, c_a], dtype=complex) / nrm
-
-
 def p0_closed_form(model: SlowModel, duration: float) -> float:
     """No-emission probability |c_g|^2 + |c_a|^2 at the end of the pulse.
 

@@ -16,7 +16,7 @@ import configparser
 import csv
 import json
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -24,8 +24,8 @@ import numpy as np
 from .analytic import (OverdampedError, build_slow_model, entangling_pulse_duration,
                        p0_closed_form, zeno_timescale_check)
 from .dfs import dfs_basis, dicke_degeneracy, export_basis
-from .dynamics import (Schedule, no_detection_mixture, no_jump_state,
-                       propagate_conditional, propagate_schedule, run_ensemble)
+from .dynamics import (Schedule, no_detection_mixture, propagate_conditional,
+                       propagate_schedule, run_ensemble)
 from .hamiltonians import Pulse, conditional_hamiltonian
 from .hilbert import DeskScaleError, SystemParams, build_space
 
@@ -56,7 +56,6 @@ class RunConfig:
     omega1_grid: tuple[float, ...] = ()
     gamma_list: tuple[float, ...] = DEFAULT_GAMMA_LIST
     grid_source: str = "default"
-    raw: dict[str, str] = field(default_factory=dict)
 
 
 def _parse_flat(text: str) -> dict[str, str]:
@@ -131,7 +130,7 @@ def load_config(path: str | Path, mode: str) -> RunConfig:
         )
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    cfg = RunConfig(mode=mode, params=params, raw=raw)
+    cfg = RunConfig(mode=mode, params=params)
     cfg.seed = _get_int(raw, "seed", 1)
     cfg.eta = _get_float(raw, "eta", 0.0)
     if not 0 <= cfg.eta <= 1:
@@ -189,6 +188,8 @@ def load_config(path: str | Path, mode: str) -> RunConfig:
         cfg.omega1_grid = grid
         gammas = _get_list(raw, "gamma_list")
         if gammas is not None:
+            if not gammas:
+                raise ConfigError("gamma_list is empty")
             if any(gm < 0 for gm in gammas):
                 raise ConfigError("gamma_list entries must be >= 0")
             cfg.gamma_list = gammas
@@ -234,8 +235,8 @@ def cmd_basis(cfg: RunConfig, out: Path) -> None:
     print(f"wrote {out / 'dfs_basis.csv'} and {out / 'dfs_basis.json'}")
 
 
-def _sweep_point(args) -> tuple[float, ...]:
-    omega1, gamma, kappa, n_max, eta = args
+def _sweep_point(omega1: float, gamma: float, kappa: float, n_max: int,
+                 eta: float) -> tuple[float, ...]:
     params = SystemParams(2, 1.0, kappa, gamma, n_max)
     space = build_space(params)
     basis = dfs_basis(space)
@@ -256,9 +257,8 @@ def _sweep_point(args) -> tuple[float, ...]:
 
 
 def cmd_sweep(cfg: RunConfig, out: Path) -> None:
-    points = [(o, gm, cfg.params.kappa, cfg.params.n_max, cfg.eta)
-              for gm in cfg.gamma_list for o in cfg.omega1_grid]
-    rows = [_sweep_point(p) for p in points]
+    rows = [_sweep_point(o, gm, cfg.params.kappa, cfg.params.n_max, cfg.eta)
+            for gm in cfg.gamma_list for o in cfg.omega1_grid]
     csv_path = out / "sweep.csv"
     with csv_path.open("w", newline="") as fh:
         writer = csv.writer(fh)
@@ -325,8 +325,8 @@ def cmd_trajectories(cfg: RunConfig, out: Path) -> None:
         raise ConfigError("seed must be >= 0")
     space = build_space(cfg.params)
     schedule, _ = _resolve_schedule(cfg)
-    psi0 = no_jump_state(space, cfg.params, schedule)
     result = run_ensemble(space, cfg.params, schedule, cfg.samples, cfg.seed)
+    psi0 = result.no_jump_state
     rho_perp = result.rho_perp
     if rho_perp is None:
         rho_perp = np.outer(psi0, psi0.conj())

@@ -121,10 +121,6 @@ class DfsBasis:
     def __len__(self) -> int:
         return self.vectors.shape[0]
 
-    def projector(self) -> np.ndarray:
-        """P = sum_k |v_k><v_k| on the composite space."""
-        return self.vectors.T @ self.vectors.conj()
-
     def sector_counts(self) -> dict[int, int]:
         """Number of basis vectors per excitation number."""
         counts: dict[int, int] = {}
@@ -167,11 +163,6 @@ def dfs_basis(space: HilbertSpace) -> DfsBasis:
     vectors[:, : space.n_configs] = np.array(accepted)
     dicke_l = tuple(n_atoms / 2 - n for n in excitations)
     return DfsBasis(space, vectors, tuple(excitations), dicke_l)
-
-
-def dfs_projector(space: HilbertSpace) -> np.ndarray:
-    """Projector onto the trapped subspace; idempotent and Hermitian."""
-    return dfs_basis(space).projector()
 
 
 def export_basis(basis: DfsBasis, csv_path: str | Path, sidecar_path: str | Path) -> None:

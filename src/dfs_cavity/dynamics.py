@@ -14,6 +14,10 @@ sqrt(2*gamma)*sigma_i or sqrt(2*kappa)*b chosen with probability
 proportional to its emission weight.  That choice of jump operators makes
 conditional evolution plus jumps exactly trace-preserving on average,
 which the test suite checks against an independent Lindblad integrator.
+Every trajectory that emits nothing ends in the same no-jump state psi0,
+so an ensemble keeps psi0, the survival fraction p0 and the average
+rho_perp of the trajectories that emitted; its state is
+p0 |psi0><psi0| + (1 - p0) rho_perp.
 """
 
 from __future__ import annotations
@@ -75,28 +79,20 @@ class Trajectory:
 
 @dataclass(frozen=True, eq=False)
 class EnsembleResult:
-    """Seeded trajectory ensemble: survival estimate and averaged state.
+    """Seeded trajectory ensemble: survival estimate and the two parts of its state.
 
-    ``rho_perp`` is the average over trajectories that emitted at least
-    one photon (None if every sample survived); it is the computed
-    post-emission mixture entering the no-detection formula.
+    Every trajectory that emits no photon ends in ``no_jump_state``, the
+    normalized conditioned state psi0.  ``rho_perp`` is the average over
+    trajectories that emitted at least one photon (None if every sample
+    survived).  The ensemble state is p0 |psi0><psi0| + (1 - p0) rho_perp.
     """
 
     p0_estimate: float
-    density_matrix: np.ndarray
+    no_jump_state: np.ndarray
     n_samples: int
     seed: int
     rho_perp: np.ndarray | None
     jump_records: tuple[tuple[int, float, str], ...]
-
-    def __post_init__(self):
-        rho = self.density_matrix
-        if np.max(np.abs(rho - rho.conj().T)) > 1e-10:
-            raise ValueError("ensemble density matrix is not Hermitian")
-        if abs(np.trace(rho).real - 1.0) > 1e-10:
-            raise ValueError("ensemble density matrix trace differs from 1")
-        if np.linalg.eigvalsh(rho).min() < -1e-10:
-            raise ValueError("ensemble density matrix has a negative eigenvalue")
 
     @property
     def stderr(self) -> float:
@@ -203,24 +199,6 @@ def no_jump_state(space: HilbertSpace, params: SystemParams, schedule: Schedule)
     if not np.vdot(psi, psi).real > 0:
         raise ArithmeticError("conditional state vanished entirely")
     return psi / np.linalg.norm(psi)
-
-
-def no_photon_probability(h_cond: np.ndarray, state: np.ndarray, t: float) -> float:
-    """Probability of zero emissions in (0, t) for a normalized initial state."""
-    nrm = np.linalg.norm(state)
-    if abs(nrm - 1.0) > 1e-9:
-        raise ValueError(f"initial state must be normalized, got norm {nrm!r}")
-    evolved = propagate_conditional(h_cond, state, t)
-    return float(min(np.vdot(evolved, evolved).real, 1.0))
-
-
-def conditional_state(h_cond: np.ndarray, state: np.ndarray, t: float) -> np.ndarray:
-    """Normalized state given that no photon was emitted up to time t."""
-    evolved = propagate_conditional(h_cond, state, t)
-    nrm = np.linalg.norm(evolved)
-    if nrm < 1e-300:
-        raise ValueError("state is incompatible with the no-emission conditioning")
-    return evolved / nrm
 
 
 def jump_operators(space: HilbertSpace,
@@ -340,35 +318,33 @@ def run_ensemble(space: HilbertSpace, params: SystemParams, schedule: Schedule,
                  n_samples: int, seed: int) -> EnsembleResult:
     """Sample n_samples seeded trajectories from the ground state.
 
-    Child seeds are spawned from a SeedSequence over ``seed``.  Outer
-    products are summed per chunk of ENSEMBLE_CHUNK trajectories and the
-    chunk sums are then added in order.
+    The no-jump state is computed first, so a schedule under which it
+    vanishes raises ArithmeticError before any sampling.  Child seeds are
+    spawned from a SeedSequence over ``seed``.  The outer products of the
+    trajectories that emitted are summed per chunk of ENSEMBLE_CHUNK
+    trajectories and the chunk sums are then added in order.
     """
     if n_samples < 1:
         raise ValueError(f"n_samples must be >= 1, got {n_samples}")
+    psi0 = no_jump_state(space, params, schedule)
     children = np.random.SeedSequence(seed).spawn(n_samples)
-    outer_sum = np.zeros((space.dim, space.dim), dtype=complex)
     perp_sum = np.zeros((space.dim, space.dim), dtype=complex)
     survived = 0
     records: list[tuple[int, float, str]] = []
     for start in range(0, n_samples, ENSEMBLE_CHUNK):
-        chunk_outer, chunk_perp = np.zeros_like(outer_sum), np.zeros_like(perp_sum)
+        chunk_perp = np.zeros_like(perp_sum)
         for idx in range(start, min(start + ENSEMBLE_CHUNK, n_samples)):
             traj = sample_trajectory(space, params, schedule, children[idx])
-            outer = np.outer(traj.final_state, traj.final_state.conj())
-            chunk_outer += outer
             if traj.survived:
                 survived += 1
             else:
-                chunk_perp += outer
+                chunk_perp += np.outer(traj.final_state, traj.final_state.conj())
                 records.extend((idx, t, chan) for t, chan in traj.jumps)
-        outer_sum += chunk_outer
         perp_sum += chunk_perp
     jumped = n_samples - survived
-    rho = outer_sum / n_samples
-    rho = 0.5 * (rho + rho.conj().T)  # strip accumulation roundoff
     rho_perp = 0.5 * (perp_sum + perp_sum.conj().T) / jumped if jumped else None
-    return EnsembleResult(survived / n_samples, rho, n_samples, seed, rho_perp, tuple(records))
+    return EnsembleResult(survived / n_samples, psi0, n_samples, seed, rho_perp,
+                          tuple(records))
 
 
 def no_detection_mixture(p0: float, psi0: np.ndarray, rho_perp: np.ndarray,

@@ -6,8 +6,10 @@ so the package paths are checked against genuinely independent
 arithmetic rather than against themselves.  The pair-basis amplitude
 equations, the fixed-step Lindblad integrator, the greedy all-pairings
 trapped basis, the loop- and product-built operators, the dense-exponential
-schedule chain and a few operator helpers that only the tests use live
-here as well.
+schedule chain, the slow model's propagator and amplitudes, the
+no-emission probability and conditioned state of one propagation, the
+trapped-subspace projector and a few operator helpers that only the
+tests use live here as well.
 """
 
 from functools import lru_cache
@@ -16,8 +18,10 @@ import numpy as np
 from scipy.integrate import solve_ivp
 from scipy.linalg import expm
 
-from dfs_cavity import (HilbertSpace, Pulse, Schedule, SystemParams, atomic_lowering,
-                        conditional_hamiltonian, dfs_projector, jump_operators, omega_pm)
+from dfs_cavity import (DfsBasis, HilbertSpace, Pulse, Schedule, SlowModel, SystemParams,
+                        atomic_lowering, conditional_hamiltonian, dfs_basis, jump_operators,
+                        omega_pm, propagate_conditional)
+from dfs_cavity.analytic import _sin_over_s
 from dfs_cavity.dfs import RANK_TOL, _singlet_product
 from dfs_cavity.hamiltonians import _check_pulse
 
@@ -391,6 +395,75 @@ def expectation(op: np.ndarray, state: np.ndarray) -> complex:
     if op.shape != (state.shape[0], state.shape[0]):
         raise ValueError(f"operator shape {op.shape} does not match state length {state.shape[0]}")
     return complex(np.vdot(state, op @ state))
+
+
+def no_photon_probability(h_cond: np.ndarray, state: np.ndarray, t: float) -> float:
+    """Probability of zero emissions in (0, t) for a normalized initial state."""
+    nrm = np.linalg.norm(state)
+    if abs(nrm - 1.0) > 1e-9:
+        raise ValueError(f"initial state must be normalized, got norm {nrm!r}")
+    evolved = propagate_conditional(h_cond, state, t)
+    return float(min(np.vdot(evolved, evolved).real, 1.0))
+
+
+def conditional_state(h_cond: np.ndarray, state: np.ndarray, t: float) -> np.ndarray:
+    """Normalized state given that no photon was emitted up to time t."""
+    evolved = propagate_conditional(h_cond, state, t)
+    nrm = np.linalg.norm(evolved)
+    if nrm < 1e-300:
+        raise ValueError("state is incompatible with the no-emission conditioning")
+    return evolved / nrm
+
+
+def basis_projector(basis: DfsBasis) -> np.ndarray:
+    """P = sum_k |v_k><v_k| on the composite space."""
+    return basis.vectors.T @ basis.vectors.conj()
+
+
+def dfs_projector(space: HilbertSpace) -> np.ndarray:
+    """Projector onto the trapped subspace; idempotent and Hermitian."""
+    return basis_projector(dfs_basis(space))
+
+
+def slow_propagator(model: SlowModel, t: float) -> np.ndarray:
+    """exp(-M t) via the two-eigenprojector expansion.
+
+    Falls back to the confluent limit exp(-l t) (I - (M - l) t) when the
+    eigenvalues coincide (critically damped model).
+    """
+    l1, l2 = model.eigenvalues
+    m = model.matrix
+    eye = np.eye(2, dtype=complex)
+    if abs(l1 - l2) < 1e-13 * max(1.0, abs(l1) + abs(l2)):
+        return np.exp(-l1 * t) * (eye - (m - l1 * eye) * t)
+    return ((m - l2 * eye) / (l1 - l2) * np.exp(-l1 * t)
+            + (m - l1 * eye) / (l2 - l1) * np.exp(-l2 * t))
+
+
+def slow_amplitudes(model: SlowModel, t: float) -> tuple[complex, complex]:
+    """Trapped amplitudes (c_g(t), c_a(t)) for the ground-state initial condition.
+
+    Closed form:
+        exp(-(k1+k2) t / 2) * [ (1, 0) cos(S t)
+                                - (1/2) ((k1-k2), 2 i W-*) sin(S t)/S ].
+    """
+    mu = (model.k1 + model.k2) / 2.0
+    d = (model.k1 - model.k2) / 2.0
+    s = model.s_freq
+    sinc = _sin_over_s(s, t)
+    decay = np.exp(-mu * t)
+    c_g = decay * (np.cos(s * t) - d * sinc)
+    c_a = decay * (-1j * np.conj(model.omega_minus) * sinc)
+    return complex(c_g), complex(c_a)
+
+
+def final_dfs_state(model: SlowModel, duration: float) -> np.ndarray:
+    """Normalized trapped-state 2-vector at the end of the pulse."""
+    c_g, c_a = slow_amplitudes(model, duration)
+    nrm = np.sqrt(abs(c_g) ** 2 + abs(c_a) ** 2)
+    if nrm < 1e-300:
+        raise ValueError("trapped amplitudes vanished; no state to normalize")
+    return np.array([c_g, c_a], dtype=complex) / nrm
 
 
 def effective_hamiltonian(space: HilbertSpace, pulse: Pulse,

@@ -2,10 +2,10 @@ import numpy as np
 import pytest
 
 from dfs_cavity import (OverdampedError, SlowModel, SystemParams, build_slow_model,
-                        effective_rates, entangling_pulse_duration, final_dfs_state,
-                        omega_pm, p0_closed_form, slow_amplitudes, slow_propagator,
+                        effective_rates, entangling_pulse_duration, omega_pm, p0_closed_form,
                         zeno_timescale_check, Pulse)
-from oracles import expm_taylor, integrate_pair_amplitudes
+from oracles import (expm_taylor, final_dfs_state, integrate_pair_amplitudes, slow_amplitudes,
+                     slow_propagator)
 
 # Pre-registered reference for omega1 = -omega2 = 0.1, kappa = g, gamma = 0
 # at t = pi / (2 |W-|): frozen from a DOP853 integration of the pair-basis

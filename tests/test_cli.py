@@ -83,6 +83,8 @@ def test_config_errors_exit_code(tmp_path):
     assert main(["basis", "--config", bad_eta, "--out", str(tmp_path)]) == 2
     three_atom_sweep = write_config(tmp_path, "n_atoms = 3\n", name="three.ini")
     assert main(["sweep", "--config", three_atom_sweep, "--out", str(tmp_path)]) == 2
+    no_gammas = write_config(tmp_path, "n_atoms = 2\ngamma_list =\n", name="gammas.ini")
+    assert main(["sweep", "--config", no_gammas, "--out", str(tmp_path)]) == 2
     closed_cavity = write_config(tmp_path, "n_atoms = 2\nkappa = 0\nrabi = 0.02, -0.02\n"
                                  "duration = auto\n", name="closed.ini")
     assert main(["pulse", "--config", closed_cavity, "--out", str(tmp_path)]) == 2

@@ -6,11 +6,11 @@ import pytest
 from scipy.linalg import expm, null_space
 
 from dfs_cavity import (Pulse, SystemParams, build_space, conditional_hamiltonian, dfs_basis,
-                        dfs_dimension, dfs_projector, dicke_degeneracy, export_basis,
-                        generating_states, laser_hamiltonian)
-from oracles import (collective_lowering, effective_hamiltonian, embed_vacuum,
-                     four_atom_effective_matrix, four_atom_trapped_states,
-                     greedy_pairing_basis, pair_vector)
+                        dfs_dimension, dicke_degeneracy, export_basis, generating_states,
+                        laser_hamiltonian)
+from oracles import (basis_projector, collective_lowering, dfs_projector,
+                     effective_hamiltonian, embed_vacuum, four_atom_effective_matrix,
+                     four_atom_trapped_states, greedy_pairing_basis, pair_vector)
 
 
 def space_of(n_atoms, n_max=1, **rates):
@@ -115,7 +115,7 @@ def test_dfs_basis_four_atoms_spans_trapped_sextet():
     oracle = np.array([embed_vacuum(space, v)
                        for v in four_atom_trapped_states().values()])
     p_oracle = oracle.T @ oracle.conj()
-    assert np.linalg.norm(basis.projector() - p_oracle) < 1e-10
+    assert np.linalg.norm(basis_projector(basis) - p_oracle) < 1e-10
 
 
 def test_dfs_basis_properties():

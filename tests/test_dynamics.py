@@ -8,14 +8,13 @@ from hypothesis import strategies as st
 from scipy.integrate import solve_ivp
 
 from dfs_cavity import (Pulse, Schedule, SystemParams, build_slow_model, build_space,
-                        conditional_hamiltonian, conditional_state,
-                        dfs_projector, entangling_pulse_duration, fidelity,
-                        jump_operators, no_detection_mixture,
-                        no_photon_probability, propagate_conditional, propagate_schedule,
-                        run_ensemble, sample_trajectory)
+                        conditional_hamiltonian, entangling_pulse_duration, fidelity,
+                        jump_operators, no_detection_mixture, propagate_conditional,
+                        propagate_schedule, run_ensemble, sample_trajectory)
 from dfs_cavity import dynamics
 from dfs_cavity.dynamics import _bisect_jump
-from oracles import master_equation_evolve, pair_vector, schedule_states_dense
+from oracles import (conditional_state, dfs_projector, master_equation_evolve,
+                     no_photon_probability, pair_vector, schedule_states_dense)
 
 
 def two_atom_setup(gamma=0.0, kappa=1.0, n_max=3):
@@ -317,7 +316,58 @@ def test_run_ensemble_trapped_start():
     assert result.p0_estimate == 1.0
     assert result.rho_perp is None
     assert result.jump_records == ()
-    assert fidelity(result.density_matrix, space.ground_state()) == pytest.approx(1.0)
+    assert abs(np.vdot(space.ground_state(), result.no_jump_state)) ** 2 == pytest.approx(1.0)
+
+
+@pytest.mark.parametrize("n_atoms, gamma, n_samples", [(2, 0.0, 100), (2, 1e-3, 100),
+                                                       (3, 1e-3, 30)])
+def test_ensemble_survivors_share_the_no_jump_state(n_atoms, gamma, n_samples):
+    params = SystemParams(n_atoms=n_atoms, g=1.0, kappa=1.0, gamma=gamma, n_max=3)
+    space = build_space(params)
+    rabi = tuple(0.1 * (-1) ** i for i in range(n_atoms))
+    schedule = Schedule((Pulse(rabi, 20.0), Pulse.off(n_atoms, 10.0)))
+    sampled = []
+
+    def recording(*args):
+        sampled.append(sample_trajectory(*args))
+        return sampled[-1]
+
+    with patch.object(dynamics, "sample_trajectory", recording):
+        result = run_ensemble(space, params, schedule, n_samples, seed=5)
+    assert len(sampled) == n_samples
+    survivors = [traj for traj in sampled if traj.survived]
+    assert 0 < len(survivors) < n_samples
+    psi0 = result.no_jump_state
+    assert psi0.tobytes() == dynamics.no_jump_state(space, params, schedule).tobytes()
+    assert all(traj.final_state.tobytes() == psi0.tobytes() for traj in survivors)
+    # p0 |psi0><psi0| + (1 - p0) rho_perp is the average over every trajectory
+    p0 = result.p0_estimate
+    assert p0 == len(survivors) / n_samples
+    mixture = p0 * np.outer(psi0, psi0.conj()) + (1.0 - p0) * result.rho_perp
+    average = sum(np.outer(traj.final_state, traj.final_state.conj())
+                  for traj in sampled) / n_samples
+    assert np.max(np.abs(mixture - average)) < 1e-14
+
+
+def test_run_ensemble_checks_the_no_jump_state_before_sampling():
+    params = SystemParams(n_atoms=1, g=1.0, kappa=1.0, gamma=1.0, n_max=3)
+    space = build_space(params)
+    schedule = Schedule((Pulse((1.0,), 5000.0),))
+    with patch.object(dynamics, "sample_trajectory") as sampler:
+        with pytest.raises(ArithmeticError):
+            run_ensemble(space, params, schedule, 10, seed=1)
+    sampler.assert_not_called()
+
+
+def test_no_jump_state_is_the_normalized_schedule_propagation():
+    space, params = two_atom_setup(gamma=1e-3)
+    schedule = Schedule((Pulse((0.1, -0.1), 20.0), Pulse.off(2, 10.0)))
+    psi0 = dynamics.no_jump_state(space, params, schedule)
+    assert np.linalg.norm(psi0) == pytest.approx(1.0, abs=1e-14)
+    psi = propagate_schedule(space, params, schedule)
+    assert np.max(np.abs(psi0 - psi / np.linalg.norm(psi))) < 1e-12
+    with pytest.raises(ValueError):
+        dynamics.no_jump_state(space, params, Schedule((Pulse.off(3, 1.0),)))
 
 
 def test_master_equation_preserves_trace_and_trapped_states():
