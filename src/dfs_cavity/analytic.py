@@ -55,7 +55,7 @@ def effective_rates(params: SystemParams, omega_plus: complex,
 
 @dataclass(frozen=True)
 class SlowModel:
-    """The 2x2 generator M acting on the trapped amplitudes (c_g, c_a)."""
+    """Rates (k1, k2, W-) of the 2x2 generator M acting on the trapped amplitudes (c_g, c_a)."""
 
     k1: float
     k2: float
@@ -67,20 +67,9 @@ class SlowModel:
         object.__setattr__(self, "omega_minus", complex(self.omega_minus))
 
     @property
-    def matrix(self) -> np.ndarray:
-        return np.array([[self.k1, 1j * self.omega_minus],
-                         [1j * np.conj(self.omega_minus), self.k2]], dtype=complex)
-
-    @property
     def s_freq(self) -> complex:
         """Effective rotation frequency S (principal-branch sqrt, may be imaginary)."""
         return np.sqrt(complex(abs(self.omega_minus) ** 2 - ((self.k1 - self.k2) / 2.0) ** 2))
-
-    @property
-    def eigenvalues(self) -> tuple[complex, complex]:
-        """(lambda_1, lambda_2) = (k1 + k2)/2 +- i S."""
-        mean = (self.k1 + self.k2) / 2.0
-        return mean + 1j * self.s_freq, mean - 1j * self.s_freq
 
 
 def build_slow_model(params: SystemParams, omega1: complex, omega2: complex) -> SlowModel:

@@ -12,9 +12,11 @@ Exit codes: 0 success, 2 config error, 3 numerical-guard abort.
 from __future__ import annotations
 
 import argparse
+import cmath
 import configparser
 import csv
 import json
+import math
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -24,7 +26,7 @@ import numpy as np
 from .analytic import (OverdampedError, build_slow_model, entangling_pulse_duration,
                        p0_closed_form, zeno_timescale_check)
 from .dfs import dfs_basis, dicke_degeneracy, export_basis
-from .dynamics import (Schedule, no_detection_mixture, propagate_conditional,
+from .dynamics import (Schedule, fidelity, no_detection_mixture, propagate_conditional,
                        propagate_schedule, run_ensemble)
 from .hamiltonians import Pulse, conditional_hamiltonian
 from .hilbert import DeskScaleError, SystemParams, build_space
@@ -76,9 +78,12 @@ def _get_float(raw: dict[str, str], key: str, default: float | None = None) -> f
             raise ConfigError(f"missing required key {key!r}")
         return default
     try:
-        return float(raw[key])
+        val = float(raw[key])
     except ValueError:
         raise ConfigError(f"{key} must be a number, got {raw[key]!r}")
+    if not math.isfinite(val):
+        raise ConfigError(f"{key} must be finite, got {raw[key]!r}")
+    return val
 
 
 def _get_int(raw: dict[str, str], key: str, default: int | None = None) -> int:
@@ -107,9 +112,12 @@ def _get_list(raw: dict[str, str], key: str) -> tuple[float, ...] | None:
     if key not in raw:
         return None
     try:
-        return tuple(float(tok) for tok in raw[key].split(",") if tok.strip())
+        vals = tuple(float(tok) for tok in raw[key].split(",") if tok.strip())
     except ValueError:
         raise ConfigError(f"{key} must be a comma-separated number list, got {raw[key]!r}")
+    if not all(map(math.isfinite, vals)):
+        raise ConfigError(f"{key} entries must be finite, got {raw[key]!r}")
+    return vals
 
 
 def load_config(path: str | Path, mode: str) -> RunConfig:
@@ -149,19 +157,15 @@ def load_config(path: str | Path, mode: str) -> RunConfig:
             cfg.rabi = tuple(complex(tok.strip()) for tok in raw["rabi"].split(","))
         except ValueError:
             raise ConfigError(f"rabi must be comma-separated complex numbers, got {raw['rabi']!r}")
+        if not all(map(cmath.isfinite, cfg.rabi)):
+            raise ConfigError(f"rabi entries must be finite, got {raw['rabi']!r}")
         if len(cfg.rabi) != params.n_atoms:
             raise ConfigError(
                 f"rabi lists {len(cfg.rabi)} drives for {params.n_atoms} atoms")
-        dur = raw.get("duration", "").strip()
-        if not dur:
-            raise ConfigError(f"mode {mode!r} requires the 'duration' key")
-        if dur == "auto":
+        if raw.get("duration") == "auto":
             cfg.duration = "auto"
         else:
-            try:
-                cfg.duration = float(dur)
-            except ValueError:
-                raise ConfigError(f"duration must be a number or 'auto', got {dur!r}")
+            cfg.duration = _get_float(raw, "duration")
             if cfg.duration < 0:
                 raise ConfigError("duration must be >= 0")
 
@@ -242,7 +246,7 @@ def _sweep_point(omega1: float, gamma: float, kappa: float, n_max: int,
     basis = dfs_basis(space)
     model = build_slow_model(params, omega1, -omega1)
     duration = entangling_pulse_duration(model)
-    h = conditional_hamiltonian(space, params, Pulse((omega1, -omega1), duration))
+    h = conditional_hamiltonian(space, Pulse((omega1, -omega1), duration))
     psi = propagate_conditional(h, space.ground_state(), duration)
     c_g = np.vdot(basis.vectors[0], psi)
     c_a = np.vdot(basis.vectors[1], psi)
@@ -286,7 +290,7 @@ def cmd_pulse(cfg: RunConfig, out: Path) -> None:
     space = build_space(cfg.params)
     basis = dfs_basis(space)
     schedule, duration = _resolve_schedule(cfg)
-    psi = propagate_schedule(space, cfg.params, schedule)
+    psi = propagate_schedule(space, schedule)
     p0 = float(np.vdot(psi, psi).real)
     psi_hat = psi / np.sqrt(p0)
     overlaps = [float(abs(np.vdot(basis.vectors[k], psi_hat)) ** 2)
@@ -325,7 +329,7 @@ def cmd_trajectories(cfg: RunConfig, out: Path) -> None:
         raise ConfigError("seed must be >= 0")
     space = build_space(cfg.params)
     schedule, _ = _resolve_schedule(cfg)
-    result = run_ensemble(space, cfg.params, schedule, cfg.samples, cfg.seed)
+    result = run_ensemble(space, schedule, cfg.samples, cfg.seed)
     psi0 = result.no_jump_state
     rho_perp = result.rho_perp
     if rho_perp is None:
@@ -346,7 +350,7 @@ def cmd_trajectories(cfg: RunConfig, out: Path) -> None:
         target = basis.vectors[1]  # antisymmetric trapped state
         fid_cond = float(abs(np.vdot(target, psi0)) ** 2)
         payload["fidelity_conditional"] = fid_cond
-        payload["fidelity"] = float(np.vdot(target, mixture @ target).real)
+        payload["fidelity"] = fidelity(mixture, target)
     else:
         payload["fidelity_conditional"] = None
         payload["fidelity"] = None
@@ -370,7 +374,7 @@ def cmd_evolve(cfg: RunConfig, out: Path) -> None:
     basis = dfs_basis(space)
     schedule, _ = _resolve_schedule(cfg)
     times = np.linspace(0.0, schedule.total_duration, cfg.evolve_points)
-    states = propagate_schedule(space, cfg.params, schedule, times)
+    states = propagate_schedule(space, schedule, times)
     rows = []
     for t, psi in zip(times, states):
         p0 = float(np.vdot(psi, psi).real)

@@ -30,7 +30,7 @@ import numpy as np
 from scipy.linalg import expm
 
 from .hamiltonians import Pulse, conditional_hamiltonian
-from .hilbert import HilbertSpace, SystemParams, atomic_lowering, cavity_annihilation
+from .hilbert import HilbertSpace, atomic_lowering, cavity_annihilation
 
 NORM_BISECTION_TOL = 1e-10
 # Largest dim the schedule propagator steps with the dense exponential.  Up to here it
@@ -110,7 +110,7 @@ def propagate_conditional(h_cond: np.ndarray, state: np.ndarray, t: float) -> np
     return expm(-1j * t * h_cond) @ state
 
 
-def propagate_schedule(space: HilbertSpace, params: SystemParams, schedule: Schedule,
+def propagate_schedule(space: HilbertSpace, schedule: Schedule,
                        times: np.ndarray | None = None) -> np.ndarray:
     """No-emission evolution of the ground state through the schedule.
 
@@ -122,15 +122,14 @@ def propagate_schedule(space: HilbertSpace, params: SystemParams, schedule: Sche
     ``expm_multiply`` in equal sub-steps of norm at most KRYLOV_STEP_NORM,
     so the result does not depend on numpy's global RNG, which is left
     untouched.  Raises ArithmeticError when the squared norm of the final
-    state underflows to zero.
+    state underflows to zero, and ValueError (from conditional_hamiltonian)
+    when the schedule drives another atom count than the space holds.
     """
-    if schedule.n_atoms != space.n_atoms:
-        raise ValueError("schedule and space disagree on the atom count")
     if space.dim <= DENSE_MAX_DIM:
-        generator = partial(conditional_hamiltonian, space, params)
+        generator = partial(conditional_hamiltonian, space)
         advance = propagate_conditional
     else:
-        generator, advance = _krylov_stepper(space, params)
+        generator, advance = _krylov_stepper(space)
 
     psi = space.ground_state()
     if times is None:
@@ -162,14 +161,14 @@ def propagate_schedule(space: HilbertSpace, params: SystemParams, schedule: Sche
     return out
 
 
-def _krylov_stepper(space: HilbertSpace, params: SystemParams):
+def _krylov_stepper(space: HilbertSpace):
     """(generator, advance) pair stepping exp(-i H_cond t) psi with expm_multiply."""
     # imported on first use: scipy.sparse.linalg adds about 2.6 MB to every process
     from scipy.sparse import csr_array
     from scipy.sparse.linalg import expm_multiply
 
     def generator(seg: Pulse) -> tuple[csr_array, float]:
-        a = csr_array(-1j * conditional_hamiltonian(space, params, seg))
+        a = csr_array(-1j * conditional_hamiltonian(space, seg))
         # ||A||_1 + |mu| bounds ||A - mu I||_1, the norm expm_multiply tests after
         # shifting A by mu = trace(A) / dim
         return a, float(abs(a).sum(axis=0).max()) + abs(a.trace()) / space.dim
@@ -184,30 +183,28 @@ def _krylov_stepper(space: HilbertSpace, params: SystemParams):
     return generator, advance
 
 
-def no_jump_state(space: HilbertSpace, params: SystemParams, schedule: Schedule) -> np.ndarray:
+def no_jump_state(space: HilbertSpace, schedule: Schedule) -> np.ndarray:
     """Normalized final state of a trajectory that emits no photon.
 
     Applies the sampler's cached full-segment propagators to the ground
     state, the same products a surviving trajectory applies.  Raises
     ArithmeticError when the no-emission probability underflows to zero.
     """
-    if schedule.n_atoms != space.n_atoms:
-        raise ValueError("schedule and space disagree on the atom count")
     psi = space.ground_state()
-    for _, u_full, _ in _segment_propagators(space, params, schedule):
+    for _, u_full, _ in _segment_propagators(space, schedule):
         psi = u_full @ psi
     if not np.vdot(psi, psi).real > 0:
         raise ArithmeticError("conditional state vanished entirely")
     return psi / np.linalg.norm(psi)
 
 
-def jump_operators(space: HilbertSpace,
-                   params: SystemParams) -> list[tuple[str, np.ndarray]]:
+def jump_operators(space: HilbertSpace) -> list[tuple[str, np.ndarray]]:
     """Emission channels: ("cavity", sqrt(2 kappa) b) then ("atom_i", sqrt(2 gamma) sigma_i).
 
     Channels with zero rate are omitted.  The ordering is part of the
     deterministic RNG contract for trajectory sampling.
     """
+    params = space.params
     ops: list[tuple[str, np.ndarray]] = []
     if params.kappa > 0:
         ops.append(("cavity", np.sqrt(2.0 * params.kappa) * cavity_annihilation(space)))
@@ -218,12 +215,12 @@ def jump_operators(space: HilbertSpace,
 
 
 @lru_cache(maxsize=16)
-def _segment_propagators(space: HilbertSpace, params: SystemParams,
+def _segment_propagators(space: HilbertSpace,
                          schedule: Schedule) -> tuple[tuple[np.ndarray, np.ndarray, float], ...]:
     """(H_cond, full-duration propagator, duration) per segment; cached read-only."""
     out = []
     for seg in schedule.segments:
-        h = conditional_hamiltonian(space, params, seg)
+        h = conditional_hamiltonian(space, seg)
         out.append((h, expm(-1j * seg.duration * h), seg.duration))
     return tuple(out)
 
@@ -258,15 +255,13 @@ def _bisect_jump(h: np.ndarray, psi: np.ndarray, r: float,
     return mid, cand
 
 
-def sample_trajectory(space: HilbertSpace, params: SystemParams, schedule: Schedule,
-                      seed, initial_state: np.ndarray | None = None) -> Trajectory:
+def sample_trajectory(space: HilbertSpace, schedule: Schedule, seed,
+                      initial_state: np.ndarray | None = None) -> Trajectory:
     """One quantum-jump realization of the schedule (waiting-time algorithm).
 
     Identical seeds reproduce identical jump records and final states
     bit-exactly.  ``seed`` may be an int or a numpy SeedSequence.
     """
-    if schedule.n_atoms != space.n_atoms:
-        raise ValueError("schedule and space disagree on the atom count")
     rng = np.random.default_rng(seed)
     if initial_state is None:
         psi = space.ground_state()
@@ -275,13 +270,13 @@ def sample_trajectory(space: HilbertSpace, params: SystemParams, schedule: Sched
         if abs(nrm - 1.0) > 1e-9:
             raise ValueError("initial state must be normalized")
         psi = np.asarray(initial_state, dtype=complex).copy()
-    channels = jump_operators(space, params)
+    channels = jump_operators(space)
     labels = [name for name, _ in channels]
     ops = [op for _, op in channels]
     jumps: list[tuple[float, str]] = []
     r = _draw_threshold(rng)
     t_offset = 0.0
-    for h, u_full, duration in _segment_propagators(space, params, schedule):
+    for h, u_full, duration in _segment_propagators(space, schedule):
         elapsed = 0.0
         while True:
             remaining = duration - elapsed
@@ -314,8 +309,8 @@ def sample_trajectory(space: HilbertSpace, params: SystemParams, schedule: Sched
     return Trajectory(tuple(jumps), psi / nrm, survived=not jumps)
 
 
-def run_ensemble(space: HilbertSpace, params: SystemParams, schedule: Schedule,
-                 n_samples: int, seed: int) -> EnsembleResult:
+def run_ensemble(space: HilbertSpace, schedule: Schedule, n_samples: int,
+                 seed: int) -> EnsembleResult:
     """Sample n_samples seeded trajectories from the ground state.
 
     The no-jump state is computed first, so a schedule under which it
@@ -326,7 +321,7 @@ def run_ensemble(space: HilbertSpace, params: SystemParams, schedule: Schedule,
     """
     if n_samples < 1:
         raise ValueError(f"n_samples must be >= 1, got {n_samples}")
-    psi0 = no_jump_state(space, params, schedule)
+    psi0 = no_jump_state(space, schedule)
     children = np.random.SeedSequence(seed).spawn(n_samples)
     perp_sum = np.zeros((space.dim, space.dim), dtype=complex)
     survived = 0
@@ -334,7 +329,7 @@ def run_ensemble(space: HilbertSpace, params: SystemParams, schedule: Schedule,
     for start in range(0, n_samples, ENSEMBLE_CHUNK):
         chunk_perp = np.zeros_like(perp_sum)
         for idx in range(start, min(start + ENSEMBLE_CHUNK, n_samples)):
-            traj = sample_trajectory(space, params, schedule, children[idx])
+            traj = sample_trajectory(space, schedule, children[idx])
             if traj.survived:
                 survived += 1
             else:

@@ -26,8 +26,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .hilbert import (HilbertSpace, SystemParams, atom_factor, atomic_lowering,
-                      cavity_annihilation, cavity_factor, embed)
+from .hilbert import (HilbertSpace, atom_factor, atomic_lowering, cavity_annihilation,
+                      cavity_factor, embed)
 
 
 @dataclass(frozen=True)
@@ -93,16 +93,15 @@ def _rate_free_parts(space: HilbertSpace) -> tuple[np.ndarray, np.ndarray, np.nd
     return b - b.T, excited, photons
 
 
-def conditional_hamiltonian(space: HilbertSpace, params: SystemParams,
-                            pulse: Pulse | None = None) -> np.ndarray:
-    """Non-Hermitian generator of the no-emission evolution.
+def conditional_hamiltonian(space: HilbertSpace, pulse: Pulse | None = None) -> np.ndarray:
+    """Non-Hermitian generator of the no-emission evolution at the space's rates.
 
-    ``params`` may carry different rates than the ones the space was
-    built with, but must agree on n_atoms and n_max.  ``pulse=None``
-    means lasers off.
+    ``pulse=None`` means lasers off; a pulse that drives another atom
+    count than the space holds raises ValueError, also when it is off.
     """
-    if (params.n_atoms, params.n_max) != (space.n_atoms, space.n_max):
-        raise ValueError("params disagree with the space on n_atoms/n_max")
+    if pulse is not None:
+        _check_pulse(space, pulse)
+    params = space.params
     coupling, excited, photons = _rate_free_parts(space)
     loss = np.zeros(space.dim)
     if params.gamma:
@@ -116,8 +115,7 @@ def conditional_hamiltonian(space: HilbertSpace, params: SystemParams,
     return h
 
 
-def photon_loss_density(space: HilbertSpace, params: SystemParams,
-                        state: np.ndarray) -> float:
+def photon_loss_density(space: HilbertSpace, state: np.ndarray) -> float:
     """Instantaneous emission probability density of a normalized state.
 
     Equals 2*kappa*<b^dag b> + 2*gamma*<sum_i sigma_i^dag sigma_i>, the
@@ -126,6 +124,7 @@ def photon_loss_density(space: HilbertSpace, params: SystemParams,
     nrm = np.linalg.norm(state)
     if abs(nrm - 1.0) > 1e-9:
         raise ValueError(f"state must be normalized, got norm {nrm!r}")
+    params = space.params
     b = cavity_annihilation(space)
     val = 2.0 * params.kappa * np.vdot(state, b.conj().T @ (b @ state)).real
     for i in range(1, space.n_atoms + 1):

@@ -207,7 +207,7 @@ def schedule_states_dense(space: HilbertSpace, params: SystemParams, schedule: S
     for t in times:
         psi, start = space.ground_state(), 0.0
         for seg in schedule.segments:
-            h = conditional_hamiltonian(space, params, seg)
+            h = conditional_hamiltonian(space, seg)
             end = start + seg.duration
             if t <= end + 1e-12:
                 psi = expm(-1j * (min(t, end) - start) * h) @ psi
@@ -425,14 +425,26 @@ def dfs_projector(space: HilbertSpace) -> np.ndarray:
     return basis_projector(dfs_basis(space))
 
 
+def slow_matrix(model: SlowModel) -> np.ndarray:
+    """The 2x2 generator M = [[k1, i W-], [i W-*, k2]] of the trapped amplitudes."""
+    return np.array([[model.k1, 1j * model.omega_minus],
+                     [1j * np.conj(model.omega_minus), model.k2]], dtype=complex)
+
+
+def slow_eigenvalues(model: SlowModel) -> tuple[complex, complex]:
+    """(lambda_1, lambda_2) = (k1 + k2)/2 +- i S."""
+    mean = (model.k1 + model.k2) / 2.0
+    return mean + 1j * model.s_freq, mean - 1j * model.s_freq
+
+
 def slow_propagator(model: SlowModel, t: float) -> np.ndarray:
     """exp(-M t) via the two-eigenprojector expansion.
 
     Falls back to the confluent limit exp(-l t) (I - (M - l) t) when the
     eigenvalues coincide (critically damped model).
     """
-    l1, l2 = model.eigenvalues
-    m = model.matrix
+    l1, l2 = slow_eigenvalues(model)
+    m = slow_matrix(model)
     eye = np.eye(2, dtype=complex)
     if abs(l1 - l2) < 1e-13 * max(1.0, abs(l1) + abs(l2)):
         return np.exp(-l1 * t) * (eye - (m - l1 * eye) * t)
@@ -476,7 +488,7 @@ def effective_hamiltonian(space: HilbertSpace, pulse: Pulse,
     reduces to P H_laser P, which is Hermitian.
     """
     p = dfs_projector(space)
-    h = conditional_hamiltonian(space, params, pulse)
+    h = conditional_hamiltonian(space, pulse)
     return p @ h @ p
 
 
@@ -516,7 +528,7 @@ def master_equation_evolve(space: HilbertSpace, params: SystemParams, schedule: 
         t = total
     if not 0 <= t <= total + 1e-12:
         raise ValueError(f"t = {t} outside the schedule span [0, {total}]")
-    ops = [op for _, op in jump_operators(space, params)]
+    ops = [op for _, op in jump_operators(space)]
     ops_sq = [op.conj().T @ op for op in ops]
     remaining = t
     rho = rho.copy()
@@ -527,7 +539,7 @@ def master_equation_evolve(space: HilbertSpace, params: SystemParams, schedule: 
         remaining -= span
         if span == 0:
             continue
-        h_cond = conditional_hamiltonian(space, params, seg)
+        h_cond = conditional_hamiltonian(space, seg)
         h_herm = 0.5 * (h_cond + h_cond.conj().T)
         scale = max(params.g, params.kappa, np.linalg.norm(h_herm, 2))
         n_steps = max(1, int(np.ceil(span * scale / ME_STEP_FACTOR)))

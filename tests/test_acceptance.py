@@ -59,7 +59,7 @@ def test_criterion_03_trapped_states_keep_unit_survival():
     for n_atoms in (2, 3, 4):
         params = SystemParams(n_atoms=n_atoms, g=1.0, kappa=1.0, gamma=0.0, n_max=2)
         space = build_space(params)
-        h = conditional_hamiltonian(space, params)
+        h = conditional_hamiltonian(space)
         horizon = 10.0 / params.kappa
         for vec in dfs_basis(space).vectors:
             ok = ok and abs(no_photon_probability(h, vec, horizon) - 1.0) < 1e-9
@@ -73,7 +73,7 @@ def test_criterion_04_pair_basis_form_of_the_generator():
             (0.1, -0.1, 1.0, 1.0, 0.0)]:
         params = SystemParams(n_atoms=2, g=g, kappa=kappa, gamma=gamma, n_max=3)
         space = build_space(params)
-        h = conditional_hamiltonian(space, params, Pulse((omega1, omega2), 1.0))
+        h = conditional_hamiltonian(space, Pulse((omega1, omega2), 1.0))
         w = two_atom_pair_basis(space)
         expected = pair_ladder_matrix(3, g, kappa, gamma, omega1, omega2)
         ok = ok and np.max(np.abs(w.conj().T @ h @ w - expected)) < 1e-12
@@ -122,7 +122,7 @@ def test_criterion_07_entangled_state_preparation():
     space = build_space(params)
     model = build_slow_model(params, 0.02, -0.02)
     duration = entangling_pulse_duration(model)
-    h = conditional_hamiltonian(space, params, Pulse((0.02, -0.02), duration))
+    h = conditional_hamiltonian(space, Pulse((0.02, -0.02), duration))
     psi = propagate_conditional(h, space.ground_state(), duration)
     p0 = np.vdot(psi, psi).real
     overlap = abs(np.vdot(pair_vector(space, 0, "a"), psi / np.sqrt(p0))) ** 2
@@ -150,7 +150,7 @@ def test_criterion_08_trajectories_against_master_equation():
     outers = np.empty((n, space.dim, space.dim), dtype=complex)
     survived = 0
     for k, child in enumerate(children):
-        traj = sample_trajectory(space, params, schedule, child)
+        traj = sample_trajectory(space, schedule, child)
         outers[k] = np.outer(traj.final_state, traj.final_state.conj())
         survived += traj.survived
     fraction = survived / n
@@ -199,7 +199,7 @@ def test_criterion_10_truncation_robustness():
         space = build_space(params)
         model = build_slow_model(params, 0.1, -0.1)
         duration = entangling_pulse_duration(model)
-        h = conditional_hamiltonian(space, params, Pulse((0.1, -0.1), duration))
+        h = conditional_hamiltonian(space, Pulse((0.1, -0.1), duration))
         values[n_max] = no_photon_probability(h, space.ground_state(), duration)
     delta = abs(values[3] - values[5])
     report(10, f"survival probability stable under deeper truncation ({delta:.2e})",

@@ -97,6 +97,16 @@ def test_config_errors_exit_code(tmp_path):
                  "--seed", "-1"]) == 2
     negative_settle = write_config(tmp_path, traj + "settle = -1\n", name="settle.ini")
     assert main(["pulse", "--config", negative_settle, "--out", str(tmp_path)]) == 2
+    pulse = "n_atoms = 2\nrabi = 0.05, -0.05\nduration = 1\n"
+    for name, text in [("nan_kappa", pulse + "kappa = nan\n"),
+                       ("inf_duration", pulse.replace("duration = 1", "duration = inf")),
+                       ("nan_rabi", pulse.replace("0.05, -0.05", "nan, -0.05"))]:
+        path = write_config(tmp_path, text, name=f"{name}.ini")
+        assert main(["pulse", "--config", path, "--out", str(tmp_path)]) == 2, name
+    for name, text in [("nan_gamma_list", "n_atoms = 2\ngamma_list = nan\n"),
+                       ("nan_omega1_min", "n_atoms = 2\nomega1_min = nan\n")]:
+        path = write_config(tmp_path, text, name=f"{name}.ini")
+        assert main(["sweep", "--config", path, "--out", str(tmp_path)]) == 2, name
 
 
 def test_pulse_auto_duration_prepares_entangled_state(tmp_path):

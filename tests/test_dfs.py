@@ -145,7 +145,7 @@ def test_projected_drive_equals_projected_conditional_when_lossless():
     space = build_space(params)
     p = dfs_projector(space)
     pulse = Pulse((0.1, 0.04j), 1.0)
-    h_cond = conditional_hamiltonian(space, params, pulse)
+    h_cond = conditional_hamiltonian(space, pulse)
     h_laser = laser_hamiltonian(space, pulse)
     assert np.max(np.abs(p @ h_cond @ p - p @ h_laser @ p)) < 1e-14
 
@@ -188,7 +188,7 @@ def test_trapped_states_are_stationary():
     for n_atoms in (2, 3, 4):
         params = SystemParams(n_atoms=n_atoms, g=1.0, kappa=1.0, gamma=0.0, n_max=2)
         space = build_space(params)
-        h = conditional_hamiltonian(space, params)
+        h = conditional_hamiltonian(space)
         basis = dfs_basis(space)
         for vec in basis.vectors:
             assert np.linalg.norm(h @ vec) < 1e-12
@@ -197,7 +197,7 @@ def test_trapped_states_are_stationary():
 def test_trapped_states_decay_only_by_spontaneous_emission():
     params = SystemParams(n_atoms=4, g=1.0, kappa=1.0, gamma=2e-3, n_max=1)
     space = build_space(params)
-    h = conditional_hamiltonian(space, params)
+    h = conditional_hamiltonian(space)
     basis = dfs_basis(space)
     t = 3.0
     u = expm(-1j * t * h)

@@ -28,7 +28,7 @@ def singlet_state(space):
 
 def test_propagate_identity_at_zero():
     space, params = two_atom_setup()
-    h = conditional_hamiltonian(space, params)
+    h = conditional_hamiltonian(space)
     rng = np.random.default_rng(0)
     psi = rng.normal(size=space.dim) + 1j * rng.normal(size=space.dim)
     assert np.allclose(propagate_conditional(h, psi, 0.0), psi)
@@ -40,7 +40,7 @@ def test_propagate_schedule_chains_segments(monkeypatch):
     space, params = two_atom_setup(gamma=1e-3)
     segments = (Pulse((0.1, -0.1), 3.0), Pulse.off(2, 0.0), Pulse((0.05, 0.02), 2.5))
     schedule = Schedule(segments)
-    h1, h2, h3 = (conditional_hamiltonian(space, params, seg) for seg in segments)
+    h1, h2, h3 = (conditional_hamiltonian(space, seg) for seg in segments)
     chained = space.ground_state()
     for h, seg in zip((h1, h2, h3), segments):
         chained = propagate_conditional(h, chained, seg.duration)
@@ -56,14 +56,14 @@ def test_propagate_schedule_chains_segments(monkeypatch):
     for dense_max_dim, same in ((dynamics.DENSE_MAX_DIM, np.array_equal),
                                 (0, partial(np.allclose, rtol=0, atol=1e-12))):
         monkeypatch.setattr(dynamics, "DENSE_MAX_DIM", dense_max_dim)
-        assert same(propagate_schedule(space, params, schedule), chained)
-        rows = propagate_schedule(space, params, schedule, [0.0, 1.5, 3.0, 4.0, 5.5])
+        assert same(propagate_schedule(space, schedule), chained)
+        rows = propagate_schedule(space, schedule, [0.0, 1.5, 3.0, 4.0, 5.5])
         assert same(rows[2], at_boundary)
         assert same(rows[4], at_end)
         assert np.allclose(rows[4], chained, rtol=0, atol=1e-12)
         for bad in ([0.0, 5.6], [1.0, 0.5], [-0.1], []):
             with pytest.raises(ValueError):
-                propagate_schedule(space, params, schedule, bad)
+                propagate_schedule(space, schedule, bad)
 
 
 @st.composite
@@ -94,8 +94,8 @@ def test_propagate_schedule_matches_dense_expm_chain(case):
     # as configured (dense up to dim 64), then on the Krylov steps at every dim
     for dense_max_dim in (dynamics.DENSE_MAX_DIM, 0):
         with patch.object(dynamics, "DENSE_MAX_DIM", dense_max_dim):
-            rows = propagate_schedule(space, params, schedule, times)
-            final = propagate_schedule(space, params, schedule)
+            rows = propagate_schedule(space, schedule, times)
+            final = propagate_schedule(space, schedule)
         assert np.allclose(rows, expected_rows, rtol=0, atol=1e-12)
         assert np.allclose(final, expected_final, rtol=0, atol=1e-12)
 
@@ -112,8 +112,8 @@ def test_propagate_schedule_leaves_the_global_rng_alone(monkeypatch):
         for seed in (0, 1):
             np.random.seed(seed)
             before = np.random.get_state()
-            final = propagate_schedule(space, params, schedule)
-            rows = propagate_schedule(space, params, schedule, [0.0, 20.0, 45.2, 55.2])
+            final = propagate_schedule(space, schedule)
+            rows = propagate_schedule(space, schedule, [0.0, 20.0, 45.2, 55.2])
             after = np.random.get_state()
             assert before[0] == after[0] and before[2:] == after[2:]
             assert np.array_equal(before[1], after[1])
@@ -125,7 +125,7 @@ def test_propagate_schedule_leaves_the_global_rng_alone(monkeypatch):
 
 def test_trapped_state_is_stable():
     space, params = two_atom_setup()
-    h = conditional_hamiltonian(space, params)
+    h = conditional_hamiltonian(space)
     psi = singlet_state(space)
     for t in (0.5, 4.0, 10.0 / params.kappa):
         evolved = propagate_conditional(h, psi, t)
@@ -136,19 +136,19 @@ def test_trapped_state_is_stable():
 def test_excited_pair_state_decays_out():
     # |0 s> couples to the lossy one-photon rung and bleeds away entirely
     space, params = two_atom_setup()
-    h = conditional_hamiltonian(space, params)
+    h = conditional_hamiltonian(space)
     assert no_photon_probability(h, pair_vector(space, 0, "s"), 40.0) < 1e-12
 
 
 def test_one_photon_state_decays_out():
     space, params = two_atom_setup()
-    h = conditional_hamiltonian(space, params)
+    h = conditional_hamiltonian(space)
     assert no_photon_probability(h, space.basis_state(1, 0), 40.0) < 1e-12
 
 
 def test_antisymmetric_state_decays_at_twice_gamma():
     space, params = two_atom_setup(gamma=3e-3)
-    h = conditional_hamiltonian(space, params)
+    h = conditional_hamiltonian(space)
     psi = singlet_state(space)
     for t in (1.0, 10.0, 50.0):
         assert no_photon_probability(h, psi, t) == pytest.approx(
@@ -158,7 +158,7 @@ def test_antisymmetric_state_decays_at_twice_gamma():
 def test_propagation_matches_adaptive_integrator():
     # independent route: black-box adaptive integration of the state ODE
     space, params = two_atom_setup(gamma=2e-3)
-    h = conditional_hamiltonian(space, params, Pulse((0.1, -0.1), 1.0))
+    h = conditional_hamiltonian(space, Pulse((0.1, -0.1), 1.0))
     psi0 = space.ground_state()
     t_end = 12.0
 
@@ -175,14 +175,14 @@ def test_propagation_matches_adaptive_integrator():
 
 def test_no_photon_probability_requires_normalized_input():
     space, params = two_atom_setup()
-    h = conditional_hamiltonian(space, params)
+    h = conditional_hamiltonian(space)
     with pytest.raises(ValueError):
         no_photon_probability(h, 0.7 * space.ground_state(), 1.0)
 
 
 def test_no_photon_probability_monotone():
     space, params = two_atom_setup(gamma=1e-3)
-    h = conditional_hamiltonian(space, params, Pulse((0.12, -0.05 + 0.02j), 1.0))
+    h = conditional_hamiltonian(space, Pulse((0.12, -0.05 + 0.02j), 1.0))
     rng = np.random.default_rng(21)
     states = [space.ground_state(), singlet_state(space)]
     for _ in range(3):
@@ -200,7 +200,7 @@ def test_conditional_state_rotates_inside_trapped_pair():
     omega1 = 0.02
     model = build_slow_model(params, omega1, -omega1)
     wm = abs(model.omega_minus)
-    h = conditional_hamiltonian(space, params, Pulse((omega1, -omega1), 1.0))
+    h = conditional_hamiltonian(space, Pulse((omega1, -omega1), 1.0))
 
     quarter = np.pi / (4 * wm)
     psi = conditional_state(h, space.ground_state(), quarter)
@@ -220,7 +220,7 @@ def test_conditional_state_rotates_inside_trapped_pair():
 
 def test_conditional_state_rejects_vanished_state():
     space, params = two_atom_setup()
-    h = conditional_hamiltonian(space, params)
+    h = conditional_hamiltonian(space)
     with pytest.raises(ValueError):
         # the symmetric state has completely leaked out by t ~ 1500/g
         conditional_state(h, pair_vector(space, 0, "s"), 1500.0)
@@ -236,17 +236,17 @@ def test_bisect_jump_raises_when_the_norm_never_reaches_the_threshold():
 
 def test_jump_operators_channel_list():
     space, params = two_atom_setup(gamma=1e-3)
-    names = [name for name, _ in jump_operators(space, params)]
+    names = [name for name, _ in jump_operators(space)]
     assert names == ["cavity", "atom_1", "atom_2"]
-    lossless = SystemParams(n_atoms=2, g=1.0, kappa=1.0, gamma=0.0, n_max=3)
-    assert [n for n, _ in jump_operators(space, lossless)] == ["cavity"]
+    lossless = build_space(SystemParams(n_atoms=2, g=1.0, kappa=1.0, gamma=0.0, n_max=3))
+    assert [n for n, _ in jump_operators(lossless)] == ["cavity"]
 
 
 def test_norm_decay_balances_jump_weights():
     # -d/dt ||psi||^2 must equal the summed emission weights at every step
     space, params = two_atom_setup(gamma=2e-3)
-    h = conditional_hamiltonian(space, params, Pulse((0.1, -0.07j), 1.0))
-    ops = [op for _, op in jump_operators(space, params)]
+    h = conditional_hamiltonian(space, Pulse((0.1, -0.07j), 1.0))
+    ops = [op for _, op in jump_operators(space)]
     rng = np.random.default_rng(4)
     psi0 = rng.normal(size=space.dim) + 1j * rng.normal(size=space.dim)
     psi0 /= np.linalg.norm(psi0)
@@ -264,7 +264,7 @@ def test_trajectory_ground_state_never_jumps():
     space, params = two_atom_setup(gamma=1e-3)
     schedule = Schedule((Pulse.off(2, 25.0),))
     for seed in range(5):
-        traj = sample_trajectory(space, params, schedule, seed)
+        traj = sample_trajectory(space, schedule, seed)
         assert traj.survived and traj.jumps == ()
         assert np.allclose(traj.final_state, space.ground_state())
 
@@ -274,7 +274,7 @@ def test_trajectory_single_photon_always_jumps_once():
     schedule = Schedule((Pulse.off(2, 60.0),))
     one_photon = space.basis_state(1, 0)
     for seed in range(8):
-        traj = sample_trajectory(space, params, schedule, seed,
+        traj = sample_trajectory(space, schedule, seed,
                                  initial_state=one_photon)
         assert not traj.survived
         assert len(traj.jumps) == 1
@@ -288,11 +288,11 @@ def test_trajectory_deterministic_for_fixed_seed():
     space, params = two_atom_setup(gamma=1e-3)
     model = build_slow_model(params, 0.1, -0.1)
     schedule = Schedule((Pulse((0.1, -0.1), entangling_pulse_duration(model)),))
-    a = sample_trajectory(space, params, schedule, 1234)
-    b = sample_trajectory(space, params, schedule, 1234)
+    a = sample_trajectory(space, schedule, 1234)
+    b = sample_trajectory(space, schedule, 1234)
     assert a.jumps == b.jumps
     assert np.array_equal(a.final_state, b.final_state)
-    c = sample_trajectory(space, params, schedule, 1235)
+    c = sample_trajectory(space, schedule, 1235)
     assert (a.jumps != c.jumps) or not np.array_equal(a.final_state, c.final_state)
 
 
@@ -301,7 +301,7 @@ def test_trajectory_jump_times_increase():
     schedule = Schedule((Pulse((0.2, -0.2), 40.0), Pulse.off(2, 10.0)))
     found_multi = False
     for seed in range(30):
-        traj = sample_trajectory(space, params, schedule, seed)
+        traj = sample_trajectory(space, schedule, seed)
         times = [t for t, _ in traj.jumps]
         assert all(b > a for a, b in zip(times, times[1:]))
         assert all(0 < t <= 50.0 for t in times)
@@ -312,7 +312,7 @@ def test_trajectory_jump_times_increase():
 def test_run_ensemble_trapped_start():
     space, params = two_atom_setup()
     schedule = Schedule((Pulse.off(2, 10.0),))
-    result = run_ensemble(space, params, schedule, 64, seed=9)
+    result = run_ensemble(space, schedule, 64, seed=9)
     assert result.p0_estimate == 1.0
     assert result.rho_perp is None
     assert result.jump_records == ()
@@ -333,12 +333,12 @@ def test_ensemble_survivors_share_the_no_jump_state(n_atoms, gamma, n_samples):
         return sampled[-1]
 
     with patch.object(dynamics, "sample_trajectory", recording):
-        result = run_ensemble(space, params, schedule, n_samples, seed=5)
+        result = run_ensemble(space, schedule, n_samples, seed=5)
     assert len(sampled) == n_samples
     survivors = [traj for traj in sampled if traj.survived]
     assert 0 < len(survivors) < n_samples
     psi0 = result.no_jump_state
-    assert psi0.tobytes() == dynamics.no_jump_state(space, params, schedule).tobytes()
+    assert psi0.tobytes() == dynamics.no_jump_state(space, schedule).tobytes()
     assert all(traj.final_state.tobytes() == psi0.tobytes() for traj in survivors)
     # p0 |psi0><psi0| + (1 - p0) rho_perp is the average over every trajectory
     p0 = result.p0_estimate
@@ -355,19 +355,26 @@ def test_run_ensemble_checks_the_no_jump_state_before_sampling():
     schedule = Schedule((Pulse((1.0,), 5000.0),))
     with patch.object(dynamics, "sample_trajectory") as sampler:
         with pytest.raises(ArithmeticError):
-            run_ensemble(space, params, schedule, 10, seed=1)
+            run_ensemble(space, schedule, 10, seed=1)
     sampler.assert_not_called()
 
 
 def test_no_jump_state_is_the_normalized_schedule_propagation():
     space, params = two_atom_setup(gamma=1e-3)
     schedule = Schedule((Pulse((0.1, -0.1), 20.0), Pulse.off(2, 10.0)))
-    psi0 = dynamics.no_jump_state(space, params, schedule)
+    psi0 = dynamics.no_jump_state(space, schedule)
     assert np.linalg.norm(psi0) == pytest.approx(1.0, abs=1e-14)
-    psi = propagate_schedule(space, params, schedule)
+    psi = propagate_schedule(space, schedule)
     assert np.max(np.abs(psi0 - psi / np.linalg.norm(psi))) < 1e-12
+    wrong = Schedule((Pulse.off(3, 1.0),))  # conditional_hamiltonian rejects it first
     with pytest.raises(ValueError):
-        dynamics.no_jump_state(space, params, Schedule((Pulse.off(3, 1.0),)))
+        dynamics.no_jump_state(space, wrong)
+    with pytest.raises(ValueError):
+        propagate_schedule(space, wrong)
+    with pytest.raises(ValueError):
+        propagate_schedule(build_space(SystemParams(n_atoms=5)), Schedule((Pulse.off(4, 1.0),)))
+    with pytest.raises(ValueError):
+        sample_trajectory(space, wrong, 1)
 
 
 def test_master_equation_preserves_trace_and_trapped_states():
@@ -409,7 +416,7 @@ def test_trajectories_average_to_master_equation():
     outers = np.empty((n, space.dim, space.dim), dtype=complex)
     survived = 0
     for k, child in enumerate(children):
-        traj = sample_trajectory(space, params, schedule, child)
+        traj = sample_trajectory(space, schedule, child)
         outers[k] = np.outer(traj.final_state, traj.final_state.conj())
         survived += traj.survived
     rho_mc = outers.mean(axis=0)
@@ -421,7 +428,7 @@ def test_trajectories_average_to_master_equation():
     assert np.all(np.abs(diff.real) <= 5.0 * stderr_re + 1e-9)
     assert np.all(np.abs(diff.imag) <= 5.0 * stderr_im + 1e-9)
     # raw survival must track the exact no-emission probability
-    h = conditional_hamiltonian(space, params, schedule.segments[0])
+    h = conditional_hamiltonian(space, schedule.segments[0])
     p0_exact = no_photon_probability(h, space.ground_state(), duration)
     binom = np.sqrt(p0_exact * (1 - p0_exact) / n)
     assert abs(survived / n - p0_exact) < 4.0 * binom
@@ -441,7 +448,7 @@ def test_zeno_confinement_regression():
         wm = abs(rabi[0] - rabi[1]) / (2 * np.sqrt(2.0))
         scale = 4.0 * (wp ** 2 + wm ** 2) / params.g ** 2
         duration = np.pi / (2 * wm)
-        h = conditional_hamiltonian(space, params, Pulse(rabi, duration))
+        h = conditional_hamiltonian(space, Pulse(rabi, duration))
         steps = 300
         u = expm(-1j * (duration / steps) * h)
         psi = space.ground_state() if start == "ground" else singlet_state(space)
@@ -461,7 +468,7 @@ def test_truncation_convergence():
         space, params = two_atom_setup(n_max=n_max)
         model = build_slow_model(params, 0.1, -0.1)
         duration = entangling_pulse_duration(model)
-        h = conditional_hamiltonian(space, params, Pulse((0.1, -0.1), duration))
+        h = conditional_hamiltonian(space, Pulse((0.1, -0.1), duration))
         results[n_max] = no_photon_probability(h, space.ground_state(), duration)
     assert abs(results[3] - results[5]) < 1e-6
 

@@ -60,19 +60,23 @@ def test_laser_length_mismatch(two_atom):
     space, _ = two_atom
     with pytest.raises(ValueError):
         laser_hamiltonian(space, Pulse((0.1,), 1.0))
+    with pytest.raises(ValueError):
+        conditional_hamiltonian(space, Pulse((0.1,), 1.0))
+    with pytest.raises(ValueError):
+        conditional_hamiltonian(space, Pulse.off(3, 1.0))
 
 
 def test_hermitian_when_lossless():
     params = SystemParams(n_atoms=2, g=1.0, kappa=0.0, gamma=0.0, n_max=2)
     space = build_space(params)
-    h = conditional_hamiltonian(space, params)
+    h = conditional_hamiltonian(space)
     assert np.max(np.abs(h - h.conj().T)) < 1e-15
 
 
 def test_anti_hermitian_part_exact():
     params = SystemParams(n_atoms=2, g=1.3, kappa=0.7, gamma=0.02, n_max=2)
     space = build_space(params)
-    h = conditional_hamiltonian(space, params, Pulse((0.05, 0.02j), 1.0))
+    h = conditional_hamiltonian(space, Pulse((0.05, 0.02j), 1.0))
     damping = (h - h.conj().T) / (-2.0j)
     b = cavity_annihilation(space)
     expected = params.kappa * (b.conj().T @ b)
@@ -85,7 +89,7 @@ def test_anti_hermitian_part_exact():
 
 def test_cavity_ladder_elements(two_atom):
     space, params = two_atom
-    h = conditional_hamiltonian(space, params)
+    h = conditional_hamiltonian(space)
     s0 = pair_vector(space, 0, "s")
     g1 = pair_vector(space, 1, "g")
     # raising side carries -i sqrt(2) g, lowering side +i sqrt(2) g
@@ -95,7 +99,7 @@ def test_cavity_ladder_elements(two_atom):
 
 def test_kappa_diagonal(two_atom):
     space, params = two_atom
-    h = conditional_hamiltonian(space, params)
+    h = conditional_hamiltonian(space)
     for x in "gase":
         v1 = pair_vector(space, 1, x)
         v2 = pair_vector(space, 2, x)
@@ -108,7 +112,7 @@ def test_pair_basis_matches_explicit_ladder():
     params = SystemParams(n_atoms=2, g=0.8, kappa=1.1, gamma=3e-3, n_max=3)
     space = build_space(params)
     omega1, omega2 = 0.05 * np.exp(0.4j), 0.02 - 0.03j
-    h = conditional_hamiltonian(space, params, Pulse((omega1, omega2), 1.0))
+    h = conditional_hamiltonian(space, Pulse((omega1, omega2), 1.0))
     w = two_atom_pair_basis(space)
     h_pair = w.conj().T @ h @ w
     expected = pair_ladder_matrix(3, params.g, params.kappa, params.gamma, omega1, omega2)
@@ -117,26 +121,26 @@ def test_pair_basis_matches_explicit_ladder():
 
 def test_photon_loss_density(two_atom):
     space, params = two_atom
-    assert photon_loss_density(space, params, space.ground_state()) == pytest.approx(0.0)
+    assert photon_loss_density(space, space.ground_state()) == pytest.approx(0.0)
     one_photon = space.basis_state(1, 0)
-    assert photon_loss_density(space, params, one_photon) == pytest.approx(2 * params.kappa)
+    assert photon_loss_density(space, one_photon) == pytest.approx(2 * params.kappa)
     gamma_params = SystemParams(n_atoms=2, g=1.0, kappa=0.4, gamma=0.01, n_max=3)
     both_excited = space.basis_state(0, 0b11)
-    assert photon_loss_density(space, gamma_params, both_excited) == pytest.approx(
+    assert photon_loss_density(build_space(gamma_params), both_excited) == pytest.approx(
         4 * gamma_params.gamma)
     with pytest.raises(ValueError):
-        photon_loss_density(space, params, 0.5 * space.ground_state())
+        photon_loss_density(space, 0.5 * space.ground_state())
 
 
-def test_photon_loss_density_equals_norm_decay(two_atom):
-    space, _ = two_atom
+def test_photon_loss_density_equals_norm_decay():
     params = SystemParams(n_atoms=2, g=1.0, kappa=0.9, gamma=4e-3, n_max=3)
+    space = build_space(params)
     rng = np.random.default_rng(7)
-    h = conditional_hamiltonian(space, params, Pulse((0.1, 0.05j), 1.0))
+    h = conditional_hamiltonian(space, Pulse((0.1, 0.05j), 1.0))
     for _ in range(5):
         psi = rng.normal(size=space.dim) + 1j * rng.normal(size=space.dim)
         psi /= np.linalg.norm(psi)
-        direct = photon_loss_density(space, params, psi)
+        direct = photon_loss_density(space, psi)
         from_h = -np.vdot(psi, (h - h.conj().T) @ psi).imag
         assert direct == pytest.approx(from_h, rel=1e-12)
 
@@ -163,13 +167,13 @@ def test_two_atom_ode_rhs_examples():
     assert np.allclose(out, expected, atol=1e-15)
 
 
-def test_two_atom_ode_rhs_matches_hamiltonian(two_atom):
-    space, _ = two_atom
+def test_two_atom_ode_rhs_matches_hamiltonian():
     params = SystemParams(n_atoms=2, g=1.2, kappa=0.9, gamma=5e-3, n_max=3)
+    space = build_space(params)
     omega1, omega2 = 0.04 + 0.01j, -0.06
     wp = (omega1 + omega2) / (2 * np.sqrt(2.0))
     wm = (omega1 - omega2) / (2 * np.sqrt(2.0))
-    h = conditional_hamiltonian(space, params, Pulse((omega1, omega2), 1.0))
+    h = conditional_hamiltonian(space, Pulse((omega1, omega2), 1.0))
     w = two_atom_pair_basis(space)
     h_pair = w.conj().T @ h @ w
     rng = np.random.default_rng(11)
@@ -191,7 +195,7 @@ def test_two_atom_ode_rhs_rejects_other_sizes():
 def assert_operators_match_oracle(params, pulse):
     """Every operator function gives the same bytes as the loop/product oracle."""
     space = build_space(params)
-    assert (conditional_hamiltonian(space, params, pulse).tobytes()
+    assert (conditional_hamiltonian(space, pulse).tobytes()
             == conditional_hamiltonian_products(space, params, pulse).tobytes())
     if pulse is not None:
         assert (laser_hamiltonian(space, pulse).tobytes()
@@ -204,7 +208,7 @@ def assert_operators_match_oracle(params, pulse):
         if params.gamma > 0:
             expected_jumps.append(np.sqrt(2.0 * params.gamma) * atomic_lowering_loops(space, i))
     assert cavity_annihilation(space).tobytes() == cavity_annihilation_loops(space).tobytes()
-    jumps = [op for _, op in jump_operators(space, params)]
+    jumps = [op for _, op in jump_operators(space)]
     assert [op.tobytes() for op in jumps] == [op.tobytes() for op in expected_jumps]
 
 
