@@ -21,6 +21,8 @@ term-by-term sum of full-space products that starts from zeros.
 
 from __future__ import annotations
 
+import cmath
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -46,6 +48,10 @@ class Pulse:
         object.__setattr__(self, "rabi", tuple(complex(r) for r in self.rabi))
         if not self.rabi:
             raise ValueError("pulse needs at least one Rabi frequency")
+        if not all(map(cmath.isfinite, self.rabi)):
+            raise ValueError("Rabi frequencies must be finite")
+        if not math.isfinite(self.duration):
+            raise ValueError(f"pulse duration must be finite, got {self.duration}")
         if self.duration < 0:
             raise ValueError(f"pulse duration must be >= 0, got {self.duration}")
 

@@ -17,6 +17,7 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -51,6 +52,8 @@ class SystemParams:
             raise ValueError(f"n_atoms must be >= 1, got {self.n_atoms}")
         if self.n_max < 0:
             raise ValueError(f"n_max must be >= 0, got {self.n_max}")
+        if not all(map(math.isfinite, (self.g, self.kappa, self.gamma))):
+            raise ValueError("rates g, kappa, gamma must be finite")
         if self.g <= 0:
             raise ValueError(f"g must be > 0, got {self.g}")
         if self.kappa < 0 or self.gamma < 0:

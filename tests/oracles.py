@@ -23,6 +23,7 @@ from dfs_cavity import (DfsBasis, HilbertSpace, Pulse, Schedule, SlowModel, Syst
                         omega_pm, propagate_conditional)
 from dfs_cavity.analytic import _sin_over_s
 from dfs_cavity.dfs import RANK_TOL, _singlet_product
+from dfs_cavity.dynamics import NORM_BISECTION_TOL
 from dfs_cavity.hamiltonians import _check_pulse
 
 PAIR_INDEX = {"g": 0, "a": 1, "s": 2, "e": 3}
@@ -216,6 +217,29 @@ def schedule_states_dense(space: HilbertSpace, params: SystemParams, schedule: S
             start = end
         rows.append(psi)
     return np.array(rows)
+
+
+def bisect_jump_expm(h: np.ndarray, psi: np.ndarray, r: float,
+                     t_max: float) -> tuple[float, np.ndarray]:
+    """Locate tau in (0, t_max] where ||U(tau) psi||^2 crosses r.
+
+    The norm is non-increasing along the conditional evolution, so 200
+    halvings reach |norm^2 - r| <= 1e-10; if not, raise ArithmeticError.
+    """
+    lo, hi = 0.0, t_max
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        cand = expm(-1j * mid * h) @ psi
+        val = np.vdot(cand, cand).real - r
+        if abs(val) <= NORM_BISECTION_TOL:
+            break
+        if val > 0:
+            lo = mid
+        else:
+            hi = mid
+    else:
+        raise ArithmeticError(f"jump-time bisection did not reach norm^2 = {r} in (0, {t_max}]")
+    return mid, cand
 
 
 def integrate_pair_amplitudes(params: SystemParams, omega1, omega2, duration,

@@ -254,8 +254,10 @@ def test_outputs_byte_identical_for_same_config_and_seed(tmp_path):
     assert len((c1 / "jumps.csv").read_text().splitlines()) > 1
 
 
-def test_pulse_and_evolve_bytes_independent_of_blas_threads(tmp_path):
-    # N=4 (dim 64) runs the dense exponential, N=5 (dim 128) the Krylov steps
+def test_cli_bytes_independent_of_blas_threads(tmp_path):
+    # pulse/evolve: N=4 (dim 64) runs the dense exponential, N=5 (dim 128) the Krylov
+    # steps; trajectories: N=2 searches jump times with eigen-probes, N=4 with the
+    # exponential at every probe
     rabi = ("0.049+0.008j", "-0.048+0.012j", "0.05-0.003j", "-0.047-0.015j", "0.046+0.019j")
     cfgs = []
     for n in (4, 5):
@@ -263,6 +265,10 @@ def test_pulse_and_evolve_bytes_independent_of_blas_threads(tmp_path):
                 f"rabi = {', '.join(rabi[:n])}\n")
         cfgs.append((n, write_config(tmp_path, text, name=f"pulse{n}.ini"),
                      write_config(tmp_path, text + "settle = 5\n", name=f"evolve{n}.ini")))
+    traj_cfgs = [(n, write_config(tmp_path, (
+        f"n_atoms = {n}\nkappa = 1.0\ngamma = 0.001\nn_max = 3\nduration = 30\nsettle = 5\n"
+        f"rabi = {', '.join(rabi[:n])}\nsamples = 200\nseed = 7\njump_log = true\n"),
+        name=f"traj{n}.ini")) for n in (2, 4)]
     outputs = {}
     for threads in ("1", "2"):
         code = "from dfs_cavity.cli import main"
@@ -270,11 +276,18 @@ def test_pulse_and_evolve_bytes_independent_of_blas_threads(tmp_path):
             out = str(tmp_path / f"threads{threads}" / f"n{n}")
             code += (f"; assert main(['pulse', '--config', {pulse_cfg!r}, '--out', {out!r}]) == 0"
                      f"; assert main(['evolve', '--config', {evolve_cfg!r}, '--out', {out!r}]) == 0")
+        for n, traj_cfg in traj_cfgs:
+            out = str(tmp_path / f"threads{threads}" / f"traj{n}")
+            code += f"; assert main(['trajectories', '--config', {traj_cfg!r}, '--out', {out!r}]) == 0"
         run_python(code, OPENBLAS_NUM_THREADS=threads)
-        outputs[threads] = {(n, name): (tmp_path / f"threads{threads}" / f"n{n}" / name).read_bytes()
+        base = tmp_path / f"threads{threads}"
+        outputs[threads] = {(n, name): (base / f"n{n}" / name).read_bytes()
                             for n, _, _ in cfgs
                             for name in ("pulse.json", "evolve.csv", "evolve.json")}
+        outputs[threads].update({(n, name): (base / f"traj{n}" / name).read_bytes()
+                                 for n, _ in traj_cfgs for name in ("ensemble.json", "jumps.csv")})
     assert outputs["1"] == outputs["2"]
+    assert all(outputs["1"][n, "jumps.csv"].count(b"\n") > 1 for n, _ in traj_cfgs)
 
 
 def test_sweep_and_trajectories_do_not_load_sparse_linalg(tmp_path):

@@ -6,15 +6,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import solve_ivp
+from scipy.linalg import expm
 
 from dfs_cavity import (Pulse, Schedule, SystemParams, build_slow_model, build_space,
                         conditional_hamiltonian, entangling_pulse_duration, fidelity,
                         jump_operators, no_detection_mixture, propagate_conditional,
                         propagate_schedule, run_ensemble, sample_trajectory)
 from dfs_cavity import dynamics
-from dfs_cavity.dynamics import _bisect_jump
-from oracles import (conditional_state, dfs_projector, master_equation_evolve,
-                     no_photon_probability, pair_vector, schedule_states_dense)
+from dfs_cavity.dynamics import _bisect_jump, _eigensystem
+from oracles import (bisect_jump_expm, conditional_state, dfs_projector,
+                     master_equation_evolve, no_photon_probability, pair_vector,
+                     schedule_states_dense)
 
 
 def two_atom_setup(gamma=0.0, kappa=1.0, n_max=3):
@@ -230,8 +232,84 @@ def test_bisect_jump_raises_when_the_norm_never_reaches_the_threshold():
     # a Hermitian generator keeps ||psi||^2 = 1, so the threshold 0.5 is never crossed
     h = np.array([[0.0, 0.3], [0.3, 1.0]], dtype=complex)
     psi = np.array([1.0, 0.0], dtype=complex)
-    with pytest.raises(ArithmeticError):
-        _bisect_jump(h, psi, 0.5, 1.0)
+    assert _eigensystem(h) is not None
+    for eig in (_eigensystem(h), None):
+        with pytest.raises(ArithmeticError):
+            _bisect_jump(h, eig, psi, 0.5, 1.0)
+
+
+def oracle_search(h, eig, psi, r, t_max):
+    return bisect_jump_expm(h, psi, r, t_max)
+
+
+def assert_same_trajectory(a, b):
+    assert a.jumps == b.jumps
+    assert a.final_state.tobytes() == b.final_state.tobytes()
+
+
+rates = st.one_of(st.just(0.0), st.floats(0.01, 2.0))
+drives = st.builds(lambda amp, phase: amp * np.exp(1j * phase),
+                   st.floats(0.0, 1.0), st.floats(-np.pi, np.pi))
+
+
+@st.composite
+def jump_scenarios(draw):
+    n_atoms = draw(st.integers(1, 3))
+    params = SystemParams(n_atoms, g=1.0, kappa=draw(rates), gamma=draw(rates),
+                          n_max=draw(st.integers(1, 3)))
+    segments = draw(st.lists(st.builds(Pulse, st.tuples(*[drives] * n_atoms),
+                                       st.floats(0.5, 10.0)), min_size=1, max_size=3))
+    return build_space(params), Schedule(tuple(segments)), draw(st.integers(0, 2**32 - 1))
+
+
+@settings(max_examples=40, deadline=None)
+@given(jump_scenarios())
+def test_eigen_probe_search_matches_the_exponential_search(scenario):
+    space, schedule, seed = scenario
+    context, misses = {}, []
+
+    def search(h, eig, psi, r, t_max):
+        context.update(h=h, psi=psi, delta=eig[3] if eig is not None else None)
+        return _bisect_jump(h, eig, psi, r, t_max)
+
+    def probe(lam, v, coeffs, t):
+        out = eigen_probe(lam, v, coeffs, t)
+        exact = expm(-1j * t * context["h"]) @ context["psi"]
+        miss = abs(np.vdot(out, out).real - np.vdot(exact, exact).real)
+        if not miss <= context["delta"] / 10:
+            misses.append((miss, context["delta"]))
+        return out
+
+    eigen_probe = dynamics._eigen_probe
+    with patch.object(dynamics, "_bisect_jump", search), \
+            patch.object(dynamics, "_eigen_probe", probe):
+        fast = sample_trajectory(space, schedule, seed)
+    with patch.object(dynamics, "_bisect_jump", oracle_search):
+        reference = sample_trajectory(space, schedule, seed)
+    assert_same_trajectory(fast, reference)
+    assert not misses
+
+
+def test_ill_conditioned_segment_probes_with_the_exponential():
+    # kappa = 2 g puts the one-atom cavity block at its exceptional point, where the
+    # two eigenvectors coalesce
+    space = build_space(SystemParams(1, g=1.0, kappa=2.0, gamma=0.0, n_max=1))
+    schedule = Schedule((Pulse.off(1, 5.0),))
+    (_, _, _, eig), = dynamics._segment_propagators(space, schedule)
+    assert eig is None
+    excited = space.basis_state(0, 1)
+    jumped = 0
+    for seed in range(20):
+        with patch.object(dynamics, "_eigen_probe") as probe:
+            fast = sample_trajectory(space, schedule, seed, excited)
+        probe.assert_not_called()
+        with patch.object(dynamics, "_bisect_jump", oracle_search):
+            reference = sample_trajectory(space, schedule, seed, excited)
+        assert_same_trajectory(fast, reference)
+        jumped += not fast.survived
+    assert jumped > 0
+    # a well-conditioned generator keeps its eigensystem
+    assert _eigensystem(conditional_hamiltonian(two_atom_setup()[0])) is not None
 
 
 def test_jump_operators_channel_list():

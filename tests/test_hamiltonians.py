@@ -27,6 +27,14 @@ def test_pulse_validation():
     assert Pulse((0.1 + 0.2j,), 1.0).rabi == (0.1 + 0.2j,)
 
 
+@pytest.mark.parametrize("rabi, duration", [
+    ((float("nan"), 0.1), 1.0), ((0.1, complex(0.0, float("inf"))), 1.0),
+    ((0.1, 0.1), float("nan")), ((0.1, 0.1), float("inf"))])
+def test_pulse_rejects_non_finite_values(rabi, duration):
+    with pytest.raises(ValueError):
+        Pulse(rabi, duration)
+
+
 def test_laser_zero(two_atom):
     space, _ = two_atom
     h = laser_hamiltonian(space, Pulse.off(2, 1.0))

@@ -34,6 +34,13 @@ def test_params_validation():
         SystemParams(n_atoms=2, gamma=-0.1)
 
 
+@pytest.mark.parametrize("field", ["g", "kappa", "gamma"])
+@pytest.mark.parametrize("value", [float("nan"), float("inf")])
+def test_params_reject_non_finite_rates(field, value):
+    with pytest.raises(ValueError):
+        SystemParams(n_atoms=2, **{field: value})
+
+
 def test_flat_index_roundtrip():
     space = space_of(3, 2)
     seen = set()
