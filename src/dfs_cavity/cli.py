@@ -6,6 +6,8 @@ the atom-cavity coupling g, which is fixed to 1; durations are in units
 of 1/g.  Outputs are plain CSV/JSON written with full double precision
 so identical (config, seed) pairs produce byte-identical files.
 
+A key outside CONFIG_KEYS is a config error.
+
 Exit codes: 0 success, 2 config error, 3 numerical-guard abort.
 """
 
@@ -31,7 +33,11 @@ from .dynamics import (Schedule, fidelity, no_detection_mixture, propagate_condi
 from .hamiltonians import Pulse, conditional_hamiltonian
 from .hilbert import DeskScaleError, SystemParams, build_space
 
-MODES = ("basis", "evolve", "pulse", "sweep", "trajectories")
+# the keys load_config reads; every mode accepts each of them
+CONFIG_KEYS = frozenset({
+    "mode", "n_atoms", "kappa", "gamma", "n_max", "seed", "eta", "settle", "samples",
+    "jump_log", "evolve_points", "rabi", "duration", "omega1_list", "omega1_min",
+    "omega1_max", "omega1_points", "gamma_list"})
 GUARD_ERRORS = (DeskScaleError, OverdampedError, ArithmeticError)
 DEFAULT_OMEGA1_MIN = 1e-3
 DEFAULT_OMEGA1_MAX = 0.3
@@ -45,7 +51,6 @@ class ConfigError(ValueError):
 
 @dataclass
 class RunConfig:
-    mode: str
     params: SystemParams
     seed: int = 1
     eta: float = 0.0
@@ -126,6 +131,10 @@ def load_config(path: str | Path, mode: str) -> RunConfig:
     if not path.is_file():
         raise ConfigError(f"config file not found: {path}")
     raw = _parse_flat(path.read_text())
+    unknown = sorted(raw.keys() - CONFIG_KEYS)
+    if unknown:
+        raise ConfigError(f"unknown config key(s) {', '.join(unknown)}; "
+                          f"accepted keys: {', '.join(sorted(CONFIG_KEYS))}")
     if "mode" in raw and raw["mode"].strip() != mode:
         raise ConfigError(f"config specifies mode {raw['mode']!r} but {mode!r} was requested")
     try:
@@ -138,7 +147,7 @@ def load_config(path: str | Path, mode: str) -> RunConfig:
         )
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    cfg = RunConfig(mode=mode, params=params)
+    cfg = RunConfig(params=params)
     cfg.seed = _get_int(raw, "seed", 1)
     cfg.eta = _get_float(raw, "eta", 0.0)
     if not 0 <= cfg.eta <= 1:
@@ -410,7 +419,7 @@ def main(argv: list[str] | None = None) -> int:
         prog="dfs-cavity-sim",
         description="Trapped-state (decoherence-free) subspace simulator for "
                     "N two-level atoms in a leaky cavity.")
-    parser.add_argument("mode", choices=MODES)
+    parser.add_argument("mode", choices=COMMANDS)
     parser.add_argument("--config", required=True, help="flat key=value config file")
     parser.add_argument("--out", default=".", help="output directory (created if missing)")
     parser.add_argument("--seed", type=int, default=None, help="override the config seed")

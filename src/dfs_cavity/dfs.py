@@ -29,7 +29,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .hilbert import HilbertSpace
+from .hilbert import HilbertSpace, _read_only
 
 RANK_TOL = 1e-10
 
@@ -137,7 +137,7 @@ def dfs_basis(space: HilbertSpace) -> DfsBasis:
     (two passes) against the earlier vectors of the same sector only:
     sectors have disjoint support, so they are already orthogonal.  The
     generators are independent, so a residual norm below RANK_TOL raises
-    RuntimeError.  The result is cached per space; treat the arrays as
+    RuntimeError.  The result is cached per space and ``vectors`` is
     read-only.
     """
     n_atoms = space.n_atoms
@@ -162,7 +162,7 @@ def dfs_basis(space: HilbertSpace) -> DfsBasis:
     vectors = np.zeros((count, space.dim), dtype=complex)
     vectors[:, : space.n_configs] = np.array(accepted)
     dicke_l = tuple(n_atoms / 2 - n for n in excitations)
-    return DfsBasis(space, vectors, tuple(excitations), dicke_l)
+    return DfsBasis(space, _read_only(vectors), tuple(excitations), dicke_l)
 
 
 def export_basis(basis: DfsBasis, csv_path: str | Path, sidecar_path: str | Path) -> None:

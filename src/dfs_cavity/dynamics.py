@@ -13,7 +13,7 @@ to r, then apply a jump operator sqrt(2*gamma)*sigma_i or sqrt(2*kappa)*b
 chosen with probability proportional to its emission weight.  That choice
 of jump operators makes conditional evolution plus jumps exactly
 trace-preserving on average, which the test suite checks against an
-independent Lindblad integrator.  The sampler steps with dense
+independent solution of the Lindblad master equation.  The sampler steps with dense
 exponentials and bisects for the jump time with O(dim^2) eigen-probes
 V (exp(-i lam t) * V^-1 psi), from H_cond = V diag(lam) V^-1 diagonalised
 once per segment; a probe whose norm lies near the decision boundary is
@@ -36,7 +36,7 @@ import numpy as np
 from scipy.linalg import expm
 
 from .hamiltonians import Pulse, conditional_hamiltonian
-from .hilbert import HilbertSpace, atomic_lowering, cavity_annihilation
+from .hilbert import HilbertSpace, _read_only, atomic_lowering, cavity_annihilation
 
 NORM_BISECTION_TOL = 1e-10
 # An eigen-probe's squared norm is trusted to PROBE_MARGIN * cond_1(V) * dim * eps of the
@@ -225,16 +225,31 @@ def jump_operators(space: HilbertSpace) -> list[tuple[str, np.ndarray]]:
 
 
 @lru_cache(maxsize=16)
+def _jump_channels(space: HilbertSpace) -> tuple[tuple[str, ...], tuple[np.ndarray, ...]]:
+    """(labels, operators) of ``jump_operators(space)``, built once per space.
+
+    Cached; the operators are read-only.
+    """
+    channels = jump_operators(space)
+    return (tuple(name for name, _ in channels),
+            tuple(_read_only(op) for _, op in channels))
+
+
+@lru_cache(maxsize=16)
 def _segment_propagators(space: HilbertSpace, schedule: Schedule) -> tuple[tuple, ...]:
     """(H_cond, full-duration propagator, duration, eigensystem) per segment.
 
-    The eigensystem is ``_eigensystem(H_cond)``.  Cached; treat every array
-    as read-only.
+    The eigensystem is ``_eigensystem(H_cond)``.  Cached; every array is
+    read-only.
     """
     out = []
     for seg in schedule.segments:
         h = conditional_hamiltonian(space, seg)
-        out.append((h, expm(-1j * seg.duration * h), seg.duration, _eigensystem(h)))
+        u = expm(-1j * seg.duration * h)
+        eig = _eigensystem(h)
+        for a in (h, u) + (eig[:3] if eig is not None else ()):
+            _read_only(a)
+        out.append((h, u, seg.duration, eig))
     return tuple(out)
 
 
@@ -322,9 +337,7 @@ def sample_trajectory(space: HilbertSpace, schedule: Schedule, seed,
         if abs(nrm - 1.0) > 1e-9:
             raise ValueError("initial state must be normalized")
         psi = np.asarray(initial_state, dtype=complex).copy()
-    channels = jump_operators(space)
-    labels = [name for name, _ in channels]
-    ops = [op for _, op in channels]
+    labels, ops = _jump_channels(space)
     jumps: list[tuple[float, str]] = []
     r = _draw_threshold(rng)
     t_offset = 0.0
@@ -340,14 +353,14 @@ def sample_trajectory(space: HilbertSpace, schedule: Schedule, seed,
                 psi = candidate
                 break
             tau, psi_at = _bisect_jump(h, eig, psi, r, remaining)
-            weights = np.array([np.vdot(op @ psi_at, op @ psi_at).real for op in ops])
+            emitted = [op @ psi_at for op in ops]
+            weights = np.array([np.vdot(e, e).real for e in emitted])
             total = weights.sum()
             if not total > 0:
                 raise RuntimeError("norm decayed with no open emission channel")
             pick = min(int(np.searchsorted(np.cumsum(weights) / total, rng.random(),
                                            side="right")), len(ops) - 1)
-            jumped = ops[pick] @ psi_at
-            psi = jumped / np.linalg.norm(jumped)
+            psi = emitted[pick] / np.linalg.norm(emitted[pick])
             jumps.append((t_offset + elapsed + tau, labels[pick]))
             if len(jumps) > 100_000:
                 raise RuntimeError("jump count safeguard exceeded")

@@ -28,8 +28,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .hilbert import (HilbertSpace, atom_factor, atomic_lowering, cavity_annihilation,
-                      cavity_factor, embed)
+from .hilbert import (HilbertSpace, _read_only, atom_factor, atomic_lowering,
+                      cavity_annihilation, cavity_factor, embed)
 
 
 @dataclass(frozen=True)
@@ -89,14 +89,17 @@ def laser_hamiltonian(space: HilbertSpace, pulse: Pulse) -> np.ndarray:
 
 @lru_cache(maxsize=32)
 def _rate_free_parts(space: HilbertSpace) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """B - B^T with B = a (x) J_plus, diag(sigma_i^dag sigma_i) per atom and diag(b^dag b)."""
+    """B - B^T with B = a (x) J_plus, diag(sigma_i^dag sigma_i) per atom and diag(b^dag b).
+
+    Cached; the arrays are read-only.
+    """
     a = cavity_factor(space)
     lowerings = [atom_factor(space, i) for i in range(1, space.n_atoms + 1)]
     b = embed(space, a, sum(lowerings).T)
     ones = np.ones(space.n_max + 1)
     excited = np.array([embed(space, ones, np.diag(s.T @ s)) for s in lowerings])
     photons = embed(space, np.diag(a.T @ a), np.ones(space.n_configs))  # sqrt(n)^2, not n
-    return b - b.T, excited, photons
+    return _read_only(b - b.T), _read_only(excited), _read_only(photons)
 
 
 def conditional_hamiltonian(space: HilbertSpace, pulse: Pulse | None = None) -> np.ndarray:

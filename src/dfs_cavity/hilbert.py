@@ -158,13 +158,20 @@ def embed(space: HilbertSpace, photon_op: np.ndarray, atom_op: np.ndarray) -> np
     return (photon_op[:, None, :, None] * atom_op[None, :, None, :]).reshape(space.dim, space.dim)
 
 
+def _read_only(a: np.ndarray) -> np.ndarray:
+    """Clear the writeable flag, so a cached array cannot be changed in place; returns a."""
+    a.flags.writeable = False
+    return a
+
+
 @lru_cache(maxsize=64)
 def atomic_lowering(space: HilbertSpace, i: int) -> np.ndarray:
     """Lowering operator sigma_i = |0><1| on atom i, identity elsewhere.
 
-    Treat the cached return value as read-only.
+    The cached return value is read-only.
     """
-    return embed(space, np.eye(space.n_max + 1), atom_factor(space, i)).astype(complex)
+    return _read_only(embed(space, np.eye(space.n_max + 1), atom_factor(space, i))
+                      .astype(complex))
 
 
 @lru_cache(maxsize=32)
@@ -172,6 +179,8 @@ def cavity_annihilation(space: HilbertSpace) -> np.ndarray:
     """Bosonic annihilation b with b|n> = sqrt(n)|n-1>, truncated at n_max.
 
     The truncation only breaks the ladder algebra at the cutoff row:
-    b_dag |n_max> = 0.  Treat the cached return value as read-only.
+    b_dag |n_max> = 0.  The cached return value is read-only.
     """
-    return embed(space, cavity_factor(space), np.eye(space.n_configs)).astype(complex)
+    return _read_only(embed(space, cavity_factor(space), np.eye(space.n_configs))
+                      .astype(complex))
+

@@ -4,7 +4,7 @@ Everything here is written out from scratch (explicit matrix elements,
 explicit product states, series expansions, black-box ODE integration)
 so the package paths are checked against genuinely independent
 arithmetic rather than against themselves.  The pair-basis amplitude
-equations, the fixed-step Lindblad integrator, the greedy all-pairings
+equations, the exact-exponential Lindblad evolution, the greedy all-pairings
 trapped basis, the loop- and product-built operators, the dense-exponential
 schedule chain, the slow model's propagator and amplitudes, the
 no-emission probability and conditioned state of one propagation, the
@@ -19,8 +19,8 @@ from scipy.integrate import solve_ivp
 from scipy.linalg import expm
 
 from dfs_cavity import (DfsBasis, HilbertSpace, Pulse, Schedule, SlowModel, SystemParams,
-                        atomic_lowering, conditional_hamiltonian, dfs_basis, jump_operators,
-                        omega_pm, propagate_conditional)
+                        atomic_lowering, conditional_hamiltonian, dfs_basis, omega_pm,
+                        propagate_conditional)
 from dfs_cavity.analytic import _sin_over_s
 from dfs_cavity.dfs import RANK_TOL, _singlet_product
 from dfs_cavity.dynamics import NORM_BISECTION_TOL
@@ -516,29 +516,17 @@ def effective_hamiltonian(space: HilbertSpace, pulse: Pulse,
     return p @ h @ p
 
 
-ME_STEP_FACTOR = 1e-2
-
-
-class TraceDriftError(RuntimeError):
-    """Lindblad integration lost more trace than the 1e-6 guard allows."""
-
-
-def _lindblad_rhs(rho: np.ndarray, h_herm: np.ndarray,
-                  ops: list[np.ndarray], ops_sq: list[np.ndarray]) -> np.ndarray:
-    out = -1j * (h_herm @ rho - rho @ h_herm)
-    for c, csq in zip(ops, ops_sq):
-        out += c @ rho @ c.conj().T - 0.5 * (csq @ rho + rho @ csq)
-    return out
-
-
 def master_equation_evolve(space: HilbertSpace, params: SystemParams, schedule: Schedule,
                            rho0: np.ndarray, t: float | None = None) -> np.ndarray:
     """Trace-preserving evolution of a density matrix through the schedule.
 
-    H is the Hermitian part of the conditional Hamiltonian and the jump
-    operators are the emission channels, so this is the unconditioned
-    average of the trajectory unraveling.  Classic fixed-step RK4 with
-    step <= 1e-2 / max(g, kappa, ||H||); a trace drift beyond 1e-6 aborts.
+    H is the Hermitian part of ``conditional_hamiltonian_products`` and the
+    jump operators are the emission channels sqrt(2 kappa) b and
+    sqrt(2 gamma) sigma_i from the loop-built operators, so this is the
+    unconditioned average of the trajectory unraveling.  Each segment is
+    one exact step vec(rho) <- expm(span L) vec(rho) with the dense
+    dim^2 x dim^2 Liouvillian L on the row-stacked vec(rho).  Its cost
+    grows as dim^6: the oracle is meant for dim <= 32.
     """
     rho = np.asarray(rho0, dtype=complex)
     if np.max(np.abs(rho - rho.conj().T)) > 1e-10:
@@ -552,31 +540,25 @@ def master_equation_evolve(space: HilbertSpace, params: SystemParams, schedule: 
         t = total
     if not 0 <= t <= total + 1e-12:
         raise ValueError(f"t = {t} outside the schedule span [0, {total}]")
-    ops = [op for _, op in jump_operators(space)]
-    ops_sq = [op.conj().T @ op for op in ops]
+    # row-stacked vec: vec(A rho B) = kron(A, B^T) vec(rho)
+    eye = np.eye(space.dim)
+    channels = [np.sqrt(2.0 * params.kappa) * cavity_annihilation_loops(space)]
+    channels += [np.sqrt(2.0 * params.gamma) * atomic_lowering_loops(space, i)
+                 for i in range(1, space.n_atoms + 1)]
+    dissipator = 0.0
+    for c in channels:  # C rho C^dag - (C^dag C rho + rho C^dag C) / 2
+        c_sq = c.conj().T @ c
+        dissipator = (dissipator + np.kron(c, c.conj())
+                      - 0.5 * np.kron(c_sq, eye) - 0.5 * np.kron(eye, c_sq.T))
+    vec = rho.reshape(-1)
     remaining = t
-    rho = rho.copy()
     for seg in schedule.segments:
-        if remaining <= 0:
-            break
         span = min(seg.duration, remaining)
         remaining -= span
-        if span == 0:
+        if span <= 0:
             continue
-        h_cond = conditional_hamiltonian(space, seg)
-        h_herm = 0.5 * (h_cond + h_cond.conj().T)
-        scale = max(params.g, params.kappa, np.linalg.norm(h_herm, 2))
-        n_steps = max(1, int(np.ceil(span * scale / ME_STEP_FACTOR)))
-        dt = span / n_steps
-        for _ in range(n_steps):
-            k1 = _lindblad_rhs(rho, h_herm, ops, ops_sq)
-            k2 = _lindblad_rhs(rho + 0.5 * dt * k1, h_herm, ops, ops_sq)
-            k3 = _lindblad_rhs(rho + 0.5 * dt * k2, h_herm, ops, ops_sq)
-            k4 = _lindblad_rhs(rho + dt * k3, h_herm, ops, ops_sq)
-            rho = rho + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-            drift = abs(np.trace(rho).real - 1.0)
-            if drift > 1e-6:
-                raise TraceDriftError(
-                    f"trace drifted by {drift:.3e} (step {dt:.3e}); "
-                    "the integration step guard failed")
-    return rho
+        h_cond = conditional_hamiltonian_products(space, params, seg)
+        h = 0.5 * (h_cond + h_cond.conj().T)
+        liouvillian = -1j * (np.kron(h, eye) - np.kron(eye, h.T)) + dissipator
+        vec = expm(span * liouvillian) @ vec
+    return vec.reshape(space.dim, space.dim)

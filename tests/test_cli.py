@@ -97,6 +97,12 @@ def test_config_errors_exit_code(tmp_path):
                  "--seed", "-1"]) == 2
     negative_settle = write_config(tmp_path, traj + "settle = -1\n", name="settle.ini")
     assert main(["pulse", "--config", negative_settle, "--out", str(tmp_path)]) == 2
+    # unknown keys: misspelt ones would otherwise run other physics, and g is fixed to 1
+    for name, mode, text in [("gama", "trajectories", traj + "gama = 0.5\n"),
+                             ("sampels", "trajectories", traj + "sampels = 20\n"),
+                             ("g", "basis", "n_atoms = 2\ng = 2\n")]:
+        path = write_config(tmp_path, text, name=f"{name}.ini")
+        assert main([mode, "--config", path, "--out", str(tmp_path)]) == 2, name
     pulse = "n_atoms = 2\nrabi = 0.05, -0.05\nduration = 1\n"
     for name, text in [("nan_kappa", pulse + "kappa = nan\n"),
                        ("inf_duration", pulse.replace("duration = 1", "duration = inf")),

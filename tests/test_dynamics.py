@@ -8,11 +8,12 @@ from hypothesis import strategies as st
 from scipy.integrate import solve_ivp
 from scipy.linalg import expm
 
-from dfs_cavity import (Pulse, Schedule, SystemParams, build_slow_model, build_space,
-                        conditional_hamiltonian, entangling_pulse_duration, fidelity,
-                        jump_operators, no_detection_mixture, propagate_conditional,
-                        propagate_schedule, run_ensemble, sample_trajectory)
-from dfs_cavity import dynamics
+from dfs_cavity import (Pulse, Schedule, SystemParams, atomic_lowering, build_slow_model,
+                        build_space, cavity_annihilation, conditional_hamiltonian, dfs_basis,
+                        entangling_pulse_duration, fidelity, jump_operators,
+                        no_detection_mixture, propagate_conditional, propagate_schedule,
+                        run_ensemble, sample_trajectory)
+from dfs_cavity import dynamics, hamiltonians
 from dfs_cavity.dynamics import _bisect_jump, _eigensystem
 from oracles import (bisect_jump_expm, conditional_state, dfs_projector,
                      master_equation_evolve, no_photon_probability, pair_vector,
@@ -320,6 +321,21 @@ def test_jump_operators_channel_list():
     assert [n for n, _ in jump_operators(lossless)] == ["cavity"]
 
 
+def test_cached_arrays_are_read_only():
+    space, _ = two_atom_setup(gamma=1e-3)
+    schedule = Schedule((Pulse((0.1, -0.1), 2.0),))
+    (h, u, _, eig), = dynamics._segment_propagators(space, schedule)
+    labels, ops = dynamics._jump_channels(space)
+    assert labels == tuple(name for name, _ in jump_operators(space))
+    assert all(np.array_equal(a, b) for a, (_, b) in zip(ops, jump_operators(space)))
+    cached = [atomic_lowering(space, 1), cavity_annihilation(space),
+              *hamiltonians._rate_free_parts(space), dfs_basis(space).vectors,
+              h, u, *eig[:3], *ops]
+    for a in cached:
+        with pytest.raises(ValueError):
+            a[1] *= -1
+
+
 def test_norm_decay_balances_jump_weights():
     # -d/dt ||psi||^2 must equal the summed emission weights at every step
     space, params = two_atom_setup(gamma=2e-3)
@@ -510,6 +526,26 @@ def test_trajectories_average_to_master_equation():
     p0_exact = no_photon_probability(h, space.ground_state(), duration)
     binom = np.sqrt(p0_exact * (1 - p0_exact) / n)
     assert abs(survived / n - p0_exact) < 4.0 * binom
+
+
+def test_three_atom_trajectories_average_to_master_equation():
+    # several atomic channels and the eigen-probe search at dim 32
+    params = SystemParams(n_atoms=3, g=1.0, kappa=1.0, gamma=2e-3, n_max=3)
+    space = build_space(params)
+    schedule = Schedule((Pulse((0.1, -0.1, 0.05j), 15.0),))
+    n = 2000
+    children = np.random.SeedSequence(2026).spawn(n)
+    outers = np.empty((n, space.dim, space.dim), dtype=complex)
+    for k, child in enumerate(children):
+        psi = sample_trajectory(space, schedule, child).final_state
+        outers[k] = np.outer(psi, psi.conj())
+    rho_me = master_equation_evolve(space, params, schedule,
+                                    np.outer(space.ground_state(), space.ground_state()))
+    stderr_re = outers.real.std(axis=0, ddof=1) / np.sqrt(n)
+    stderr_im = outers.imag.std(axis=0, ddof=1) / np.sqrt(n)
+    diff = outers.mean(axis=0) - rho_me
+    assert np.all(np.abs(diff.real) <= 5.0 * stderr_re + 1e-9)
+    assert np.all(np.abs(diff.imag) <= 5.0 * stderr_im + 1e-9)
 
 
 def test_zeno_confinement_regression():
