@@ -133,12 +133,11 @@ class ZenoReport:
 
     drive_ratio: float
     spontaneous_ratio: float
-    threshold: float = ZENO_THRESHOLD
 
     @property
     def passed(self) -> bool:
-        return (self.drive_ratio <= self.threshold
-                and self.spontaneous_ratio <= self.threshold)
+        return (self.drive_ratio <= ZENO_THRESHOLD
+                and self.spontaneous_ratio <= ZENO_THRESHOLD)
 
 
 def zeno_timescale_check(params: SystemParams, pulse: Pulse) -> ZenoReport:

@@ -16,10 +16,11 @@ trace-preserving on average, which the test suite checks against an
 independent solution of the Lindblad master equation.  The sampler steps with dense
 exponentials and bisects for the jump time with O(dim^2) eigen-probes
 V (exp(-i lam t) * V^-1 psi), from H_cond = V diag(lam) V^-1 diagonalised
-once per segment; a probe whose norm lies near the decision boundary is
-recomputed with the dense exponential, so the jumps are the ones
-exponential probes alone would give.  Segments with ill-conditioned V
-take the exponential at every probe.
+once per segment; a probe whose norm lies within a margin of the decision
+boundary is recomputed with the dense exponential, so the jumps are the
+ones exponential probes alone would give.  The margin grows with
+cond_1(V), so ill-conditioned segments (up to cond_1(V) ~ 1e8 at an
+exceptional point) take the same search and simply recompute more probes.
 Every trajectory that emits nothing ends in the same no-jump state psi0,
 so an ensemble keeps psi0, the survival fraction p0 and the average
 rho_perp of the trajectories that emitted; its state is
@@ -40,8 +41,9 @@ from .hilbert import HilbertSpace, _read_only, atomic_lowering, cavity_annihilat
 
 NORM_BISECTION_TOL = 1e-10
 # An eigen-probe's squared norm is trusted to PROBE_MARGIN * cond_1(V) * dim * eps of the
-# exponential's (see _eigensystem).  Measured misses: up to 2 cond_1(V) dim eps on the
-# two-atom ensemble (||H t||_1 <= 300), growing to 13 on segments with ||H t||_1 ~ 6500.
+# exponential's (see _eigensystem).  Measured misses, in cond_1(V) dim eps: up to 2 on the
+# two-atom ensemble (||H t||_1 <= 300), 13 on segments with ||H t||_1 ~ 6500, and
+# 0.52 / 0.62 / 0.12 / 0.08 / 0.02 on N = 2-6 ensembles (cond_1(V) up to 146).
 PROBE_MARGIN = 64.0
 # Largest dim the schedule propagator steps with the dense exponential.  Up to here it
 # is faster than expm_multiply at every duration, and its bytes were measured not to
@@ -70,10 +72,6 @@ class Schedule:
             raise ValueError("all schedule segments must drive the same atom count")
 
     @property
-    def n_atoms(self) -> int:
-        return self.segments[0].n_atoms
-
-    @property
     def total_duration(self) -> float:
         return float(sum(seg.duration for seg in self.segments))
 
@@ -84,7 +82,6 @@ class Trajectory:
 
     jumps: tuple[tuple[float, str], ...]
     final_state: np.ndarray
-    survived: bool
 
 
 @dataclass(frozen=True, eq=False)
@@ -237,40 +234,40 @@ def _jump_channels(space: HilbertSpace) -> tuple[tuple[str, ...], tuple[np.ndarr
 
 @lru_cache(maxsize=16)
 def _segment_propagators(space: HilbertSpace, schedule: Schedule) -> tuple[tuple, ...]:
-    """(H_cond, full-duration propagator, duration, eigensystem) per segment.
+    """(H_cond, full-duration propagator, duration, _eigensystem(H_cond)) per segment.
 
-    The eigensystem is ``_eigensystem(H_cond)``.  Cached; every array is
-    read-only.
+    Cached; every array is read-only.
     """
     out = []
     for seg in schedule.segments:
         h = conditional_hamiltonian(space, seg)
         u = expm(-1j * seg.duration * h)
         eig = _eigensystem(h)
-        for a in (h, u) + (eig[:3] if eig is not None else ()):
+        for a in (h, u) + eig[:3]:
             _read_only(a)
         out.append((h, u, seg.duration, eig))
     return tuple(out)
 
 
-def _eigensystem(h: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, float] | None:
-    """(lam, V, V^-1, delta) with h = V diag(lam) V^-1, or None if V is ill-conditioned.
+def _eigensystem(h: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
+    """(lam, V, V^-1, delta) with h = V diag(lam) V^-1.
 
     delta = PROBE_MARGIN * cond_1(V) * dim * eps is the margin within which
-    an eigen-probe's squared norm is not trusted.  None (every probe takes
-    the exponential) when delta reaches NORM_BISECTION_TOL / 10 or the
-    decomposition is singular or not finite.
+    an eigen-probe's squared norm is not trusted: 1e-12 at N = 2 and
+    2e-11 to 5e-10 at N = 4-6 (``n_max = 3``), 8e-6 at the one-atom
+    exceptional point.  A singular V (V^-1 is then NaN) or any non-finite
+    value gives delta = inf, so that every probe takes the exponential.
     """
     lam, v = np.linalg.eig(h)
     try:
         v_inv = np.linalg.inv(v)
     except np.linalg.LinAlgError:
-        return None
+        v_inv = np.full_like(v, np.nan)
     # the condition number from 1-norms: np.linalg.cond's SVD pages in more of LAPACK
     cond = np.linalg.norm(v, 1) * np.linalg.norm(v_inv, 1)
     delta = PROBE_MARGIN * cond * h.shape[0] * np.finfo(float).eps
-    if not (delta < NORM_BISECTION_TOL / 10 and np.isfinite(lam).all()):
-        return None
+    if not (np.isfinite(delta) and np.isfinite(lam).all()):
+        delta = np.inf
     return lam, v, v_inv, delta
 
 
@@ -281,29 +278,28 @@ def _draw_threshold(rng: np.random.Generator) -> float:
     return r
 
 
-def _bisect_jump(h: np.ndarray, eig: tuple | None, psi: np.ndarray, r: float,
+def _bisect_jump(h: np.ndarray, eig: tuple, psi: np.ndarray, r: float,
                  t_max: float) -> tuple[float, np.ndarray]:
     """Locate tau in (0, t_max] where ||U(tau) psi||^2 crosses r.
 
     The norm is non-increasing along the conditional evolution, so 200
     halvings reach |norm^2 - r| <= 1e-10; if not, raise ArithmeticError.
     Each probe is V (exp(-i lam tau) * V^-1 psi) from ``eig`` (see
-    _eigensystem); one whose squared norm lies within NORM_BISECTION_TOL
-    + delta of r is recomputed with the exponential, which then decides.
-    Every decision, and so the result, is the one exponential probes
-    alone would give.  With ``eig`` None every probe is the exponential.
+    _eigensystem); one not farther than NORM_BISECTION_TOL + delta from
+    r (NaN and delta = inf included) is recomputed with the exponential,
+    which then decides.  Every decision, and so the result, is the one
+    exponential probes alone would give.  A jump costs about 2.0 / 2.2 /
+    2.6 / 3.5 exponentials at N = 3 / 4 / 5 / 6 (``n_max = 3``).
     """
-    if eig is not None:
-        lam, v, v_inv, delta = eig
-        coeffs = v_inv @ psi
-        trusted = NORM_BISECTION_TOL + delta
+    lam, v, v_inv, delta = eig
+    coeffs = v_inv @ psi
+    trusted = NORM_BISECTION_TOL + delta
     lo, hi = 0.0, t_max
     for _ in range(200):
         mid = 0.5 * (lo + hi)
-        if eig is not None:
-            cand = _eigen_probe(lam, v, coeffs, mid)
-            val = np.vdot(cand, cand).real - r
-        if eig is None or abs(val) <= trusted:
+        cand = _eigen_probe(lam, v, coeffs, mid)
+        val = np.vdot(cand, cand).real - r
+        if not abs(val) > trusted:
             cand = expm(-1j * mid * h) @ psi
             val = np.vdot(cand, cand).real - r
         if abs(val) <= NORM_BISECTION_TOL:
@@ -371,7 +367,7 @@ def sample_trajectory(space: HilbertSpace, schedule: Schedule, seed,
             r = _draw_threshold(rng)
         t_offset += duration
     nrm = np.linalg.norm(psi)
-    return Trajectory(tuple(jumps), psi / nrm, survived=not jumps)
+    return Trajectory(tuple(jumps), psi / nrm)
 
 
 def run_ensemble(space: HilbertSpace, schedule: Schedule, n_samples: int,
@@ -395,7 +391,7 @@ def run_ensemble(space: HilbertSpace, schedule: Schedule, n_samples: int,
         chunk_perp = np.zeros_like(perp_sum)
         for idx in range(start, min(start + ENSEMBLE_CHUNK, n_samples)):
             traj = sample_trajectory(space, schedule, children[idx])
-            if traj.survived:
+            if not traj.jumps:
                 survived += 1
             else:
                 chunk_perp += np.outer(traj.final_state, traj.final_state.conj())

@@ -96,21 +96,11 @@ class HilbertSpace:
             raise ValueError(f"atomic config {atomic_config} outside [0, {self.n_configs})")
         return photon_number * self.n_configs + atomic_config
 
-    def basis_labels(self, flat: int) -> tuple[int, int]:
-        """Inverse of :meth:`flat_index`: returns (photon_number, atomic_config)."""
-        if not 0 <= flat < self.dim:
-            raise ValueError(f"flat index {flat} outside [0, {self.dim})")
-        return divmod(flat, self.n_configs)
-
     def atom_bit(self, i: int) -> int:
         """Bit position of atom ``i`` (1-based) inside the config integer."""
         if not 1 <= i <= self.n_atoms:
             raise ValueError(f"atom index {i} outside [1, {self.n_atoms}]")
         return self.n_atoms - i
-
-    def config_string(self, atomic_config: int) -> str:
-        """Bitstring of a configuration, atom 1 leftmost."""
-        return format(atomic_config, f"0{self.n_atoms}b")
 
     def basis_state(self, photon_number: int, atomic_config: int) -> np.ndarray:
         """Unit vector for the basis element ``|n, bits>``."""

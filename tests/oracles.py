@@ -3,9 +3,10 @@
 Everything here is written out from scratch (explicit matrix elements,
 explicit product states, series expansions, black-box ODE integration)
 so the package paths are checked against genuinely independent
-arithmetic rather than against themselves.  The pair-basis amplitude
-equations, the exact-exponential Lindblad evolution, the greedy all-pairings
-trapped basis, the loop- and product-built operators, the dense-exponential
+arithmetic rather than against themselves.  The inverse flat index and
+configuration bitstrings, the pair-basis amplitude equations, the
+exact-exponential Lindblad evolution, the greedy all-pairings trapped
+basis, the loop- and product-built operators, the dense-exponential
 schedule chain, the slow model's propagator and amplitudes, the
 no-emission probability and conditioned state of one propagation, the
 trapped-subspace projector and a few operator helpers that only the
@@ -82,6 +83,18 @@ def pair_ladder_matrix(n_max, g, kappa, gamma, omega1, omega2):
         h[idx(n, "s"), idx(n, "s")] += -1j * (gamma + n * kappa)
         h[idx(n, "e"), idx(n, "e")] += -1j * (2.0 * gamma + n * kappa)
     return h
+
+
+def basis_labels(space: HilbertSpace, flat: int) -> tuple[int, int]:
+    """Inverse of ``space.flat_index``: returns (photon_number, atomic_config)."""
+    if not 0 <= flat < space.dim:
+        raise ValueError(f"flat index {flat} outside [0, {space.dim})")
+    return divmod(flat, space.n_configs)
+
+
+def config_string(space: HilbertSpace, atomic_config: int) -> str:
+    """Bitstring of a configuration, atom 1 leftmost."""
+    return format(atomic_config, f"0{space.n_atoms}b")
 
 
 def four_atom_state(x12, y34):

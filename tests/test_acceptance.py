@@ -152,7 +152,7 @@ def test_criterion_08_trajectories_against_master_equation():
     for k, child in enumerate(children):
         traj = sample_trajectory(space, schedule, child)
         outers[k] = np.outer(traj.final_state, traj.final_state.conj())
-        survived += traj.survived
+        survived += not traj.jumps
     fraction = survived / n
     sigma = np.sqrt(p_cf * (1.0 - p_cf) / n)
     fraction_ok = abs(fraction - p_cf) < 3.0 * sigma

@@ -262,8 +262,8 @@ def test_outputs_byte_identical_for_same_config_and_seed(tmp_path):
 
 def test_cli_bytes_independent_of_blas_threads(tmp_path):
     # pulse/evolve: N=4 (dim 64) runs the dense exponential, N=5 (dim 128) the Krylov
-    # steps; trajectories: N=2 searches jump times with eigen-probes, N=4 with the
-    # exponential at every probe
+    # steps; trajectories: N=2, 4 and 5 search jump times with eigen-probes, and N=5 is
+    # the first dim at which a dense exponential chain was seen to change its bytes
     rabi = ("0.049+0.008j", "-0.048+0.012j", "0.05-0.003j", "-0.047-0.015j", "0.046+0.019j")
     cfgs = []
     for n in (4, 5):
@@ -274,7 +274,7 @@ def test_cli_bytes_independent_of_blas_threads(tmp_path):
     traj_cfgs = [(n, write_config(tmp_path, (
         f"n_atoms = {n}\nkappa = 1.0\ngamma = 0.001\nn_max = 3\nduration = 30\nsettle = 5\n"
         f"rabi = {', '.join(rabi[:n])}\nsamples = 200\nseed = 7\njump_log = true\n"),
-        name=f"traj{n}.ini")) for n in (2, 4)]
+        name=f"traj{n}.ini")) for n in (2, 4, 5)]
     outputs = {}
     for threads in ("1", "2"):
         code = "from dfs_cavity.cli import main"
