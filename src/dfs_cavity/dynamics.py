@@ -21,10 +21,16 @@ boundary is recomputed with the dense exponential, so the jumps are the
 ones exponential probes alone would give.  The margin grows with
 cond_1(V), so ill-conditioned segments (up to cond_1(V) ~ 1e8 at an
 exceptional point) take the same search and simply recompute more probes.
-Every trajectory that emits nothing ends in the same no-jump state psi0,
-so an ensemble keeps psi0, the survival fraction p0 and the average
-rho_perp of the trajectories that emitted; its state is
-p0 |psi0><psi0| + (1 - p0) rho_perp.
+A regula falsi on the eigen-probes first brackets the jump time between
+two probes that lie clear of the margin, and the bisection skips the
+midpoints outside that bracket, whose decisions the norm's monotonicity
+already fixes.  After a jump an eigen-probe of the rest of the segment
+decides whether its exponential is needed at all.  Every trajectory
+follows the ground state's no-jump path, cached per schedule, until the
+segment where its threshold is crossed, so one that emits nothing costs a
+single draw and ends in the same no-jump state psi0.  An ensemble keeps
+psi0, the survival fraction p0 and the average rho_perp of the
+trajectories that emitted; its state is p0 |psi0><psi0| + (1 - p0) rho_perp.
 """
 
 from __future__ import annotations
@@ -53,6 +59,9 @@ DENSE_MAX_DIM = 64
 # (condition 3.13 of Al-Mohy & Higham) scipy estimates ||A^p||_1 with onenormest,
 # which draws from numpy's global RNG; below it every call takes the exact-norm branch.
 KRYLOV_STEP_NORM = 32.0
+# Regula falsi steps _eigen_bracket takes at most; the bisection's result does not
+# depend on them
+BRACKET_ITERATIONS = 12
 ENSEMBLE_CHUNK = 256  # trajectories summed per partial sum; fixes the summation order
 
 
@@ -193,16 +202,14 @@ def _krylov_stepper(space: HilbertSpace):
 def no_jump_state(space: HilbertSpace, schedule: Schedule) -> np.ndarray:
     """Normalized final state of a trajectory that emits no photon.
 
-    Applies the sampler's cached full-segment propagators to the ground
-    state, the same products a surviving trajectory applies.  Raises
-    ArithmeticError when the no-emission probability underflows to zero.
+    Read from the sampler's cached no-jump path, so it is the state every
+    surviving trajectory returns.  Raises ArithmeticError when the
+    no-emission probability underflows to zero.
     """
-    psi = space.ground_state()
-    for _, u_full, _, _ in _segment_propagators(space, schedule):
-        psi = u_full @ psi
-    if not np.vdot(psi, psi).real > 0:
+    psi0 = _no_jump_path(space, schedule).psi0
+    if psi0 is None:
         raise ArithmeticError("conditional state vanished entirely")
-    return psi / np.linalg.norm(psi)
+    return psi0.copy()
 
 
 def jump_operators(space: HilbertSpace) -> list[tuple[str, np.ndarray]]:
@@ -249,6 +256,37 @@ def _segment_propagators(space: HilbertSpace, schedule: Schedule) -> tuple[tuple
     return tuple(out)
 
 
+@dataclass(frozen=True, eq=False)
+class _NoJumpPath:
+    starts: tuple[np.ndarray, ...]  # state entering each segment
+    offsets: tuple[float, ...]  # schedule time at which each segment starts
+    end_norms: tuple[float, ...]  # squared norm at each segment end; inf if the duration is 0
+    psi0: np.ndarray | None  # normalized final state; None if it vanished
+
+
+@lru_cache(maxsize=16)
+def _no_jump_path(space: HilbertSpace, schedule: Schedule) -> _NoJumpPath:
+    """The ground state's path through the schedule while it emits nothing.
+
+    Built with the products the sampler applies: a segment of zero duration
+    leaves the state as it is.  Cached; every array is read-only.
+    """
+    psi = space.ground_state()
+    starts, offsets, end_norms = [], [], []
+    t_offset = 0.0
+    for _, u_full, duration, _ in _segment_propagators(space, schedule):
+        starts.append(_read_only(psi))
+        offsets.append(t_offset)
+        if duration > 0:
+            psi = u_full @ psi
+            end_norms.append(np.vdot(psi, psi).real)
+        else:
+            end_norms.append(np.inf)
+        t_offset += duration
+    psi0 = _read_only(psi / np.linalg.norm(psi)) if np.vdot(psi, psi).real > 0 else None
+    return _NoJumpPath(tuple(starts), tuple(offsets), tuple(end_norms), psi0)
+
+
 def _eigensystem(h: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
     """(lam, V, V^-1, delta) with h = V diag(lam) V^-1.
 
@@ -288,15 +326,29 @@ def _bisect_jump(h: np.ndarray, eig: tuple, psi: np.ndarray, r: float,
     _eigensystem); one not farther than NORM_BISECTION_TOL + delta from
     r (NaN and delta = inf included) is recomputed with the exponential,
     which then decides.  Every decision, and so the result, is the one
-    exponential probes alone would give.  A jump costs about 2.0 / 2.2 /
-    2.6 / 3.5 exponentials at N = 3 / 4 / 5 / 6 (``n_max = 3``).
+    exponential probes alone would give.  The halvings replay from the
+    bracket (a, b) of _eigen_bracket: a midpoint at or below a is decided
+    "later" and one at or above b "earlier" without a probe, the
+    decisions any probe there would make.  A jump costs about 11-15
+    eigen-probes and 1.5 / 1.9 / 1.9 / 2.3 / 3.3 exponentials at N = 2 /
+    3 / 4 / 5 / 6 (``n_max = 3``): the deciding one, those of other
+    midpoints inside the margin, and the post-jump propagator when the
+    trajectory survives the rest of the segment (see _survives).
     """
     lam, v, v_inv, delta = eig
     coeffs = v_inv @ psi
     trusted = NORM_BISECTION_TOL + delta
+    a, b = _eigen_bracket(lam, v, coeffs, np.vdot(psi, psi).real, r, t_max,
+                          trusted + 2.0 * delta)
     lo, hi = 0.0, t_max
     for _ in range(200):
         mid = 0.5 * (lo + hi)
+        if mid <= a:
+            lo = mid
+            continue
+        if mid >= b:
+            hi = mid
+            continue
         cand = _eigen_probe(lam, v, coeffs, mid)
         val = np.vdot(cand, cand).real - r
         if not abs(val) > trusted:
@@ -313,9 +365,92 @@ def _bisect_jump(h: np.ndarray, eig: tuple, psi: np.ndarray, r: float,
     return mid, cand
 
 
+def _eigen_bracket(lam: np.ndarray, v: np.ndarray, coeffs: np.ndarray, norm0: float, r: float,
+                   t_max: float, s: float) -> tuple[float, float]:
+    """Times a < b in (0, t_max] where eigen-probes put norm^2 - r above s and below -s.
+
+    norm0 is the squared norm at time 0.  Pegasus regula falsi (Dowell &
+    Jarratt, BIT 12, 503 (1972)) on log(norm^2 / r), which is close to
+    linear where the norm decays exponentially, finds a time t* whose
+    probe lies within s of r; t* -+ 1.25 (s + |norm^2(t*) - r|) / |slope|
+    are probed next, the slope being r times the log secant of the last
+    bracket, and a side left unverified is probed once more 8x farther
+    out.  Of all the probes, the latest one above r + s gives a and the
+    earliest one below r - s gives b; a side that none verified is -inf or
+    inf.  With s = NORM_BISECTION_TOL + 3 delta and a probe missing the
+    exponential by at most delta, the exponential puts the norm more than
+    the tolerance above r at every time up to a and below it from b on.
+    """
+    a, b = -np.inf, np.inf
+    if not s < np.inf:
+        return a, b
+
+    def probe(t):
+        nonlocal a, b
+        cand = _eigen_probe(lam, v, coeffs, t)
+        norm = np.vdot(cand, cand).real
+        if norm - r > s:
+            a = max(a, t)
+        elif norm - r < -s:
+            b = min(b, t)
+        return norm
+
+    def log_ratio(norm):
+        return math.log(norm / r) if norm > 0 else -np.inf
+
+    lo, n_lo, hi, n_hi = 0.0, norm0, t_max, probe(t_max)
+    g_lo, g_hi, side, root = log_ratio(n_lo), log_ratio(n_hi), 0, None
+    for _ in range(BRACKET_ITERATIONS):
+        if not g_lo > 0 > g_hi > -np.inf:
+            break
+        t = hi - g_hi * ((hi - lo) / (g_hi - g_lo))
+        if not lo < t < hi:
+            break
+        n_t = probe(t)
+        if not abs(n_t - r) > s:
+            root = t
+            break
+        g_t = log_ratio(n_t)
+        if n_t > r:
+            if side > 0:
+                g_hi *= g_lo / (g_lo + g_t)
+            lo, n_lo, g_lo, side = t, n_t, g_t, 1
+        else:
+            if side < 0:
+                g_lo *= g_hi / (g_hi + g_t)
+            hi, n_hi, g_hi, side = t, n_t, g_t, -1
+    if root is not None:
+        # r times the log secant slope approximates |d norm^2 / dt| near the root
+        slope = r * (log_ratio(n_lo) - log_ratio(n_hi)) / (hi - lo)
+        step = 1.25 * (s + abs(n_t - r)) / slope
+        for _ in range(2):  # a side the first pair left unverified gets one 8x wider try
+            if 0.0 < root - step and a < root - step:
+                probe(root - step)
+            if root + step < t_max and root + step < b:
+                probe(root + step)
+            step *= 8.0
+    return a, b
+
+
 def _eigen_probe(lam: np.ndarray, v: np.ndarray, coeffs: np.ndarray, t: float) -> np.ndarray:
     """V (exp(-i lam t) * coeffs): U_cond(t) psi for coeffs = V^-1 psi, in O(dim^2)."""
     return v @ (np.exp(-1j * t * lam) * coeffs)
+
+
+def _survives(h: np.ndarray, eig: tuple, psi: np.ndarray, r: float,
+              t: float) -> np.ndarray | None:
+    """exp(-i h t) psi if its squared norm exceeds r, else None.
+
+    An eigen-probe decides first: one more than NORM_BISECTION_TOL + delta
+    below r cannot come from a norm above r, so no exponential is formed.
+    Otherwise the exponential decides, and its product is returned.
+    """
+    lam, v, v_inv, delta = eig
+    cand = _eigen_probe(lam, v, v_inv @ psi, t)
+    if np.vdot(cand, cand).real - r < -(NORM_BISECTION_TOL + delta):
+        return None
+    cand = expm(-1j * t * h) @ psi
+    return cand if np.vdot(cand, cand).real > r else None
 
 
 def sample_trajectory(space: HilbertSpace, schedule: Schedule, seed,
@@ -323,29 +458,41 @@ def sample_trajectory(space: HilbertSpace, schedule: Schedule, seed,
     """One quantum-jump realization of the schedule (waiting-time algorithm).
 
     Identical seeds reproduce identical jump records and final states
-    bit-exactly.  ``seed`` may be an int or a numpy SeedSequence.
+    bit-exactly.  ``seed`` may be an int or a numpy SeedSequence.  From
+    the ground state, the trajectory follows the cached no-jump path up to
+    the first segment whose end norm is not above its threshold; one that
+    never reaches such a segment returns psi0 without a product.
     """
     rng = np.random.default_rng(seed)
     if initial_state is None:
-        psi = space.ground_state()
+        path = _no_jump_path(space, schedule)
+        r = _draw_threshold(rng)
+        first = next((k for k, end in enumerate(path.end_norms) if not end > r), None)
+        if first is None:
+            return Trajectory((), path.psi0.copy())
+        psi, t_offset = path.starts[first], path.offsets[first]
     else:
         nrm = np.linalg.norm(initial_state)
         if abs(nrm - 1.0) > 1e-9:
             raise ValueError("initial state must be normalized")
         psi = np.asarray(initial_state, dtype=complex).copy()
+        r = _draw_threshold(rng)
+        first, t_offset = 0, 0.0
     labels, ops = _jump_channels(space)
     jumps: list[tuple[float, str]] = []
-    r = _draw_threshold(rng)
-    t_offset = 0.0
-    for h, u_full, duration, eig in _segment_propagators(space, schedule):
+    for h, u_full, duration, eig in _segment_propagators(space, schedule)[first:]:
         elapsed = 0.0
         while True:
             remaining = duration - elapsed
             if remaining <= 0:
                 break
-            u = u_full if elapsed == 0.0 else expm(-1j * remaining * h)
-            candidate = u @ psi
-            if np.vdot(candidate, candidate).real > r:
+            if elapsed == 0.0:
+                candidate = u_full @ psi
+                survived = np.vdot(candidate, candidate).real > r
+            else:
+                candidate = _survives(h, eig, psi, r, remaining)
+                survived = candidate is not None
+            if survived:
                 psi = candidate
                 break
             tau, psi_at = _bisect_jump(h, eig, psi, r, remaining)

@@ -7,10 +7,10 @@ arithmetic rather than against themselves.  The inverse flat index and
 configuration bitstrings, the pair-basis amplitude equations, the
 exact-exponential Lindblad evolution, the greedy all-pairings trapped
 basis, the loop- and product-built operators, the dense-exponential
-schedule chain, the slow model's propagator and amplitudes, the
-no-emission probability and conditioned state of one propagation, the
-trapped-subspace projector and a few operator helpers that only the
-tests use live here as well.
+schedule chain and quantum-jump sampler, the slow model's propagator
+and amplitudes, the no-emission probability and conditioned state of
+one propagation, the trapped-subspace projector and a few operator
+helpers that only the tests use live here as well.
 """
 
 from functools import lru_cache
@@ -20,8 +20,8 @@ from scipy.integrate import solve_ivp
 from scipy.linalg import expm
 
 from dfs_cavity import (DfsBasis, HilbertSpace, Pulse, Schedule, SlowModel, SystemParams,
-                        atomic_lowering, conditional_hamiltonian, dfs_basis, omega_pm,
-                        propagate_conditional)
+                        Trajectory, atomic_lowering, conditional_hamiltonian, dfs_basis,
+                        jump_operators, omega_pm, propagate_conditional)
 from dfs_cavity.analytic import _sin_over_s
 from dfs_cavity.dfs import RANK_TOL, _singlet_product
 from dfs_cavity.dynamics import NORM_BISECTION_TOL
@@ -253,6 +253,72 @@ def bisect_jump_expm(h: np.ndarray, psi: np.ndarray, r: float,
     else:
         raise ArithmeticError(f"jump-time bisection did not reach norm^2 = {r} in (0, {t_max}]")
     return mid, cand
+
+
+def draw_threshold(rng: np.random.Generator) -> float:
+    """Uniform draw in (0, 1): the sampler's jump threshold."""
+    r = rng.random()
+    while r == 0.0:
+        r = rng.random()
+    return r
+
+
+def sample_trajectory_expm(space: HilbertSpace, schedule: Schedule, seed,
+                           initial_state: np.ndarray | None = None) -> Trajectory:
+    """Waiting-time quantum-jump trajectory with a dense exponential for every product.
+
+    The package sampler's loop without its shortcuts: each segment starts
+    with its full-duration exponential, every post-jump remainder forms
+    exp(-i remaining H_cond), and bisect_jump_expm finds each jump time.
+    Same seed contract, so jumps and final states must match the package's
+    bytes.
+    """
+    rng = np.random.default_rng(seed)
+    if initial_state is None:
+        psi = space.ground_state()
+    else:
+        nrm = np.linalg.norm(initial_state)
+        if abs(nrm - 1.0) > 1e-9:
+            raise ValueError("initial state must be normalized")
+        psi = np.asarray(initial_state, dtype=complex).copy()
+    channels = jump_operators(space)
+    labels = [name for name, _ in channels]
+    ops = [op for _, op in channels]
+    jumps: list[tuple[float, str]] = []
+    r = draw_threshold(rng)
+    t_offset = 0.0
+    for seg in schedule.segments:
+        h = conditional_hamiltonian(space, seg)
+        duration = seg.duration
+        u_full = expm(-1j * duration * h)
+        elapsed = 0.0
+        while True:
+            remaining = duration - elapsed
+            if remaining <= 0:
+                break
+            u = u_full if elapsed == 0.0 else expm(-1j * remaining * h)
+            candidate = u @ psi
+            if np.vdot(candidate, candidate).real > r:
+                psi = candidate
+                break
+            tau, psi_at = bisect_jump_expm(h, psi, r, remaining)
+            emitted = [op @ psi_at for op in ops]
+            weights = np.array([np.vdot(e, e).real for e in emitted])
+            total = weights.sum()
+            if not total > 0:
+                raise RuntimeError("norm decayed with no open emission channel")
+            pick = min(int(np.searchsorted(np.cumsum(weights) / total, rng.random(),
+                                           side="right")), len(ops) - 1)
+            psi = emitted[pick] / np.linalg.norm(emitted[pick])
+            jumps.append((t_offset + elapsed + tau, labels[pick]))
+            advanced = elapsed + tau
+            if advanced <= elapsed:
+                advanced = np.nextafter(elapsed, np.inf)
+            elapsed = min(advanced, duration)
+            r = draw_threshold(rng)
+        t_offset += duration
+    nrm = np.linalg.norm(psi)
+    return Trajectory(tuple(jumps), psi / nrm)
 
 
 def integrate_pair_amplitudes(params: SystemParams, omega1, omega2, duration,

@@ -15,9 +15,10 @@ from dfs_cavity import (Pulse, Schedule, SystemParams, atomic_lowering, build_sl
                         run_ensemble, sample_trajectory)
 from dfs_cavity import dynamics, hamiltonians
 from dfs_cavity.dynamics import _bisect_jump, _eigensystem
+import oracles
 from oracles import (bisect_jump_expm, conditional_state, dfs_projector,
                      master_equation_evolve, no_photon_probability, pair_vector,
-                     schedule_states_dense)
+                     sample_trajectory_expm, schedule_states_dense)
 
 
 def two_atom_setup(gamma=0.0, kappa=1.0, n_max=3):
@@ -240,10 +241,6 @@ def test_bisect_jump_raises_when_the_norm_never_reaches_the_threshold():
             _bisect_jump(h, eig, psi, 0.5, 1.0)
 
 
-def oracle_search(h, eig, psi, r, t_max):
-    return bisect_jump_expm(h, psi, r, t_max)
-
-
 def assert_same_trajectory(a, b):
     assert a.jumps == b.jumps
     assert a.final_state.tobytes() == b.final_state.tobytes()
@@ -267,12 +264,19 @@ def jump_scenarios(draw):
 @settings(max_examples=40, deadline=None)
 @given(jump_scenarios())
 def test_eigen_probe_search_matches_the_exponential_search(scenario):
+    # every eigen-probe (bracket, bisection and post-jump remainder) is checked against
+    # the exponential applied to the state its own search started from
     space, schedule, seed = scenario
     context, misses = {}, []
 
-    def search(h, eig, psi, r, t_max):
-        context.update(h=h, psi=psi, delta=eig[3])
-        return _bisect_jump(h, eig, psi, r, t_max)
+    def with_context(fn):
+        def wrapped(h, eig, psi, r, t):
+            context.update(h=h, psi=psi, delta=eig[3])
+            try:
+                return fn(h, eig, psi, r, t)
+            finally:
+                context.clear()
+        return wrapped
 
     def probe(lam, v, coeffs, t):
         out = eigen_probe(lam, v, coeffs, t)
@@ -283,11 +287,11 @@ def test_eigen_probe_search_matches_the_exponential_search(scenario):
         return out
 
     eigen_probe = dynamics._eigen_probe
-    with patch.object(dynamics, "_bisect_jump", search), \
+    with patch.object(dynamics, "_bisect_jump", with_context(_bisect_jump)), \
+            patch.object(dynamics, "_survives", with_context(dynamics._survives)), \
             patch.object(dynamics, "_eigen_probe", probe):
         fast = sample_trajectory(space, schedule, seed)
-    with patch.object(dynamics, "_bisect_jump", oracle_search):
-        reference = sample_trajectory(space, schedule, seed)
+    reference = sample_trajectory_expm(space, schedule, seed)
     assert_same_trajectory(fast, reference)
     assert not misses
 
@@ -304,8 +308,7 @@ def test_ill_conditioned_segment_probes_with_the_exponential():
     jumped = 0
     for seed in range(200):
         fast = sample_trajectory(space, schedule, seed, excited)
-        with patch.object(dynamics, "_bisect_jump", oracle_search):
-            reference = sample_trajectory(space, schedule, seed, excited)
+        reference = sample_trajectory_expm(space, schedule, seed, excited)
         assert_same_trajectory(fast, reference)
         jumped += bool(fast.jumps)
     assert jumped > 0
@@ -315,8 +318,8 @@ def test_ill_conditioned_segment_probes_with_the_exponential():
 
 
 def test_singular_eigenvectors_probe_with_the_exponential():
-    # an eigenvector matrix that cannot be inverted leaves delta = inf, so every probe of
-    # the search is recomputed with the exponential
+    # an eigenvector matrix that cannot be inverted leaves delta = inf, so no probe
+    # brackets the search and every probe of it is recomputed with the exponential
     space, _ = two_atom_setup(gamma=2e-3)
     schedule = Schedule((Pulse((0.1, -0.07j), 8.0),))
     with patch.object(np.linalg, "inv", side_effect=np.linalg.LinAlgError):
@@ -335,10 +338,128 @@ def test_singular_eigenvectors_probe_with_the_exponential():
     for seed in range(5):
         with patch.object(dynamics, "_bisect_jump", search):
             fast = sample_trajectory(space, schedule, seed, symmetric)
-        with patch.object(dynamics, "_bisect_jump", oracle_search):
-            reference = sample_trajectory(space, schedule, seed, symmetric)
+        reference = sample_trajectory_expm(space, schedule, seed, symmetric)
         assert_same_trajectory(fast, reference)
     assert counts and all(probes == exact > 0 for probes, exact in counts)
+
+
+def thresholds(first, draw):
+    """A threshold draw that returns the values in ``first``, then falls back to ``draw``."""
+    pending = list(reversed(first))
+    return lambda rng: pending.pop() if pending else draw(rng)
+
+
+def compare_with_thresholds(space, schedule, seed, first, initial_state=None):
+    with patch.object(dynamics, "_draw_threshold",
+                      thresholds(first, dynamics._draw_threshold)):
+        fast = sample_trajectory(space, schedule, seed, initial_state)
+    with patch.object(oracles, "draw_threshold", thresholds(first, oracles.draw_threshold)):
+        reference = sample_trajectory_expm(space, schedule, seed, initial_state)
+    assert_same_trajectory(fast, reference)
+    return reference
+
+
+def path_end_norms(space, schedule):
+    """Squared norm of the no-jump path at each segment end, by dense exponentials."""
+    psi, ends = space.ground_state(), []
+    for seg in schedule.segments:
+        if seg.duration > 0:
+            psi = expm(-1j * seg.duration * conditional_hamiltonian(space, seg)) @ psi
+        ends.append(np.vdot(psi, psi).real)
+    return ends
+
+
+def test_first_jump_after_a_zero_duration_segment_matches_the_exponential_sampler():
+    # trajectories from the ground state start at the first segment whose path norm falls
+    # to the threshold; zero-duration segments neither propagate nor jump
+    space, _ = two_atom_setup(gamma=0.05)
+    schedule = Schedule((Pulse.off(2, 0.0), Pulse((0.3, 0.1j), 3.0), Pulse.off(2, 0.0),
+                         Pulse((0.2, 0.3), 3.0), Pulse.off(2, 2.0)))
+    starts = (0.0, 0.0, 3.0, 3.0, 6.0)
+    ends = path_end_norms(space, schedule)
+    assert ends[0] == 1.0 and ends[1] == ends[2] > ends[3] > ends[4]
+    first_jump_segments = set()
+    for seed in range(100):
+        fast = sample_trajectory(space, schedule, seed)
+        reference = sample_trajectory_expm(space, schedule, seed)
+        assert_same_trajectory(fast, reference)
+        if reference.jumps:
+            first_jump_segments.add(3 if reference.jumps[0][0] > 3.0 else 1)
+    assert first_jump_segments == {1, 3}
+    for k in (1, 3, 4):
+        r = 0.5 * (ends[k - 1] + ends[k])
+        reference = compare_with_thresholds(space, schedule, k, [r])
+        assert starts[k] < reference.jumps[0][0] <= starts[k] + schedule.segments[k].duration
+
+
+@pytest.mark.parametrize("segment", [0, 1, 2])
+def test_threshold_at_a_segment_end_norm_matches_the_exponential_sampler(segment):
+    # r equal to the path's norm at a segment end: the jump search's root sits exactly
+    # at its t_max, and the last segment's end is the schedule's t_max
+    space, _ = two_atom_setup(gamma=2e-3)
+    schedule = Schedule((Pulse((0.1, -0.07j), 6.0), Pulse((0.08, 0.1), 6.0),
+                         Pulse.off(2, 4.0)))
+    ends = path_end_norms(space, schedule)
+    assert ends[0] > ends[1] > ends[2]
+    assert dynamics._no_jump_path(space, schedule).end_norms == tuple(ends)
+    for seed in range(3):
+        reference = compare_with_thresholds(space, schedule, seed, [ends[segment]])
+        assert reference.jumps
+        start = 6.0 * segment
+        assert start < reference.jumps[0][0] <= start + schedule.segments[segment].duration
+
+
+def test_threshold_at_the_post_jump_remainder_norm_matches_the_exponential_sampler():
+    # after a jump the remainder of the segment survives only if its norm exceeds the new
+    # threshold; a threshold equal to that norm puts the next jump at the segment end
+    space, _ = two_atom_setup()  # one channel, so the jump is the cavity's
+    duration = 20.0
+    schedule = Schedule((Pulse((0.3, -0.2), duration),))
+    h = conditional_hamiltonian(space, schedule.segments[0])
+    r1 = 0.9
+    tau, psi_at = bisect_jump_expm(h, space.ground_state(), r1, duration)
+    emitted = jump_operators(space)[0][1] @ psi_at
+    psi = emitted / np.linalg.norm(emitted)
+    remainder = expm(-1j * (duration - tau) * h) @ psi
+    r2 = np.vdot(remainder, remainder).real
+    assert 0 < r2 < 1
+    reference = compare_with_thresholds(space, schedule, 3, [r1, r2])
+    assert len(reference.jumps) >= 2
+    assert reference.jumps[0][0] == tau
+    assert reference.jumps[1][0] == pytest.approx(duration, abs=1e-6)
+    # a threshold just inside the tolerance below that norm lets the remainder survive
+    reference = compare_with_thresholds(space, schedule, 3,
+                                        [r1, r2 - 0.5 * dynamics.NORM_BISECTION_TOL])
+    assert [t for t, _ in reference.jumps] == [tau]
+
+
+def test_eigen_bracket_sides_are_verified_or_infinite():
+    # a verified side holds the exponential's norm beyond the tolerance on its side of r;
+    # a side that no probe verified stays infinite, so the bisection probes there
+    space, _ = two_atom_setup(gamma=2e-3)
+    h = conditional_hamiltonian(space, Pulse((0.1, -0.07j), 8.0))
+    lam, v, v_inv, delta = _eigensystem(h)
+    psi = pair_vector(space, 0, "s")
+    coeffs = v_inv @ psi
+    s = dynamics.NORM_BISECTION_TOL + 3 * delta
+    t_max = 8.0
+
+    def excess(t, r):
+        x = expm(-1j * t * h) @ psi
+        return np.vdot(x, x).real - r
+
+    at_t_max = excess(t_max, 0.0)
+    for r in (0.9, 0.5, 0.1, 0.01, at_t_max):
+        a, b = dynamics._eigen_bracket(lam, v, coeffs, 1.0, r, t_max, s)
+        assert 0 < a < b
+        assert excess(a, r) > dynamics.NORM_BISECTION_TOL
+        if r == at_t_max:
+            assert b == np.inf
+        else:
+            assert b <= t_max and excess(b, r) < -dynamics.NORM_BISECTION_TOL
+            assert b - a < 1e-6
+    assert dynamics._eigen_bracket(lam, v, coeffs, 1.0, 0.5, t_max, np.inf) == \
+        (-np.inf, np.inf)
 
 
 def test_jump_operators_channel_list():
