@@ -248,30 +248,36 @@ def cmd_basis(cfg: RunConfig, out: Path) -> None:
     print(f"wrote {out / 'dfs_basis.csv'} and {out / 'dfs_basis.json'}")
 
 
-def _sweep_point(omega1: float, gamma: float, kappa: float, n_max: int,
-                 eta: float) -> tuple[float, ...]:
+def _sweep_curve(gamma: float, kappa: float, n_max: int, eta: float,
+                 grid: tuple[float, ...]) -> list[tuple[float, ...]]:
+    """One sweep row per omega1 of the grid, at omega2 = -omega1 and this gamma."""
     params = SystemParams(2, 1.0, kappa, gamma, n_max)
     space = build_space(params)
-    basis = dfs_basis(space)
-    model = build_slow_model(params, omega1, -omega1)
-    duration = entangling_pulse_duration(model)
-    h = conditional_hamiltonian(space, Pulse((omega1, -omega1), duration))
-    psi = propagate_conditional(h, space.ground_state(), duration)
-    c_g = np.vdot(basis.vectors[0], psi)
-    c_a = np.vdot(basis.vectors[1], psi)
-    # Success probability of the full protocol: no emission during the
-    # pulse and the atoms settle into the trapped subspace (the leaked
-    # transient amplitude decays right after the pulse ends).
-    p0_num = abs(c_g) ** 2 + abs(c_a) ** 2
-    p0_ana = p0_closed_form(model, duration)
-    fid_cond = abs(c_a) ** 2 / p0_num
-    fid_nodet = fid_cond * p0_num / (1.0 - eta * (1.0 - p0_num))
-    return (omega1, gamma, duration, p0_num, p0_ana, fid_cond, fid_nodet)
+    trapped_g, trapped_a = dfs_basis(space).vectors[:2]  # ground and antisymmetric trapped states
+    psi0 = space.ground_state()
+    rows = []
+    for omega1 in grid:
+        model = build_slow_model(params, omega1, -omega1)
+        duration = entangling_pulse_duration(model)
+        h = conditional_hamiltonian(space, Pulse((omega1, -omega1), duration))
+        psi = propagate_conditional(h, psi0, duration)
+        c_g = np.vdot(trapped_g, psi)
+        c_a = np.vdot(trapped_a, psi)
+        # Success probability of the full protocol: no emission during the
+        # pulse and the atoms settle into the trapped subspace (the leaked
+        # transient amplitude decays right after the pulse ends).
+        p0_num = abs(c_g) ** 2 + abs(c_a) ** 2
+        p0_ana = p0_closed_form(model, duration)
+        fid_cond = abs(c_a) ** 2 / p0_num
+        fid_nodet = fid_cond * p0_num / (1.0 - eta * (1.0 - p0_num))
+        rows.append((omega1, gamma, duration, p0_num, p0_ana, fid_cond, fid_nodet))
+    return rows
 
 
 def cmd_sweep(cfg: RunConfig, out: Path) -> None:
-    rows = [_sweep_point(o, gm, cfg.params.kappa, cfg.params.n_max, cfg.eta)
-            for gm in cfg.gamma_list for o in cfg.omega1_grid]
+    rows = [row for gm in cfg.gamma_list
+            for row in _sweep_curve(gm, cfg.params.kappa, cfg.params.n_max, cfg.eta,
+                                    cfg.omega1_grid)]
     csv_path = out / "sweep.csv"
     with csv_path.open("w", newline="") as fh:
         writer = csv.writer(fh)

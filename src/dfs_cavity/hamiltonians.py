@@ -13,10 +13,14 @@ kappa * b^dag b), so the norm of a conditionally evolved state decays at
 the instantaneous emission rate.  Rabi frequencies stay fully complex:
 their phases are physical and cannot be absorbed into the atomic basis.
 
-Every term is a cavity factor (x) an atomic factor (``hilbert.embed``):
-i g (B - B^T) with B = b J_plus, a decay diagonal, and identity (x) the
-2**N drive.  Zero entries are +0.0, so the bytes equal those of the
-term-by-term sum of full-space products that starts from zeros.
+The undriven part i g (B - B^T) - i diag(loss), with B = b J_plus, is
+built once per space from cavity and atomic factors (``hilbert.embed``)
+and cached; each call copies it and adds the drive (1/2) Omega_i onto
+the entries of sigma_i that ``hilbert.lowering_entries`` lists, and its
+conjugate onto their transposes.  These entries are disjoint and hold
++0.0 before the drive lands, so every zero comes out +0.0 and the bytes
+equal those of the term-by-term sum of full-space products that starts
+from zeros.
 """
 
 from __future__ import annotations
@@ -29,7 +33,7 @@ from functools import lru_cache
 import numpy as np
 
 from .hilbert import (HilbertSpace, _read_only, atom_factor, atomic_lowering,
-                      cavity_annihilation, cavity_factor, embed)
+                      cavity_annihilation, cavity_factor, embed, lowering_entries)
 
 
 @dataclass(frozen=True)
@@ -75,31 +79,45 @@ def _check_pulse(space: HilbertSpace, pulse: Pulse) -> None:
             f"pulse drives {pulse.n_atoms} atoms but the space holds {space.n_atoms}")
 
 
+def _add_drive(h: np.ndarray, space: HilbertSpace, pulse: Pulse) -> None:
+    """h += (1/2) sum_i Omega_i sigma_i + h.c., in place on the sigma_i entries alone."""
+    rows, cols, atoms = lowering_entries(space)
+    half = 0.5 * np.array(pulse.rabi)
+    h[rows, cols] += half[atoms]  # disjoint entries: no index repeats
+    h[cols, rows] += np.conj(half)[atoms]
+
+
 def laser_hamiltonian(space: HilbertSpace, pulse: Pulse) -> np.ndarray:
     """Hermitian drive (1/2) sum_i Omega_i sigma_i + h.c."""
     _check_pulse(space, pulse)
-    masks = 1 << np.array([space.atom_bit(i) for i in range(1, space.n_atoms + 1)])[:, None]
-    ground = np.arange(space.n_configs) & ~masks  # row i-1: configs with atom i in |0>, twice
-    half = 0.5 * np.array(pulse.rabi)[:, None]
-    drive = np.zeros((space.n_configs, space.n_configs), dtype=complex)
-    drive[ground, ground | masks] = half  # the atoms' sigma_i have disjoint support
-    drive[ground | masks, ground] = np.conj(half)
-    return embed(space, np.eye(space.n_max + 1), drive) + 0.0  # + 0.0 turns -0.0 into +0.0
+    h = np.zeros((space.dim, space.dim), dtype=complex)
+    _add_drive(h, space, pulse)
+    return h
 
 
-@lru_cache(maxsize=32)
-def _rate_free_parts(space: HilbertSpace) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """B - B^T with B = a (x) J_plus, diag(sigma_i^dag sigma_i) per atom and diag(b^dag b).
+@lru_cache(maxsize=1)  # one space at a time: at dim 4096 the generator takes 256 MB
+def _undriven_generator(space: HilbertSpace) -> np.ndarray:
+    """i g (B - B^T) - i diag(loss) with B = a (x) J_plus and loss = gamma n_exc + kappa n_phot.
 
-    Cached; the arrays are read-only.
+    Cached; the array is read-only and holds no -0.0.
     """
+    params = space.params
     a = cavity_factor(space)
     lowerings = [atom_factor(space, i) for i in range(1, space.n_atoms + 1)]
-    b = embed(space, a, sum(lowerings).T)
-    ones = np.ones(space.n_max + 1)
-    excited = np.array([embed(space, ones, np.diag(s.T @ s)) for s in lowerings])
+    loss = np.zeros(space.dim)
+    if params.gamma:
+        ones = np.ones(space.n_max + 1)
+        for s in lowerings:  # one atom at a time, as the sum of gamma sigma^dag sigma rounds
+            loss += params.gamma * embed(space, ones, np.diag(s.T @ s))
     photons = embed(space, np.diag(a.T @ a), np.ones(space.n_configs))  # sqrt(n)^2, not n
-    return _read_only(b - b.T), _read_only(excited), _read_only(photons)
+    loss += params.kappa * photons
+    b = embed(space, a, sum(lowerings).T)
+    h = np.zeros((space.dim, space.dim), dtype=complex)
+    imag = h.imag  # a view: writes land in h
+    np.subtract(b, b.T, out=imag)
+    imag *= params.g
+    imag[np.diag_indices(space.dim)] -= loss
+    return _read_only(h)
 
 
 def conditional_hamiltonian(space: HilbertSpace, pulse: Pulse | None = None) -> np.ndarray:
@@ -107,20 +125,13 @@ def conditional_hamiltonian(space: HilbertSpace, pulse: Pulse | None = None) -> 
 
     ``pulse=None`` means lasers off; a pulse that drives another atom
     count than the space holds raises ValueError, also when it is off.
+    Returns a fresh, writeable array.
     """
     if pulse is not None:
         _check_pulse(space, pulse)
-    params = space.params
-    coupling, excited, photons = _rate_free_parts(space)
-    loss = np.zeros(space.dim)
-    if params.gamma:
-        for bits in excited:  # one atom at a time, as the sum of gamma sigma^dag sigma rounds
-            loss += params.gamma * bits
-    loss += params.kappa * photons
-    h = np.zeros((space.dim, space.dim), dtype=complex)
-    h.imag = params.g * coupling - np.diag(loss)  # i g (B - B^T) - i diag(loss)
+    h = _undriven_generator(space).copy()
     if pulse is not None and not pulse.is_off:
-        h += laser_hamiltonian(space, pulse)
+        _add_drive(h, space, pulse)
     return h
 
 

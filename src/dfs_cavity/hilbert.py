@@ -11,8 +11,10 @@ Conventions used throughout the package:
 * Operators are dense complex ``numpy`` matrices, states are complex
   vectors of length ``dim``.  Dimensions stay desk-scale by construction
   (guarded in :func:`build_space`).
-* Operators are built as cavity factor (x) atomic factor: :func:`embed`
-  is the one operator routine that knows the photon-major layout.
+* Operators are built as cavity factor (x) atomic factor (:func:`embed`);
+  the laser drive is scattered onto the entries that :func:`lowering_entries`
+  lists.  These two are the only operator routines that know the
+  photon-major layout.
 """
 
 from __future__ import annotations
@@ -146,6 +148,23 @@ def embed(space: HilbertSpace, photon_op: np.ndarray, atom_op: np.ndarray) -> np
     if photon_op.ndim == 1:
         return (photon_op[:, None] * atom_op[None, :]).reshape(space.dim)
     return (photon_op[:, None, :, None] * atom_op[None, :, None, :]).reshape(space.dim, space.dim)
+
+
+@lru_cache(maxsize=32)
+def lowering_entries(space: HilbertSpace) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(rows, cols, atoms): the flat position of every unit entry of sigma_1 ... sigma_N.
+
+    sigma_i = |0><1| has a 1 at (rows[k], cols[k]) for each k with
+    atoms[k] == i - 1.  The atoms' entries are disjoint, and none lies
+    on a transposed position of another.  Cached; the arrays are read-only.
+    """
+    masks = 1 << (space.n_atoms - 1 - np.arange(space.n_atoms))  # atom_bit(i), i = 1..N
+    atoms, ground = np.nonzero((np.arange(space.n_configs) & masks[:, None]) == 0)
+    blocks = space.n_configs * np.arange(space.n_max + 1)[:, None]
+    rows = (blocks + ground).ravel()
+    cols = (blocks + (ground | masks[atoms])).ravel()
+    atoms = np.tile(atoms, space.n_max + 1)
+    return _read_only(rows), _read_only(cols), _read_only(atoms)
 
 
 def _read_only(a: np.ndarray) -> np.ndarray:

@@ -8,9 +8,10 @@ configuration bitstrings, the pair-basis amplitude equations, the
 exact-exponential Lindblad evolution, the greedy all-pairings trapped
 basis, the loop- and product-built operators, the dense-exponential
 schedule chain and quantum-jump sampler, the slow model's propagator
-and amplitudes, the no-emission probability and conditioned state of
-one propagation, the trapped-subspace projector and a few operator
-helpers that only the tests use live here as well.
+and amplitudes, the sweep row built point by point, the no-emission
+probability and conditioned state of one propagation, the
+trapped-subspace projector and a few operator helpers that only the
+tests use live here as well.
 """
 
 from functools import lru_cache
@@ -20,8 +21,9 @@ from scipy.integrate import solve_ivp
 from scipy.linalg import expm
 
 from dfs_cavity import (DfsBasis, HilbertSpace, Pulse, Schedule, SlowModel, SystemParams,
-                        Trajectory, atomic_lowering, conditional_hamiltonian, dfs_basis,
-                        jump_operators, omega_pm, propagate_conditional)
+                        Trajectory, atomic_lowering, build_slow_model, build_space,
+                        conditional_hamiltonian, dfs_basis, entangling_pulse_duration,
+                        jump_operators, omega_pm, p0_closed_form, propagate_conditional)
 from dfs_cavity.analytic import _sin_over_s
 from dfs_cavity.dfs import RANK_TOL, _singlet_product
 from dfs_cavity.dynamics import NORM_BISECTION_TOL
@@ -579,6 +581,28 @@ def final_dfs_state(model: SlowModel, duration: float) -> np.ndarray:
     if nrm < 1e-300:
         raise ValueError("trapped amplitudes vanished; no state to normalize")
     return np.array([c_g, c_a], dtype=complex) / nrm
+
+
+def sweep_point(omega1: float, gamma: float, kappa: float, n_max: int,
+                eta: float) -> tuple[float, ...]:
+    """One sweep row, rebuilding params, space and trapped basis for the point alone."""
+    params = SystemParams(2, 1.0, kappa, gamma, n_max)
+    space = build_space(params)
+    basis = dfs_basis(space)
+    model = build_slow_model(params, omega1, -omega1)
+    duration = entangling_pulse_duration(model)
+    h = conditional_hamiltonian(space, Pulse((omega1, -omega1), duration))
+    psi = propagate_conditional(h, space.ground_state(), duration)
+    c_g = np.vdot(basis.vectors[0], psi)
+    c_a = np.vdot(basis.vectors[1], psi)
+    # Success probability of the full protocol: no emission during the
+    # pulse and the atoms settle into the trapped subspace (the leaked
+    # transient amplitude decays right after the pulse ends).
+    p0_num = abs(c_g) ** 2 + abs(c_a) ** 2
+    p0_ana = p0_closed_form(model, duration)
+    fid_cond = abs(c_a) ** 2 / p0_num
+    fid_nodet = fid_cond * p0_num / (1.0 - eta * (1.0 - p0_num))
+    return (omega1, gamma, duration, p0_num, p0_ana, fid_cond, fid_nodet)
 
 
 def effective_hamiltonian(space: HilbertSpace, pulse: Pulse,

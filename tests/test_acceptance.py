@@ -12,7 +12,7 @@ from dfs_cavity import (Pulse, Schedule, SystemParams, build_slow_model, build_s
                         entangling_pulse_duration, p0_closed_form, propagate_conditional,
                         sample_trajectory)
 from dfs_cavity.cli import (DEFAULT_GAMMA_LIST, DEFAULT_OMEGA1_MAX, DEFAULT_OMEGA1_MIN,
-                            DEFAULT_OMEGA1_POINTS, _sweep_point)
+                            DEFAULT_OMEGA1_POINTS, _sweep_curve)
 from oracles import (basis_projector, collective_lowering, effective_hamiltonian,
                      embed_vacuum, four_atom_effective_matrix, four_atom_trapped_states,
                      integrate_pair_amplitudes, master_equation_evolve, no_photon_probability,
@@ -101,7 +101,7 @@ def test_criterion_06_success_curves():
     grid = np.geomspace(DEFAULT_OMEGA1_MIN, DEFAULT_OMEGA1_MAX, DEFAULT_OMEGA1_POINTS)
     curves = {}
     for gamma in DEFAULT_GAMMA_LIST:
-        rows = [_sweep_point(omega1, gamma, 1.0, 3, 0.0) for omega1 in grid]
+        rows = _sweep_curve(gamma, 1.0, 3, 0.0, grid)
         curves[gamma] = np.array([[r[3], r[5]] for r in rows])  # p0_numeric, fidelity
     lossless = curves[0.0][:, 0]
     monotone = bool(np.all(np.diff(lossless) < 0) and lossless[0] > 0.998)

@@ -12,7 +12,7 @@ from scipy.linalg import expm
 import dfs_cavity
 from dfs_cavity import SystemParams, build_space, dfs_basis, Pulse
 from dfs_cavity.cli import main
-from oracles import effective_hamiltonian, embed_vacuum, four_atom_state
+from oracles import effective_hamiltonian, embed_vacuum, four_atom_state, sweep_point
 
 OMEGA_MINUS_002 = 0.02 / np.sqrt(2.0)  # antisymmetric combination for 0.02, -0.02
 PACKAGE_ROOT = str(Path(dfs_cavity.__file__).resolve().parents[1])
@@ -187,6 +187,24 @@ def test_sweep_small_grid(tmp_path):
     assert lossless == sorted(lossless, reverse=True)  # weaker drive survives better
     meta = json.loads((tmp_path / "sweep.json").read_text())
     assert meta["grid_source"] == "config"
+
+
+@pytest.mark.parametrize("grid", ["omega1_list = 0.004, 0.03, 0.2",
+                                  "omega1_min = 0.002\nomega1_max = 0.25\nomega1_points = 5"])
+@pytest.mark.parametrize("kappa", [0.5, 1.0])
+@pytest.mark.parametrize("n_max", [1, 3])
+def test_sweep_bytes_match_the_point_by_point_oracle(tmp_path, grid, kappa, n_max):
+    cfg = write_config(tmp_path, f"n_atoms = 2\nkappa = {kappa}\nn_max = {n_max}\neta = 0.5\n"
+                                 f"gamma_list = 0, 1e-3\n{grid}\n")
+    assert main(["sweep", "--config", cfg, "--out", str(tmp_path)]) == 0
+    grid = json.loads((tmp_path / "sweep.json").read_text())["omega1_grid"]
+    rows = [sweep_point(omega1, gamma, kappa, n_max, 0.5)
+            for gamma in (0.0, 1e-3) for omega1 in grid]
+    lines = ["omega1_over_g,gamma_over_g,T_g,p0_numeric,p0_analytic,"
+             "fidelity_conditional,fidelity_no_detection"]
+    lines += [",".join(f"{x:.17g}" for x in row) for row in rows]
+    assert (tmp_path / "sweep.csv").read_bytes() == "".join(
+        line + "\r\n" for line in lines).encode()
 
 
 def test_trajectories_reports_detection_conditioned_fidelity(tmp_path):

@@ -13,7 +13,7 @@ from dfs_cavity import (Pulse, Schedule, SystemParams, atomic_lowering, build_sl
                         entangling_pulse_duration, fidelity, jump_operators,
                         no_detection_mixture, propagate_conditional, propagate_schedule,
                         run_ensemble, sample_trajectory)
-from dfs_cavity import dynamics, hamiltonians
+from dfs_cavity import dynamics, hamiltonians, hilbert
 from dfs_cavity.dynamics import _bisect_jump, _eigensystem
 import oracles
 from oracles import (bisect_jump_expm, conditional_state, dfs_projector,
@@ -478,7 +478,8 @@ def test_cached_arrays_are_read_only():
     assert labels == tuple(name for name, _ in jump_operators(space))
     assert all(np.array_equal(a, b) for a, (_, b) in zip(ops, jump_operators(space)))
     cached = [atomic_lowering(space, 1), cavity_annihilation(space),
-              *hamiltonians._rate_free_parts(space), dfs_basis(space).vectors,
+              hamiltonians._undriven_generator(space),
+              *hilbert.lowering_entries(space), dfs_basis(space).vectors,
               h, u, *eig[:3], *ops]
     for a in cached:
         with pytest.raises(ValueError):

@@ -221,8 +221,21 @@ def assert_operators_match_oracle(params, pulse):
 
 
 rates = st.one_of(st.just(0.0), st.floats(0.0, 1e3))
-drives = st.one_of(st.just(0j), st.complex_numbers(max_magnitude=1e3, allow_nan=False,
-                                                   allow_infinity=False))
+signed_zeros = st.sampled_from([0.0, -0.0])
+parts = st.floats(-1e3, 1e3)
+zero_drives = st.builds(complex, signed_zeros, signed_zeros)
+# signed-zero parts pin how the drive's zeros land, e.g. complex(-0.0, 0.3)
+drives = st.one_of(st.just(0j), zero_drives, st.builds(complex, signed_zeros, parts),
+                   st.builds(complex, parts, signed_zeros),
+                   st.complex_numbers(max_magnitude=1e3, allow_nan=False, allow_infinity=False))
+
+
+@st.composite
+def lone_drive_pulses(draw, n_atoms):
+    """Pulses in which every atom but one has a (signed) zero drive."""
+    rabi = draw(st.lists(zero_drives, min_size=n_atoms, max_size=n_atoms))
+    rabi[draw(st.integers(0, n_atoms - 1))] = draw(drives)
+    return Pulse(tuple(rabi), 1.0)
 
 
 @st.composite
@@ -233,7 +246,8 @@ def operator_cases(draw):
                           kappa=draw(rates), gamma=draw(rates))
     pulse = draw(st.one_of(st.none(), st.just(Pulse.off(n_atoms, 1.0)),
                            st.lists(drives, min_size=n_atoms, max_size=n_atoms).map(
-                               lambda rabi: Pulse(tuple(rabi), 1.0))))
+                               lambda rabi: Pulse(tuple(rabi), 1.0)),
+                           lone_drive_pulses(n_atoms)))
     return params, pulse
 
 
@@ -247,3 +261,14 @@ def test_operators_bit_identical_to_oracle_at_seven_atoms():
     params = SystemParams(n_atoms=7, g=0.9, kappa=0.7, gamma=0.37, n_max=3)
     rabi = (0.05, -0.05j, 0.0, 0.03 - 0.02j, -0.07, 1e-9 + 0.1j, -0.0 - 0.2j)
     assert_operators_match_oracle(params, Pulse(rabi, 1.0))
+
+
+@pytest.mark.parametrize("pulse", [None, Pulse((0.05, -0.02j), 1.0)])
+def test_conditional_hamiltonian_returns_a_fresh_writeable_array(pulse):
+    space = build_space(SystemParams(n_atoms=2, g=1.0, kappa=0.8, gamma=1e-3, n_max=3))
+    h = conditional_hamiltonian(space, pulse)
+    expected = h.tobytes()
+    h[...] = 7.0  # the caller owns the array and may write into it
+    again = conditional_hamiltonian(space, pulse)
+    assert again.flags.writeable and again is not h
+    assert again.tobytes() == expected
