@@ -148,16 +148,16 @@ def load_config(path: str | Path, mode: str) -> RunConfig:
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     cfg = RunConfig(params=params)
-    cfg.seed = _get_int(raw, "seed", 1)
-    cfg.eta = _get_float(raw, "eta", 0.0)
+    cfg.seed = _get_int(raw, "seed", cfg.seed)
+    cfg.eta = _get_float(raw, "eta", cfg.eta)
     if not 0 <= cfg.eta <= 1:
         raise ConfigError(f"eta must lie in [0, 1], got {cfg.eta}")
-    cfg.settle = _get_float(raw, "settle", 0.0)
+    cfg.settle = _get_float(raw, "settle", cfg.settle)
     if cfg.settle < 0:
         raise ConfigError("settle must be >= 0")
-    cfg.samples = _get_int(raw, "samples", 10000)
-    cfg.jump_log = _get_bool(raw, "jump_log", False)
-    cfg.evolve_points = _get_int(raw, "evolve_points", 200)
+    cfg.samples = _get_int(raw, "samples", cfg.samples)
+    cfg.jump_log = _get_bool(raw, "jump_log", cfg.jump_log)
+    cfg.evolve_points = _get_int(raw, "evolve_points", cfg.evolve_points)
 
     if mode in ("evolve", "pulse", "trajectories"):
         if "rabi" not in raw:
@@ -345,6 +345,8 @@ def cmd_trajectories(cfg: RunConfig, out: Path) -> None:
     space = build_space(cfg.params)
     schedule, _ = _resolve_schedule(cfg)
     result = run_ensemble(space, schedule, cfg.samples, cfg.seed)
+    if cfg.eta == 1 and result.p0_estimate == 0:
+        raise ArithmeticError("no sample survived, so the no-detection state at eta = 1 is empty")
     psi0 = result.no_jump_state
     rho_perp = result.rho_perp
     if rho_perp is None:

@@ -25,12 +25,15 @@ A regula falsi on the eigen-probes first brackets the jump time between
 two probes that lie clear of the margin, and the bisection skips the
 midpoints outside that bracket, whose decisions the norm's monotonicity
 already fixes.  After a jump an eigen-probe of the rest of the segment
-decides whether its exponential is needed at all.  Every trajectory
-follows the ground state's no-jump path, cached per schedule, until the
-segment where its threshold is crossed, so one that emits nothing costs a
-single draw and ends in the same no-jump state psi0.  An ensemble keeps
-psi0, the survival fraction p0 and the average rho_perp of the
-trajectories that emitted; its state is p0 |psi0><psi0| + (1 - p0) rho_perp.
+decides whether its exponential is needed at all.  What the sampler
+precomputes for one (space, schedule), the segment propagators and
+eigensystems, the ground state's no-jump path and the emission channels,
+is one cached, read-only sampler plan.  Every trajectory follows the
+plan's no-jump path until the segment where its threshold is crossed, so
+one that emits nothing costs a single draw and ends in the same no-jump
+state psi0.  An ensemble keeps psi0, the survival fraction p0 and the
+average rho_perp of the trajectories that emitted; its state is
+p0 |psi0><psi0| + (1 - p0) rho_perp.
 """
 
 from __future__ import annotations
@@ -98,9 +101,10 @@ class EnsembleResult:
     """Seeded trajectory ensemble: survival estimate and the two parts of its state.
 
     Every trajectory that emits no photon ends in ``no_jump_state``, the
-    normalized conditioned state psi0.  ``rho_perp`` is the average over
-    trajectories that emitted at least one photon (None if every sample
-    survived).  The ensemble state is p0 |psi0><psi0| + (1 - p0) rho_perp.
+    normalized conditioned state psi0 (a writeable copy of the cached one).
+    ``rho_perp`` is the average over trajectories that emitted at least one
+    photon (None if every sample survived).  The ensemble state is
+    p0 |psi0><psi0| + (1 - p0) rho_perp.
     """
 
     p0_estimate: float
@@ -199,19 +203,6 @@ def _krylov_stepper(space: HilbertSpace):
     return generator, advance
 
 
-def no_jump_state(space: HilbertSpace, schedule: Schedule) -> np.ndarray:
-    """Normalized final state of a trajectory that emits no photon.
-
-    Read from the sampler's cached no-jump path, so it is the state every
-    surviving trajectory returns.  Raises ArithmeticError when the
-    no-emission probability underflows to zero.
-    """
-    psi0 = _no_jump_path(space, schedule).psi0
-    if psi0 is None:
-        raise ArithmeticError("conditional state vanished entirely")
-    return psi0.copy()
-
-
 def jump_operators(space: HilbertSpace) -> list[tuple[str, np.ndarray]]:
     """Emission channels: ("cavity", sqrt(2 kappa) b) then ("atom_i", sqrt(2 gamma) sigma_i).
 
@@ -239,52 +230,47 @@ def _jump_channels(space: HilbertSpace) -> tuple[tuple[str, ...], tuple[np.ndarr
             tuple(_read_only(op) for _, op in channels))
 
 
-@lru_cache(maxsize=16)
-def _segment_propagators(space: HilbertSpace, schedule: Schedule) -> tuple[tuple, ...]:
-    """(H_cond, full-duration propagator, duration, _eigensystem(H_cond)) per segment.
+@dataclass(frozen=True, eq=False)
+class _SamplerPlan:
+    segments: tuple[tuple, ...]  # (H_cond, full-duration propagator, duration, eigensystem)
+    starts: tuple[np.ndarray, ...]  # no-jump state entering each segment
+    offsets: tuple[float, ...]  # schedule time at which each segment starts
+    end_norms: tuple[float, ...]  # no-jump squared norm at each segment end; inf if duration 0
+    psi0: np.ndarray | None  # normalized no-jump final state; None if it vanished
+    channels: tuple[tuple[str, ...], tuple[np.ndarray, ...]]  # _jump_channels(space)
 
-    Cached; every array is read-only.
+
+@lru_cache(maxsize=16)
+def _sampler_plan(space: HilbertSpace, schedule: Schedule) -> _SamplerPlan:
+    """What the sampler precomputes for one schedule: segments, no-jump path, channels.
+
+    The no-jump path of the ground state is built with the products the
+    sampler applies: a segment of zero duration leaves the state as it is.
+    The channels are the per-space ``_jump_channels`` tuple, not a copy.
+    Cached; every array is read-only.  Raises ValueError (from
+    conditional_hamiltonian) when the schedule drives another atom count
+    than the space holds.
     """
-    out = []
+    segments, starts, offsets, end_norms = [], [], [], []
+    psi, t_offset = space.ground_state(), 0.0
     for seg in schedule.segments:
         h = conditional_hamiltonian(space, seg)
         u = expm(-1j * seg.duration * h)
         eig = _eigensystem(h)
         for a in (h, u) + eig[:3]:
             _read_only(a)
-        out.append((h, u, seg.duration, eig))
-    return tuple(out)
-
-
-@dataclass(frozen=True, eq=False)
-class _NoJumpPath:
-    starts: tuple[np.ndarray, ...]  # state entering each segment
-    offsets: tuple[float, ...]  # schedule time at which each segment starts
-    end_norms: tuple[float, ...]  # squared norm at each segment end; inf if the duration is 0
-    psi0: np.ndarray | None  # normalized final state; None if it vanished
-
-
-@lru_cache(maxsize=16)
-def _no_jump_path(space: HilbertSpace, schedule: Schedule) -> _NoJumpPath:
-    """The ground state's path through the schedule while it emits nothing.
-
-    Built with the products the sampler applies: a segment of zero duration
-    leaves the state as it is.  Cached; every array is read-only.
-    """
-    psi = space.ground_state()
-    starts, offsets, end_norms = [], [], []
-    t_offset = 0.0
-    for _, u_full, duration, _ in _segment_propagators(space, schedule):
+        segments.append((h, u, seg.duration, eig))
         starts.append(_read_only(psi))
         offsets.append(t_offset)
-        if duration > 0:
-            psi = u_full @ psi
+        if seg.duration > 0:
+            psi = u @ psi
             end_norms.append(np.vdot(psi, psi).real)
         else:
             end_norms.append(np.inf)
-        t_offset += duration
+        t_offset += seg.duration
     psi0 = _read_only(psi / np.linalg.norm(psi)) if np.vdot(psi, psi).real > 0 else None
-    return _NoJumpPath(tuple(starts), tuple(offsets), tuple(end_norms), psi0)
+    return _SamplerPlan(tuple(segments), tuple(starts), tuple(offsets), tuple(end_norms), psi0,
+                        _jump_channels(space))
 
 
 def _eigensystem(h: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
@@ -459,18 +445,18 @@ def sample_trajectory(space: HilbertSpace, schedule: Schedule, seed,
 
     Identical seeds reproduce identical jump records and final states
     bit-exactly.  ``seed`` may be an int or a numpy SeedSequence.  From
-    the ground state, the trajectory follows the cached no-jump path up to
+    the ground state, the trajectory follows the plan's no-jump path up to
     the first segment whose end norm is not above its threshold; one that
     never reaches such a segment returns psi0 without a product.
     """
+    plan = _sampler_plan(space, schedule)
     rng = np.random.default_rng(seed)
     if initial_state is None:
-        path = _no_jump_path(space, schedule)
         r = _draw_threshold(rng)
-        first = next((k for k, end in enumerate(path.end_norms) if not end > r), None)
+        first = next((k for k, end in enumerate(plan.end_norms) if not end > r), None)
         if first is None:
-            return Trajectory((), path.psi0.copy())
-        psi, t_offset = path.starts[first], path.offsets[first]
+            return Trajectory((), plan.psi0.copy())
+        psi, t_offset = plan.starts[first], plan.offsets[first]
     else:
         nrm = np.linalg.norm(initial_state)
         if abs(nrm - 1.0) > 1e-9:
@@ -478,9 +464,9 @@ def sample_trajectory(space: HilbertSpace, schedule: Schedule, seed,
         psi = np.asarray(initial_state, dtype=complex).copy()
         r = _draw_threshold(rng)
         first, t_offset = 0, 0.0
-    labels, ops = _jump_channels(space)
+    labels, ops = plan.channels
     jumps: list[tuple[float, str]] = []
-    for h, u_full, duration, eig in _segment_propagators(space, schedule)[first:]:
+    for h, u_full, duration, eig in plan.segments[first:]:
         elapsed = 0.0
         while True:
             remaining = duration - elapsed
@@ -521,15 +507,17 @@ def run_ensemble(space: HilbertSpace, schedule: Schedule, n_samples: int,
                  seed: int) -> EnsembleResult:
     """Sample n_samples seeded trajectories from the ground state.
 
-    The no-jump state is computed first, so a schedule under which it
-    vanishes raises ArithmeticError before any sampling.  Child seeds are
-    spawned from a SeedSequence over ``seed``.  The outer products of the
+    The sampler plan is built first, so a schedule under which the no-jump
+    state vanishes raises ArithmeticError before any sampling.  Child seeds
+    are spawned from a SeedSequence over ``seed``.  The outer products of the
     trajectories that emitted are summed per chunk of ENSEMBLE_CHUNK
     trajectories and the chunk sums are then added in order.
     """
     if n_samples < 1:
         raise ValueError(f"n_samples must be >= 1, got {n_samples}")
-    psi0 = no_jump_state(space, schedule)
+    plan = _sampler_plan(space, schedule)
+    if plan.psi0 is None:
+        raise ArithmeticError("conditional state vanished entirely")
     children = np.random.SeedSequence(seed).spawn(n_samples)
     perp_sum = np.zeros((space.dim, space.dim), dtype=complex)
     survived = 0
@@ -546,7 +534,7 @@ def run_ensemble(space: HilbertSpace, schedule: Schedule, n_samples: int,
         perp_sum += chunk_perp
     jumped = n_samples - survived
     rho_perp = 0.5 * (perp_sum + perp_sum.conj().T) / jumped if jumped else None
-    return EnsembleResult(survived / n_samples, psi0, n_samples, seed, rho_perp,
+    return EnsembleResult(survived / n_samples, plan.psi0.copy(), n_samples, seed, rho_perp,
                           tuple(records))
 
 

@@ -353,6 +353,21 @@ def test_vanished_state_exits_with_guard_code(tmp_path):
     assert not (tmp_path / "evolve.json").exists()
 
 
+def test_no_survivor_at_full_detection_efficiency_exits_with_guard_code(tmp_path, capsys):
+    # true p0 ~ 6e-19: none of 20 samples survives, and at eta = 1 every emission is
+    # detected, so no undetected state is left to report
+    text = ("n_atoms = 1\nkappa = 1.0\ngamma = 2.0\nn_max = 1\nrabi = 0.5\n"
+            "duration = 1000\nsamples = 20\n")
+    empty = write_config(tmp_path, text + "eta = 1.0\n", name="empty.ini")
+    assert main(["trajectories", "--config", empty, "--out", str(tmp_path / "a")]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("numerical guard: ") and err.count("\n") == 1
+    assert not (tmp_path / "a" / "ensemble.json").exists()
+    lossy = write_config(tmp_path, text + "eta = 0.9\n", name="lossy.ini")
+    assert main(["trajectories", "--config", lossy, "--out", str(tmp_path / "b")]) == 0
+    assert json.loads((tmp_path / "b" / "ensemble.json").read_text())["p0_estimate"] == 0.0
+
+
 def test_samples_override(tmp_path):
     cfg = write_config(tmp_path, (
         "n_atoms = 2\nkappa = 1.0\nn_max = 3\nrabi = 0.05, -0.05\n"

@@ -302,7 +302,7 @@ def test_ill_conditioned_segment_probes_with_the_exponential():
     # recomputed with the exponential, and the result stays the exponential search's
     space = build_space(SystemParams(1, g=1.0, kappa=2.0, gamma=0.0, n_max=1))
     schedule = Schedule((Pulse.off(1, 5.0),))
-    (_, _, _, eig), = dynamics._segment_propagators(space, schedule)
+    (_, _, _, eig), = dynamics._sampler_plan(space, schedule).segments
     assert 1e-6 <= eig[3] < np.inf
     excited = space.basis_state(0, 1)
     jumped = 0
@@ -323,7 +323,7 @@ def test_singular_eigenvectors_probe_with_the_exponential():
     space, _ = two_atom_setup(gamma=2e-3)
     schedule = Schedule((Pulse((0.1, -0.07j), 8.0),))
     with patch.object(np.linalg, "inv", side_effect=np.linalg.LinAlgError):
-        (_, _, _, eig), = dynamics._segment_propagators(space, schedule)
+        (_, _, _, eig), = dynamics._sampler_plan(space, schedule).segments
     assert eig[3] == np.inf
     counts = []
 
@@ -401,7 +401,7 @@ def test_threshold_at_a_segment_end_norm_matches_the_exponential_sampler(segment
                          Pulse.off(2, 4.0)))
     ends = path_end_norms(space, schedule)
     assert ends[0] > ends[1] > ends[2]
-    assert dynamics._no_jump_path(space, schedule).end_norms == tuple(ends)
+    assert dynamics._sampler_plan(space, schedule).end_norms == tuple(ends)
     for seed in range(3):
         reference = compare_with_thresholds(space, schedule, seed, [ends[segment]])
         assert reference.jumps
@@ -473,14 +473,16 @@ def test_jump_operators_channel_list():
 def test_cached_arrays_are_read_only():
     space, _ = two_atom_setup(gamma=1e-3)
     schedule = Schedule((Pulse((0.1, -0.1), 2.0),))
-    (h, u, _, eig), = dynamics._segment_propagators(space, schedule)
-    labels, ops = dynamics._jump_channels(space)
+    plan = dynamics._sampler_plan(space, schedule)
+    (h, u, _, eig), = plan.segments
+    labels, ops = plan.channels
+    assert plan.channels is dynamics._jump_channels(space)  # shared per space, not copied
     assert labels == tuple(name for name, _ in jump_operators(space))
     assert all(np.array_equal(a, b) for a, (_, b) in zip(ops, jump_operators(space)))
     cached = [atomic_lowering(space, 1), cavity_annihilation(space),
               hamiltonians._undriven_generator(space),
               *hilbert.lowering_entries(space), dfs_basis(space).vectors,
-              h, u, *eig[:3], *ops]
+              h, u, *eig[:3], *plan.starts, plan.psi0, *ops]
     for a in cached:
         with pytest.raises(ValueError):
             a[1] *= -1
@@ -582,7 +584,7 @@ def test_ensemble_survivors_share_the_no_jump_state(n_atoms, gamma, n_samples):
     survivors = [traj for traj in sampled if not traj.jumps]
     assert 0 < len(survivors) < n_samples
     psi0 = result.no_jump_state
-    assert psi0.tobytes() == dynamics.no_jump_state(space, schedule).tobytes()
+    assert psi0.tobytes() == dynamics._sampler_plan(space, schedule).psi0.tobytes()
     assert all(traj.final_state.tobytes() == psi0.tobytes() for traj in survivors)
     # p0 |psi0><psi0| + (1 - p0) rho_perp is the average over every trajectory
     p0 = result.p0_estimate
@@ -591,6 +593,31 @@ def test_ensemble_survivors_share_the_no_jump_state(n_atoms, gamma, n_samples):
     average = sum(np.outer(traj.final_state, traj.final_state.conj())
                   for traj in sampled) / n_samples
     assert np.max(np.abs(mixture - average)) < 1e-14
+
+
+def test_ensemble_hands_out_copies_of_the_cached_no_jump_state():
+    space, _ = two_atom_setup(gamma=1e-3)
+    schedule = Schedule((Pulse((0.1, -0.1), 20.0), Pulse.off(2, 10.0)))
+    cached = dynamics._sampler_plan(space, schedule).psi0
+    survivors = []
+
+    def recording(*args):
+        traj = sample_trajectory(*args)
+        if not traj.jumps:
+            survivors.append(traj)
+        return traj
+
+    with patch.object(dynamics, "sample_trajectory", recording):
+        first = run_ensemble(space, schedule, 50, seed=3)
+    assert survivors
+    for state in [first.no_jump_state] + [traj.final_state for traj in survivors]:
+        assert state.flags.writeable and not np.shares_memory(state, cached)
+        state[:] = np.nan
+    second = run_ensemble(space, schedule, 50, seed=3)
+    assert second.no_jump_state.tobytes() == cached.tobytes()
+    assert second.p0_estimate == first.p0_estimate
+    assert second.jump_records == first.jump_records
+    assert second.rho_perp.tobytes() == first.rho_perp.tobytes()
 
 
 def test_run_ensemble_checks_the_no_jump_state_before_sampling():
@@ -606,13 +633,13 @@ def test_run_ensemble_checks_the_no_jump_state_before_sampling():
 def test_no_jump_state_is_the_normalized_schedule_propagation():
     space, params = two_atom_setup(gamma=1e-3)
     schedule = Schedule((Pulse((0.1, -0.1), 20.0), Pulse.off(2, 10.0)))
-    psi0 = dynamics.no_jump_state(space, schedule)
+    psi0 = run_ensemble(space, schedule, 1, seed=1).no_jump_state
     assert np.linalg.norm(psi0) == pytest.approx(1.0, abs=1e-14)
     psi = propagate_schedule(space, schedule)
     assert np.max(np.abs(psi0 - psi / np.linalg.norm(psi))) < 1e-12
     wrong = Schedule((Pulse.off(3, 1.0),))  # conditional_hamiltonian rejects it first
     with pytest.raises(ValueError):
-        dynamics.no_jump_state(space, wrong)
+        run_ensemble(space, wrong, 1, seed=1)
     with pytest.raises(ValueError):
         propagate_schedule(space, wrong)
     with pytest.raises(ValueError):
