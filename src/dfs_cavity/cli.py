@@ -30,7 +30,7 @@ from .analytic import (OverdampedError, build_slow_model, entangling_pulse_durat
 from .dfs import dfs_basis, dicke_degeneracy, export_basis
 from .dynamics import (Schedule, fidelity, no_detection_mixture, propagate_conditional,
                        propagate_schedule, run_ensemble)
-from .hamiltonians import Pulse, conditional_hamiltonian
+from .hamiltonians import Pulse, conditional_hamiltonian, laser_hamiltonian
 from .hilbert import DeskScaleError, SystemParams, build_space
 
 # the keys load_config reads; every mode accepts each of them
@@ -43,6 +43,7 @@ DEFAULT_OMEGA1_MIN = 1e-3
 DEFAULT_OMEGA1_MAX = 0.3
 DEFAULT_OMEGA1_POINTS = 40
 DEFAULT_GAMMA_LIST = (0.0, 1e-5, 1e-4, 1e-3)
+SWEEP_CHUNK = 256  # omega1 points per stacked exponential; bounds the stack at 1 MB
 
 
 class ConfigError(ValueError):
@@ -250,27 +251,37 @@ def cmd_basis(cfg: RunConfig, out: Path) -> None:
 
 def _sweep_curve(gamma: float, kappa: float, n_max: int, eta: float,
                  grid: tuple[float, ...]) -> list[tuple[float, ...]]:
-    """One sweep row per omega1 of the grid, at omega2 = -omega1 and this gamma."""
+    """One sweep row per omega1 of the grid, at omega2 = -omega1 and this gamma.
+
+    The grid runs in chunks of SWEEP_CHUNK points, each one stacked H_cond
+    h0 + omega1 * drive and one propagate_conditional call.  The drive lands
+    on sigma_i entries, which hold +0.0 in h0, so every slice has the bytes
+    of conditional_hamiltonian(space, Pulse((omega1, -omega1), T)).
+    """
     params = SystemParams(2, 1.0, kappa, gamma, n_max)
     space = build_space(params)
     trapped_g, trapped_a = dfs_basis(space).vectors[:2]  # ground and antisymmetric trapped states
     psi0 = space.ground_state()
+    h0 = conditional_hamiltonian(space)
+    drive = laser_hamiltonian(space, Pulse((1.0, -1.0), 0.0))
     rows = []
-    for omega1 in grid:
-        model = build_slow_model(params, omega1, -omega1)
-        duration = entangling_pulse_duration(model)
-        h = conditional_hamiltonian(space, Pulse((omega1, -omega1), duration))
-        psi = propagate_conditional(h, psi0, duration)
-        c_g = np.vdot(trapped_g, psi)
-        c_a = np.vdot(trapped_a, psi)
-        # Success probability of the full protocol: no emission during the
-        # pulse and the atoms settle into the trapped subspace (the leaked
-        # transient amplitude decays right after the pulse ends).
-        p0_num = abs(c_g) ** 2 + abs(c_a) ** 2
-        p0_ana = p0_closed_form(model, duration)
-        fid_cond = abs(c_a) ** 2 / p0_num
-        fid_nodet = fid_cond * p0_num / (1.0 - eta * (1.0 - p0_num))
-        rows.append((omega1, gamma, duration, p0_num, p0_ana, fid_cond, fid_nodet))
+    for start in range(0, len(grid), SWEEP_CHUNK):
+        omegas = grid[start:start + SWEEP_CHUNK]
+        models = [build_slow_model(params, omega1, -omega1) for omega1 in omegas]
+        durations = [entangling_pulse_duration(model) for model in models]
+        stack = h0 + np.array(omegas)[:, None, None] * drive
+        states = propagate_conditional(stack, psi0, np.array(durations))
+        for omega1, model, duration, psi in zip(omegas, models, durations, states):
+            c_g = np.vdot(trapped_g, psi)
+            c_a = np.vdot(trapped_a, psi)
+            # Success probability of the full protocol: no emission during the
+            # pulse and the atoms settle into the trapped subspace (the leaked
+            # transient amplitude decays right after the pulse ends).
+            p0_num = abs(c_g) ** 2 + abs(c_a) ** 2
+            p0_ana = p0_closed_form(model, duration)
+            fid_cond = abs(c_a) ** 2 / p0_num
+            fid_nodet = fid_cond * p0_num / (1.0 - eta * (1.0 - p0_num))
+            rows.append((omega1, gamma, duration, p0_num, p0_ana, fid_cond, fid_nodet))
     return rows
 
 

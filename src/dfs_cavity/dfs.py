@@ -19,7 +19,6 @@ enumeration order, makes the output orthonormal and deterministic.
 
 from __future__ import annotations
 
-import csv
 import itertools
 import json
 import math
@@ -173,11 +172,11 @@ def export_basis(basis: DfsBasis, csv_path: str | Path, sidecar_path: str | Path
     """
     csv_path, sidecar_path = Path(csv_path), Path(sidecar_path)
     with csv_path.open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["vector_index", "flat_basis_index", "re_amplitude", "im_amplitude"])
-        writer.writerows([k, flat, f"{amp.real:.17g}", f"{amp.imag:.17g}"]
-                         for k, row in enumerate(basis.vectors.tolist())
-                         for flat, amp in enumerate(row))
+        # the bytes csv.writer writes: every field is a number, so none is quoted
+        fh.write("vector_index,flat_basis_index,re_amplitude,im_amplitude\r\n")
+        fh.writelines("%d,%d,%.17g,%.17g\r\n" % (k, flat, amp.real, amp.imag)
+                      for k, row in enumerate(basis.vectors.tolist())
+                      for flat, amp in enumerate(row))
     sidecar = {
         "n_atoms": basis.space.n_atoms,
         "n_max": basis.space.n_max,

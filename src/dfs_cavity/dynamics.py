@@ -6,11 +6,14 @@ DENSE_MAX_DIM the schedule propagator applies it to the state with
 scipy's truncated-Taylor ``expm_multiply`` on a sparse H_cond (Al-Mohy &
 Higham, SIAM J. Sci. Comput. 33, 488 (2011)) and forms no dim x dim
 exponential; up to DENSE_MAX_DIM, and in single propagations, it uses the
-dense matrix exponential.  The squared norm of the unnormalized state is
-the probability that no photon has been emitted, which is what trajectory
-sampling inverts: draw r uniform in (0, 1), evolve until the norm falls
-to r, then apply a jump operator sqrt(2*gamma)*sigma_i or sqrt(2*kappa)*b
-chosen with probability proportional to its emission weight.  That choice
+dense matrix exponential.  A single propagation also takes a stack of
+H_cond with one time per slice and exponentiates the whole stack in one
+call, which keeps each slice's bytes.  The squared norm of the
+unnormalized state is the probability that no photon has been emitted,
+which is what trajectory sampling inverts: draw r uniform in (0, 1),
+evolve until the norm falls to r, then apply a jump operator
+sqrt(2*gamma)*sigma_i or sqrt(2*kappa)*b chosen with probability
+proportional to its emission weight.  That choice
 of jump operators makes conditional evolution plus jumps exactly
 trace-preserving on average, which the test suite checks against an
 independent solution of the Lindblad master equation.  The sampler steps with dense
@@ -121,13 +124,29 @@ class EnsembleResult:
         return float(np.sqrt(p * (1.0 - p) / self.n_samples))
 
 
-def propagate_conditional(h_cond: np.ndarray, state: np.ndarray, t: float) -> np.ndarray:
-    """U_cond(t) applied to the state; the returned vector is unnormalized."""
-    if t < 0:
-        raise ValueError(f"propagation time must be >= 0, got {t}")
-    if h_cond.shape != (state.shape[0], state.shape[0]):
+def propagate_conditional(h_cond: np.ndarray, state: np.ndarray,
+                          t: float | np.ndarray) -> np.ndarray:
+    """U_cond(t) applied to the state; the returned vector is unnormalized.
+
+    Also takes a stack: ``h_cond`` of shape (..., dim, dim) with ``t`` of
+    shape (...) returns the (..., dim) states exp(-i t_k H_k) state from
+    one ``expm`` call; a single H_cond with a scalar time is the stack of
+    shape ().  scipy runs the single-matrix code on every slice and each
+    slice is scaled by the Python complex -1j * t_k, so slice k holds the
+    bytes of the call on (H_k, state, t_k).  Raises ValueError
+    for a negative or non-finite time, or a ``t`` whose shape is not the
+    stack's.
+    """
+    times = np.asarray(t, dtype=float)
+    if not np.isfinite(times).all() or (times < 0).any():
+        raise ValueError(f"propagation times must be finite and >= 0, got {t}")
+    if h_cond.shape[-2:] != (state.shape[0], state.shape[0]):
         raise ValueError("Hamiltonian and state dimensions disagree")
-    return expm(-1j * t * h_cond) @ state
+    if times.shape != h_cond.shape[:-2]:
+        raise ValueError(f"times of shape {times.shape} for a stack of shape "
+                         f"{h_cond.shape[:-2]}")
+    scales = np.array([-1j * tk for tk in times.ravel().tolist()]).reshape(times.shape)
+    return expm(scales[..., None, None] * h_cond) @ state
 
 
 def propagate_schedule(space: HilbertSpace, schedule: Schedule,

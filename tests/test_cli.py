@@ -11,7 +11,7 @@ from scipy.linalg import expm
 
 import dfs_cavity
 from dfs_cavity import SystemParams, build_space, dfs_basis, Pulse
-from dfs_cavity.cli import main
+from dfs_cavity.cli import SWEEP_CHUNK, main
 from oracles import effective_hamiltonian, embed_vacuum, four_atom_state, sweep_point
 
 OMEGA_MINUS_002 = 0.02 / np.sqrt(2.0)  # antisymmetric combination for 0.02, -0.02
@@ -190,7 +190,10 @@ def test_sweep_small_grid(tmp_path):
 
 
 @pytest.mark.parametrize("grid", ["omega1_list = 0.004, 0.03, 0.2",
-                                  "omega1_min = 0.002\nomega1_max = 0.25\nomega1_points = 5"])
+                                  "omega1_min = 0.002\nomega1_max = 0.25\nomega1_points = 5",
+                                  # one full stacked chunk and a partial one
+                                  "omega1_min = 0.002\nomega1_max = 0.25\n"
+                                  f"omega1_points = {SWEEP_CHUNK + 3}"])
 @pytest.mark.parametrize("kappa", [0.5, 1.0])
 @pytest.mark.parametrize("n_max", [1, 3])
 def test_sweep_bytes_match_the_point_by_point_oracle(tmp_path, grid, kappa, n_max):

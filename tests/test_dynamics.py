@@ -1,3 +1,4 @@
+import math
 from functools import partial
 from unittest.mock import patch
 
@@ -38,6 +39,60 @@ def test_propagate_identity_at_zero():
     assert np.allclose(propagate_conditional(h, psi, 0.0), psi)
     with pytest.raises(ValueError):
         propagate_conditional(h, psi, -1.0)
+
+
+@st.composite
+def conditional_stacks(draw):
+    n_atoms = draw(st.integers(1, 3))
+    params = SystemParams(n_atoms=n_atoms, g=1.0, n_max=draw(st.integers(1, 3)),
+                          kappa=draw(st.floats(0.0, 2.0)), gamma=draw(st.floats(0.0, 1.0)))
+    space = build_space(params)
+    drive = st.complex_numbers(max_magnitude=1.0, allow_nan=False, allow_infinity=False)
+    pulses = draw(st.lists(st.lists(drive, min_size=n_atoms, max_size=n_atoms),
+                           min_size=1, max_size=5))
+    stack = np.array([conditional_hamiltonian(space, Pulse(tuple(rabi), 1.0))
+                      for rabi in pulses])
+    times = draw(st.lists(st.one_of(st.just(0.0), st.floats(0.0, 40.0)),
+                          min_size=len(pulses), max_size=len(pulses)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    state = rng.normal(size=space.dim) + 1j * rng.normal(size=space.dim)
+    return stack, state, times
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(conditional_stacks())
+def test_stacked_propagation_has_the_bytes_of_single_calls(case):
+    stack, state, times = case
+    batched = propagate_conditional(stack, state, np.array(times))
+    singles = [propagate_conditional(h, state, t) for h, t in zip(stack, times)]
+    assert batched.shape == (len(times), state.size)
+    assert np.array_equal(batched, np.array(singles))
+    # two leading axes: the same slices in another layout
+    square = propagate_conditional(stack[:, None], state, np.array(times)[:, None])
+    assert np.array_equal(square[:, 0], batched)
+
+
+@pytest.mark.parametrize("bad", [-1.0, -1e-300, math.nan, math.inf, -math.inf])
+def test_propagation_rejects_negative_and_non_finite_times(bad):
+    space, params = two_atom_setup(gamma=1e-3)
+    h = conditional_hamiltonian(space, Pulse((0.1, -0.1), 1.0))
+    psi = space.ground_state()
+    with pytest.raises(ValueError):
+        propagate_conditional(h, psi, bad)
+    with pytest.raises(ValueError):
+        propagate_conditional(np.array([h, h]), psi, np.array([1.0, bad]))
+
+
+def test_stacked_propagation_rejects_times_of_another_shape():
+    space, params = two_atom_setup()
+    h = conditional_hamiltonian(space)
+    psi = space.ground_state()
+    stack = np.array([h, h, h])
+    for times in (1.0, [1.0, 2.0], [[1.0, 2.0, 3.0]], np.ones((3, 1))):
+        with pytest.raises(ValueError):
+            propagate_conditional(stack, psi, np.asarray(times))
+    with pytest.raises(ValueError):
+        propagate_conditional(h, psi, np.array([1.0]))
 
 
 def test_propagate_schedule_chains_segments(monkeypatch):

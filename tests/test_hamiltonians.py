@@ -272,3 +272,18 @@ def test_conditional_hamiltonian_returns_a_fresh_writeable_array(pulse):
     again = conditional_hamiltonian(space, pulse)
     assert again.flags.writeable and again is not h
     assert again.tobytes() == expected
+
+
+@pytest.mark.parametrize("n_max", [0, 1, 3])
+@pytest.mark.parametrize("kappa, gamma", [(1.0, 0.0), (0.5, 1e-3), (0.0, 0.7)])
+def test_scaled_drive_on_the_undriven_generator_has_the_bytes_of_a_driven_pulse(
+        n_max, kappa, gamma):
+    # the sweep stacks h0 + omega1 * drive for the pulse (omega1, -omega1)
+    space = build_space(SystemParams(n_atoms=2, g=1.0, kappa=kappa, gamma=gamma, n_max=n_max))
+    h0 = conditional_hamiltonian(space)
+    drive = laser_hamiltonian(space, Pulse((1.0, -1.0), 0.0))
+    omegas = np.geomspace(1e-3, 0.3, 7).tolist() + [1e-300, 0.1 + 1e-17, 2.0, 1e3]
+    stack = h0 + np.array(omegas)[:, None, None] * drive
+    for omega1, h in zip(omegas, stack):
+        expected = conditional_hamiltonian(space, Pulse((omega1, -omega1), 5.0))
+        assert h.tobytes() == expected.tobytes(), omega1
