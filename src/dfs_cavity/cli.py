@@ -31,7 +31,7 @@ from .dfs import dfs_basis, dicke_degeneracy, export_basis
 from .dynamics import (Schedule, fidelity, no_detection_mixture, propagate_conditional,
                        propagate_schedule, run_ensemble)
 from .hamiltonians import Pulse, conditional_hamiltonian, laser_hamiltonian
-from .hilbert import DeskScaleError, SystemParams, build_space
+from .hilbert import DeskScaleError, SystemParams, build_space, check_dense_budget
 
 # the keys load_config reads; every mode accepts each of them
 CONFIG_KEYS = frozenset({
@@ -260,6 +260,8 @@ def _sweep_curve(gamma: float, kappa: float, n_max: int, eta: float,
     """
     params = SystemParams(2, 1.0, kappa, gamma, n_max)
     space = build_space(params)
+    # h0, the drive and, per chunk, the H_cond stack, its scaled copy and the exponentials
+    check_dense_budget("sweep", 2 + 3 * min(SWEEP_CHUNK, len(grid)), space.dim)
     trapped_g, trapped_a = dfs_basis(space).vectors[:2]  # ground and antisymmetric trapped states
     psi0 = space.ground_state()
     h0 = conditional_hamiltonian(space)

@@ -3,12 +3,12 @@
 Between emission events the state evolves with U_cond(t) = exp(-i H_cond t),
 exact for the piecewise-constant schedules used here.  Above
 DENSE_MAX_DIM the schedule propagator applies it to the state with
-scipy's truncated-Taylor ``expm_multiply`` on a sparse H_cond (Al-Mohy &
-Higham, SIAM J. Sci. Comput. 33, 488 (2011)) and forms no dim x dim
-exponential; up to DENSE_MAX_DIM, and in single propagations, it uses the
-dense matrix exponential.  A single propagation also takes a stack of
-H_cond with one time per slice and exponentiates the whole stack in one
-call, which keeps each slice's bytes.  The squared norm of the
+scipy's truncated-Taylor ``expm_multiply`` on a sparse H_cond built from
+its entry table (Al-Mohy & Higham, SIAM J. Sci. Comput. 33, 488 (2011))
+and forms no dim x dim matrix; up to DENSE_MAX_DIM, and in single
+propagations, it uses the dense matrix exponential.  A single propagation
+also takes a stack of H_cond with one time per slice and exponentiates
+the whole stack in one call, which keeps each slice's bytes.  The squared norm of the
 unnormalized state is the probability that no photon has been emitted,
 which is what trajectory sampling inverts: draw r uniform in (0, 1),
 evolve until the norm falls to r, then apply a jump operator
@@ -48,8 +48,9 @@ from functools import lru_cache, partial
 import numpy as np
 from scipy.linalg import expm
 
-from .hamiltonians import Pulse, conditional_hamiltonian
-from .hilbert import HilbertSpace, _read_only, atomic_lowering, cavity_annihilation
+from .hamiltonians import Pulse, _conditional_entries, conditional_hamiltonian
+from .hilbert import (HilbertSpace, _read_only, atomic_lowering, cavity_annihilation,
+                      check_dense_budget)
 
 NORM_BISECTION_TOL = 1e-10
 # An eigen-probe's squared norm is trusted to PROBE_MARGIN * cond_1(V) * dim * eps of the
@@ -161,7 +162,7 @@ def propagate_schedule(space: HilbertSpace, schedule: Schedule,
     ``expm_multiply`` in equal sub-steps of norm at most KRYLOV_STEP_NORM,
     so the result does not depend on numpy's global RNG, which is left
     untouched.  Raises ArithmeticError when the squared norm of the final
-    state underflows to zero, and ValueError (from conditional_hamiltonian)
+    state underflows to zero, and ValueError (from the H_cond builder)
     when the schedule drives another atom count than the space holds.
     """
     if space.dim <= DENSE_MAX_DIM:
@@ -207,7 +208,10 @@ def _krylov_stepper(space: HilbertSpace):
     from scipy.sparse.linalg import expm_multiply
 
     def generator(seg: Pulse) -> tuple[csr_array, float]:
-        a = csr_array(-1j * conditional_hamiltonian(space, seg))
+        rows, cols, values = _conditional_entries(space, seg)
+        keep = values != 0  # csr_array(-1j * H_cond)'s bytes: no zeros, int32, sorted rows
+        ij = rows[keep].astype(np.int32), cols[keep].astype(np.int32)
+        a = csr_array((-1j * values[keep], ij), shape=(space.dim, space.dim))
         # ||A||_1 + |mu| bounds ||A - mu I||_1, the norm expm_multiply tests after
         # shifting A by mu = trace(A) / dim
         return a, float(abs(a).sum(axis=0).max()) + abs(a.trace()) / space.dim
@@ -526,14 +530,20 @@ def run_ensemble(space: HilbertSpace, schedule: Schedule, n_samples: int,
                  seed: int) -> EnsembleResult:
     """Sample n_samples seeded trajectories from the ground state.
 
-    The sampler plan is built first, so a schedule under which the no-jump
-    state vanishes raises ArithmeticError before any sampling.  Child seeds
-    are spawned from a SeedSequence over ``seed``.  The outer products of the
-    trajectories that emitted are summed per chunk of ENSEMBLE_CHUNK
-    trajectories and the chunk sums are then added in order.
+    The dense matrices it holds (per segment H_cond, its propagator, V and
+    V^-1; per channel the operator and the cached one it scales; two partial
+    sums of rho_perp) raise DeskScaleError over DENSE_BUDGET_BYTES, before
+    any is allocated.  The sampler plan is built next, so a schedule under
+    which the no-jump state vanishes raises ArithmeticError before any
+    sampling.  Child seeds are spawned from a SeedSequence over ``seed``.
+    The outer products of the trajectories that emitted are summed per
+    chunk of ENSEMBLE_CHUNK trajectories and the chunk sums are then added
+    in order.
     """
     if n_samples < 1:
         raise ValueError(f"n_samples must be >= 1, got {n_samples}")
+    check_dense_budget("a trajectory ensemble",
+                       4 * len(schedule.segments) + 2 * (space.n_atoms + 1) + 2, space.dim)
     plan = _sampler_plan(space, schedule)
     if plan.psi0 is None:
         raise ArithmeticError("conditional state vanished entirely")

@@ -13,14 +13,12 @@ kappa * b^dag b), so the norm of a conditionally evolved state decays at
 the instantaneous emission rate.  Rabi frequencies stay fully complex:
 their phases are physical and cannot be absorbed into the atomic basis.
 
-The undriven part i g (B - B^T) - i diag(loss), with B = b J_plus, is
-built once per space from cavity and atomic factors (``hilbert.embed``)
-and cached; each call copies it and adds the drive (1/2) Omega_i onto
-the entries of sigma_i that ``hilbert.lowering_entries`` lists, and its
-conjugate onto their transposes.  These entries are disjoint and hold
-+0.0 before the drive lands, so every zero comes out +0.0 and the bytes
-equal those of the term-by-term sum of full-space products that starts
-from zeros.
+H_cond is one table of (rows, cols, values): i g sqrt(n) for B = b J_plus
+on the sigma_i positions of ``hilbert.lowering_entries`` shifted by one
+photon block and -i g sqrt(n) on their transposes, -i(gamma n_exc + kappa n)
+on the diagonal, and the drive on the sigma_i positions and their
+transposes.  The dense functions scatter it onto zeros, the schedule
+propagator makes it sparse; the values round as full-space products do.
 """
 
 from __future__ import annotations
@@ -28,12 +26,10 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
-from .hilbert import (HilbertSpace, _read_only, atom_factor, atomic_lowering,
-                      cavity_annihilation, cavity_factor, embed, lowering_entries)
+from .hilbert import HilbertSpace, atomic_lowering, cavity_annihilation, lowering_entries
 
 
 @dataclass(frozen=True)
@@ -79,45 +75,54 @@ def _check_pulse(space: HilbertSpace, pulse: Pulse) -> None:
             f"pulse drives {pulse.n_atoms} atoms but the space holds {space.n_atoms}")
 
 
-def _add_drive(h: np.ndarray, space: HilbertSpace, pulse: Pulse) -> None:
-    """h += (1/2) sum_i Omega_i sigma_i + h.c., in place on the sigma_i entries alone."""
+def _drive_entries(space: HilbertSpace, pulse: Pulse) -> tuple[np.ndarray, ...]:
+    """(rows, cols, values) of (1/2) sum_i Omega_i sigma_i + h.c.; signed zeros become +0.0."""
     rows, cols, atoms = lowering_entries(space)
     half = 0.5 * np.array(pulse.rabi)
-    h[rows, cols] += half[atoms]  # disjoint entries: no index repeats
-    h[cols, rows] += np.conj(half)[atoms]
+    return (np.concatenate((rows, cols)), np.concatenate((cols, rows)),
+            np.concatenate((half[atoms], np.conj(half)[atoms])) + 0j)
+
+
+def _conditional_entries(space: HilbertSpace, pulse: Pulse | None) -> tuple[np.ndarray, ...]:
+    """(rows, cols, values) of H_cond; no position repeats, and a value may be zero.
+
+    Raises ValueError for a pulse that drives another atom count than the space holds.
+    """
+    if pulse is not None:
+        _check_pulse(space, pulse)
+    params, nc = space.params, space.n_configs
+    rows, cols, atoms = lowering_entries(space)
+    roots = np.sqrt(np.arange(space.dim) // nc)  # sqrt of each flat index's photon number
+    # B has sqrt(n) at (excited in block n - 1, ground in block n) for each sigma_i
+    # entry (ground, excited) of block n - 1
+    below_top = rows < space.dim - nc
+    b_rows, b_cols = cols[below_top], rows[below_top] + nc
+    coupling = roots[b_cols] * params.g
+    loss = np.zeros(space.dim)
+    for i in range(space.n_atoms):  # one atom at a time, as sum_i gamma sigma_i^dag sigma_i rounds
+        loss[cols[atoms == i]] += params.gamma
+    loss += params.kappa * (roots * roots)  # sqrt(n)^2, not n
+    diag = np.arange(space.dim)
+    values = np.zeros(2 * coupling.size + space.dim, dtype=complex)
+    values.imag = np.concatenate((coupling, -coupling, 0.0 - loss))  # real parts stay +0.0
+    table = (np.concatenate((b_rows, b_cols, diag)), np.concatenate((b_cols, b_rows, diag)),
+             values)
+    if pulse is None:
+        return table
+    return tuple(np.concatenate(pair) for pair in zip(table, _drive_entries(space, pulse)))
+
+
+def _scatter(space: HilbertSpace, entries: tuple[np.ndarray, ...]) -> np.ndarray:
+    rows, cols, values = entries
+    h = np.zeros((space.dim, space.dim), dtype=complex)
+    h[rows, cols] = values
+    return h
 
 
 def laser_hamiltonian(space: HilbertSpace, pulse: Pulse) -> np.ndarray:
     """Hermitian drive (1/2) sum_i Omega_i sigma_i + h.c."""
     _check_pulse(space, pulse)
-    h = np.zeros((space.dim, space.dim), dtype=complex)
-    _add_drive(h, space, pulse)
-    return h
-
-
-@lru_cache(maxsize=1)  # one space at a time: at dim 4096 the generator takes 256 MB
-def _undriven_generator(space: HilbertSpace) -> np.ndarray:
-    """i g (B - B^T) - i diag(loss) with B = a (x) J_plus and loss = gamma n_exc + kappa n_phot.
-
-    Cached; the array is read-only and holds no -0.0.
-    """
-    params = space.params
-    a = cavity_factor(space)
-    lowerings = [atom_factor(space, i) for i in range(1, space.n_atoms + 1)]
-    loss = np.zeros(space.dim)
-    if params.gamma:
-        ones = np.ones(space.n_max + 1)
-        for s in lowerings:  # one atom at a time, as the sum of gamma sigma^dag sigma rounds
-            loss += params.gamma * embed(space, ones, np.diag(s.T @ s))
-    photons = embed(space, np.diag(a.T @ a), np.ones(space.n_configs))  # sqrt(n)^2, not n
-    loss += params.kappa * photons
-    b = embed(space, a, sum(lowerings).T)
-    h = np.zeros((space.dim, space.dim), dtype=complex)
-    imag = h.imag  # a view: writes land in h
-    np.subtract(b, b.T, out=imag)
-    imag *= params.g
-    imag[np.diag_indices(space.dim)] -= loss
-    return _read_only(h)
+    return _scatter(space, _drive_entries(space, pulse))
 
 
 def conditional_hamiltonian(space: HilbertSpace, pulse: Pulse | None = None) -> np.ndarray:
@@ -127,12 +132,7 @@ def conditional_hamiltonian(space: HilbertSpace, pulse: Pulse | None = None) -> 
     count than the space holds raises ValueError, also when it is off.
     Returns a fresh, writeable array.
     """
-    if pulse is not None:
-        _check_pulse(space, pulse)
-    h = _undriven_generator(space).copy()
-    if pulse is not None and not pulse.is_off:
-        _add_drive(h, space, pulse)
-    return h
+    return _scatter(space, _conditional_entries(space, pulse))
 
 
 def photon_loss_density(space: HilbertSpace, state: np.ndarray) -> float:

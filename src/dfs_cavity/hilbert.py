@@ -8,13 +8,11 @@ Conventions used throughout the package:
   ``n * 2**n_atoms + bits``.  Bit ``n_atoms - i`` of the integer ``bits``
   is 1 iff atom ``i`` (1-based) is excited, so ``format(bits, '0Nb')``
   reads atom 1 ... atom N left to right.
-* Operators are dense complex ``numpy`` matrices, states are complex
-  vectors of length ``dim``.  Dimensions stay desk-scale by construction
-  (guarded in :func:`build_space`).
-* Operators are built as cavity factor (x) atomic factor (:func:`embed`);
-  the laser drive is scattered onto the entries that :func:`lowering_entries`
-  lists.  These two are the only operator routines that know the
-  photon-major layout.
+* States are complex vectors of length ``dim``.  Dimensions stay desk-scale
+  (:func:`build_space`; dense modes check :func:`check_dense_budget`).
+* Operators are scattered onto zeros, never multiplied out.  sigma_i and the
+  drive land on the positions :func:`lowering_entries` lists, the coupling
+  b J_plus on them shifted by one photon block, b one block above the diagonal.
 """
 
 from __future__ import annotations
@@ -27,10 +25,13 @@ import numpy as np
 
 MAX_ATOMS = 12
 MAX_DIM = 65536
+# Bytes of dense dim x dim matrices a mode may hold at once (2 GiB); on a 7 GB desk machine
+# it leaves room for the expm and eig workspace and the rest of the process
+DENSE_BUDGET_BYTES = 2 << 30
 
 
 class DeskScaleError(ValueError):
-    """Requested space exceeds the desk-scale guard (N > 12 or dim > 65536)."""
+    """Requested work exceeds a desk-scale guard (N > 12, dim > 65536 or the dense budget)."""
 
 
 @dataclass(frozen=True)
@@ -124,30 +125,11 @@ def build_space(params: SystemParams) -> HilbertSpace:
     return HilbertSpace(params)
 
 
-def cavity_factor(space: HilbertSpace) -> np.ndarray:
-    """Truncated annihilation a|n> = sqrt(n)|n-1> on the Fock ladder alone (real)."""
-    return np.diag(np.sqrt(np.arange(1, space.n_max + 1)), k=1)
-
-
-def atom_factor(space: HilbertSpace, i: int) -> np.ndarray:
-    """sigma_i = |0><1| of atom i on the 2**N atomic configurations alone (real)."""
-    mask = 1 << space.atom_bit(i)
-    ground = np.arange(space.n_configs) & ~mask  # each config with atom i in |0>, twice
-    s = np.zeros((space.n_configs, space.n_configs))
-    s[ground, ground | mask] = 1.0
-    return s
-
-
-def embed(space: HilbertSpace, photon_op: np.ndarray, atom_op: np.ndarray) -> np.ndarray:
-    """photon_op (x) atom_op on the flat index n * 2**N + bits; 1-D arguments are diagonals.
-
-    Zero entries may come out as -0.0 (0 times a negative entry).
-    """
-    if photon_op.shape[0] != space.n_max + 1 or atom_op.shape[0] != space.n_configs:
-        raise ValueError("factor shapes disagree with the space")
-    if photon_op.ndim == 1:
-        return (photon_op[:, None] * atom_op[None, :]).reshape(space.dim)
-    return (photon_op[:, None, :, None] * atom_op[None, :, None, :]).reshape(space.dim, space.dim)
+def check_dense_budget(what: str, n_matrices: int, dim: int) -> None:
+    """Raise DeskScaleError when n_matrices dense complex dim x dim arrays exceed the budget."""
+    if 16 * n_matrices * dim * dim > DENSE_BUDGET_BYTES:
+        raise DeskScaleError(f"{what} would hold {n_matrices} dense complex {dim} x {dim} "
+                             f"matrices, over the budget of {DENSE_BUDGET_BYTES >> 30} GiB")
 
 
 @lru_cache(maxsize=32)
@@ -179,8 +161,12 @@ def atomic_lowering(space: HilbertSpace, i: int) -> np.ndarray:
 
     The cached return value is read-only.
     """
-    return _read_only(embed(space, np.eye(space.n_max + 1), atom_factor(space, i))
-                      .astype(complex))
+    space.atom_bit(i)  # raises ValueError for i outside [1, N]
+    rows, cols, atoms = lowering_entries(space)
+    mine = atoms == i - 1
+    op = np.zeros((space.dim, space.dim), dtype=complex)
+    op[rows[mine], cols[mine]] = 1.0
+    return _read_only(op)
 
 
 @lru_cache(maxsize=32)
@@ -190,6 +176,7 @@ def cavity_annihilation(space: HilbertSpace) -> np.ndarray:
     The truncation only breaks the ladder algebra at the cutoff row:
     b_dag |n_max> = 0.  The cached return value is read-only.
     """
-    return _read_only(embed(space, cavity_factor(space), np.eye(space.n_configs))
-                      .astype(complex))
-
+    lower = np.arange(space.dim - space.n_configs)  # every index below the top photon block
+    op = np.zeros((space.dim, space.dim), dtype=complex)
+    op[lower, lower + space.n_configs] = np.sqrt(lower // space.n_configs + 1)
+    return _read_only(op)

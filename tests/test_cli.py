@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -68,6 +69,34 @@ def test_basis_five_atoms(tmp_path):
 def test_desk_scale_guard_exit_code(tmp_path):
     cfg = write_config(tmp_path, "n_atoms = 13\nn_max = 0\n")
     assert main(["basis", "--config", cfg, "--out", str(tmp_path)]) == 3
+
+
+def run_traced(args):
+    """main(args) under tracemalloc: (exit code, traced peak in bytes)."""
+    tracemalloc.start()
+    try:
+        code = main(args)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return code, peak
+
+
+def test_trajectories_over_the_dense_budget_exit_before_allocating(tmp_path):
+    # N = 11 holds dense matrices of dim 8192, 1 GiB each
+    rabi = ", ".join(["0.05", "-0.05"] * 5 + ["0.05"])
+    cfg = write_config(tmp_path, f"n_atoms = 11\nrabi = {rabi}\nduration = 1\nsamples = 1\n")
+    code, peak = run_traced(["trajectories", "--config", cfg, "--out", str(tmp_path)])
+    assert code == 3 and peak < 1 << 20
+    assert not (tmp_path / "ensemble.json").exists()
+
+
+def test_sweep_over_the_dense_budget_exits_before_allocating(tmp_path):
+    # n_max = 2000 gives dim 8004: one stacked chunk of 40 points alone would take 38 GiB
+    cfg = write_config(tmp_path, "n_atoms = 2\nn_max = 2000\n")
+    code, peak = run_traced(["sweep", "--config", cfg, "--out", str(tmp_path)])
+    assert code == 3 and peak < 1 << 20
+    assert not (tmp_path / "sweep.csv").exists()
 
 
 def test_config_errors_exit_code(tmp_path):

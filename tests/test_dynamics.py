@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from functools import partial
 from unittest.mock import patch
 
@@ -14,7 +15,7 @@ from dfs_cavity import (Pulse, Schedule, SystemParams, atomic_lowering, build_sl
                         entangling_pulse_duration, fidelity, jump_operators,
                         no_detection_mixture, propagate_conditional, propagate_schedule,
                         run_ensemble, sample_trajectory)
-from dfs_cavity import dynamics, hamiltonians, hilbert
+from dfs_cavity import dynamics, hilbert
 from dfs_cavity.dynamics import _bisect_jump, _eigensystem
 import oracles
 from oracles import (bisect_jump_expm, conditional_state, dfs_projector,
@@ -180,6 +181,21 @@ def test_propagate_schedule_leaves_the_global_rng_alone(monkeypatch):
         assert results[0] == results[1]
     finally:
         np.random.set_state(saved)
+
+
+def test_krylov_schedule_forms_no_dense_matrix():
+    # dim 2048: one dense complex dim x dim matrix takes 64 MiB, the bound is an eighth of it
+    import scipy.sparse.linalg  # noqa: F401  (imported on first use; not part of the step)
+    space = build_space(SystemParams(n_atoms=9, kappa=1.0, gamma=1e-3, n_max=3))
+    schedule = Schedule((Pulse(tuple(0.05 * (-1) ** i for i in range(9)), 0.5),))
+    propagate_schedule(space, schedule)  # warms the cached sigma_i positions
+    tracemalloc.start()
+    try:
+        propagate_schedule(space, schedule)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < space.dim ** 2 * 16 / 8
 
 
 def test_trapped_state_is_stable():
@@ -535,7 +551,6 @@ def test_cached_arrays_are_read_only():
     assert labels == tuple(name for name, _ in jump_operators(space))
     assert all(np.array_equal(a, b) for a, (_, b) in zip(ops, jump_operators(space)))
     cached = [atomic_lowering(space, 1), cavity_annihilation(space),
-              hamiltonians._undriven_generator(space),
               *hilbert.lowering_entries(space), dfs_basis(space).vectors,
               h, u, *eig[:3], *plan.starts, plan.psi0, *ops]
     for a in cached:

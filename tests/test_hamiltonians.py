@@ -2,10 +2,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.sparse import csr_array
 
 from dfs_cavity import (Pulse, SystemParams, atomic_lowering, build_space,
                         cavity_annihilation, conditional_hamiltonian, jump_operators,
                         laser_hamiltonian, photon_loss_density)
+from dfs_cavity.dynamics import _krylov_stepper
 from oracles import (atomic_lowering_loops, cavity_annihilation_loops,
                      conditional_hamiltonian_products, laser_hamiltonian_products,
                      pair_ladder_matrix, pair_vector, two_atom_ode_rhs, two_atom_pair_basis)
@@ -203,8 +205,14 @@ def test_two_atom_ode_rhs_rejects_other_sizes():
 def assert_operators_match_oracle(params, pulse):
     """Every operator function gives the same bytes as the loop/product oracle."""
     space = build_space(params)
-    assert (conditional_hamiltonian(space, pulse).tobytes()
-            == conditional_hamiltonian_products(space, params, pulse).tobytes())
+    expected = conditional_hamiltonian_products(space, params, pulse)
+    assert conditional_hamiltonian(space, pulse).tobytes() == expected.tobytes()
+    # the Krylov steps' sparse -i H_cond, built from the entry table without a dense matrix
+    generator, _ = _krylov_stepper(space)
+    a, _ = generator(Pulse.off(params.n_atoms, 1.0) if pulse is None else pulse)
+    ref = csr_array(-1j * expected)
+    for got, want in ((a.indptr, ref.indptr), (a.indices, ref.indices), (a.data, ref.data)):
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
     if pulse is not None:
         assert (laser_hamiltonian(space, pulse).tobytes()
                 == laser_hamiltonian_products(space, pulse).tobytes())
