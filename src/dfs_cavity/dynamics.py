@@ -36,7 +36,9 @@ plan's no-jump path until the segment where its threshold is crossed, so
 one that emits nothing costs a single draw and ends in the same no-jump
 state psi0.  An ensemble keeps psi0, the survival fraction p0 and the
 average rho_perp of the trajectories that emitted; its state is
-p0 |psi0><psi0| + (1 - p0) rho_perp.
+p0 |psi0><psi0| + (1 - p0) rho_perp.  Its trajectory i draws from child i
+of ``SeedSequence(seed).spawn(n)``; the children's PCG64 states are
+computed in one batch and loaded into one reused Generator.
 """
 
 from __future__ import annotations
@@ -70,6 +72,13 @@ KRYLOV_STEP_NORM = 32.0
 # depend on them
 BRACKET_ITERATIONS = 12
 ENSEMBLE_CHUNK = 256  # trajectories summed per partial sum; fixes the summation order
+# numpy's SeedSequence hash constants (numpy/random/bit_generator.pyx) and the 128-bit
+# multiplier of PCG64's seeding LCG; numpy's stream policy (NEP 19) keeps both fixed
+_HASH_INIT_A, _HASH_MULT_A = 0x43B0D7E5, 0x931E8875
+_HASH_INIT_B, _HASH_MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_PCG64_MULT_HI, _PCG64_MULT_LO = 0x2360ED051FC65DA4, 0x4385DF649FCCF645
+_LOW32 = 0xFFFFFFFF
 
 
 @dataclass(frozen=True)
@@ -467,7 +476,9 @@ def sample_trajectory(space: HilbertSpace, schedule: Schedule, seed,
     """One quantum-jump realization of the schedule (waiting-time algorithm).
 
     Identical seeds reproduce identical jump records and final states
-    bit-exactly.  ``seed`` may be an int or a numpy SeedSequence.  From
+    bit-exactly.  ``seed`` may be an int, a numpy SeedSequence or a numpy
+    Generator, which is drawn from as it stands (``run_ensemble`` passes
+    one Generator loaded with each child's state).  From
     the ground state, the trajectory follows the plan's no-jump path up to
     the first segment whose end norm is not above its threshold; one that
     never reaches such a segment returns psi0 without a product.
@@ -526,6 +537,65 @@ def sample_trajectory(space: HilbertSpace, schedule: Schedule, seed,
     return Trajectory(tuple(jumps), psi / nrm)
 
 
+def _child_pcg64_states(seed: int, indices: np.ndarray) -> np.ndarray:
+    """PCG64 states of the children ``SeedSequence(seed).spawn(n)[i]`` for i in ``indices``.
+
+    Returns uint64 limbs of shape (len(indices), 4): the 128-bit state and
+    increment as (state_hi, state_lo, inc_hi, inc_lo), exactly the
+    ``np.random.PCG64(SeedSequence(seed, spawn_key=(i,))).state`` that
+    ``default_rng`` of the i-th spawned child starts in.  One pass over
+    arrays replaces a SeedSequence and a PCG64 per child: numpy's
+    SeedSequence mixes the seed's 32-bit words (zero-padded to the four-word
+    pool) before the spawn key's, so every child starts from the parent's
+    ``pool`` and the hash constants that follow; the key's words (one, or
+    two for i >= 2^32) are mixed into each pool word, eight state words are
+    drawn from the pool, and PCG64 seeds its LCG (O'Neill, HMC-CS-2014-0905)
+    with them.  Raises what ``SeedSequence(seed)`` raises for a bad seed.
+    """
+    pool_words = np.random.SeedSequence(seed).pool
+    idx = np.asarray(indices, dtype=np.uint64)
+    seed_words = max(4, -(-int(seed).bit_length() // 32))
+    # hash constant after the parent's hashmix calls: 4 to fill the pool, 12 to mix it
+    # and 4 per seed word beyond the fourth
+    hash_const = _HASH_INIT_A * pow(_HASH_MULT_A, 4 * seed_words, 1 << 32) & _LOW32
+    pool = np.tile(pool_words, (idx.size, 1))
+    for word, rows in ((idx & _LOW32, slice(None)), (idx >> 32, idx > _LOW32)):
+        key = word[rows].astype(np.uint32)
+        for dst in range(4):
+            hashed = key ^ np.uint32(hash_const)
+            hash_const = hash_const * _HASH_MULT_A & _LOW32
+            hashed *= np.uint32(hash_const)
+            hashed ^= hashed >> 16
+            mixed = np.uint32(_MIX_MULT_L) * pool[rows, dst] - np.uint32(_MIX_MULT_R) * hashed
+            pool[rows, dst] = mixed ^ (mixed >> 16)
+    # generate_state(4, np.uint64): eight words cycled from the pool, read little-endian
+    state_words = np.empty((idx.size, 8), dtype=np.uint32)
+    hash_const = _HASH_INIT_B
+    for dst in range(8):
+        drawn = pool[:, dst % 4] ^ np.uint32(hash_const)
+        hash_const = hash_const * _HASH_MULT_B & _LOW32
+        drawn *= np.uint32(hash_const)
+        state_words[:, dst] = drawn ^ (drawn >> 16)
+    lo32, hi32 = state_words[:, 0::2].astype(np.uint64), state_words[:, 1::2].astype(np.uint64)
+    init_hi, init_lo, seq_hi, seq_lo = (lo32 | (hi32 << 32)).T
+    # pcg_setseq_128_srandom_r: inc = 2 seq + 1, state = (inc + init) * MULT + inc mod 2^128
+    inc_hi, inc_lo = (seq_hi << 1) | (seq_lo >> 63), (seq_lo << 1) | 1
+    lo = inc_lo + init_lo
+    hi = inc_hi + init_hi + (lo < inc_lo)
+    hi = _mul_hi64(lo, _PCG64_MULT_LO) + lo * _PCG64_MULT_HI + hi * _PCG64_MULT_LO
+    lo = lo * _PCG64_MULT_LO
+    state_lo = lo + inc_lo
+    state_hi = hi + inc_hi + (state_lo < lo)
+    return np.stack([state_hi, state_lo, inc_hi, inc_lo], axis=1)
+
+
+def _mul_hi64(a: np.ndarray, b: int) -> np.ndarray:
+    """High 64 bits of the 128-bit products a * b, from 32-bit halves."""
+    a0, a1, b0, b1 = a & _LOW32, a >> 32, b & _LOW32, b >> 32
+    cross = ((a0 * b0) >> 32) + ((a1 * b0) & _LOW32) + ((a0 * b1) & _LOW32)
+    return a1 * b1 + ((a1 * b0) >> 32) + ((a0 * b1) >> 32) + (cross >> 32)
+
+
 def run_ensemble(space: HilbertSpace, schedule: Schedule, n_samples: int,
                  seed: int) -> EnsembleResult:
     """Sample n_samples seeded trajectories from the ground state.
@@ -535,10 +605,12 @@ def run_ensemble(space: HilbertSpace, schedule: Schedule, n_samples: int,
     sums of rho_perp) raise DeskScaleError over DENSE_BUDGET_BYTES, before
     any is allocated.  The sampler plan is built next, so a schedule under
     which the no-jump state vanishes raises ArithmeticError before any
-    sampling.  Child seeds are spawned from a SeedSequence over ``seed``.
-    The outer products of the trajectories that emitted are summed per
-    chunk of ENSEMBLE_CHUNK trajectories and the chunk sums are then added
-    in order.
+    sampling.  Trajectory i draws from ``SeedSequence(seed).spawn(n)[i]``:
+    the children's PCG64 states are computed in one batch
+    (_child_pcg64_states) and loaded in turn into one Generator that every
+    ``sample_trajectory`` call draws from.  The outer products of the
+    trajectories that emitted are summed per chunk of ENSEMBLE_CHUNK
+    trajectories and the chunk sums are then added in order.
     """
     if n_samples < 1:
         raise ValueError(f"n_samples must be >= 1, got {n_samples}")
@@ -547,14 +619,20 @@ def run_ensemble(space: HilbertSpace, schedule: Schedule, n_samples: int,
     plan = _sampler_plan(space, schedule)
     if plan.psi0 is None:
         raise ArithmeticError("conditional state vanished entirely")
-    children = np.random.SeedSequence(seed).spawn(n_samples)
+    child_states = _child_pcg64_states(seed, np.arange(n_samples))
+    bit_generator = np.random.PCG64()
+    rng = np.random.Generator(bit_generator)
     perp_sum = np.zeros((space.dim, space.dim), dtype=complex)
     survived = 0
     records: list[tuple[int, float, str]] = []
     for start in range(0, n_samples, ENSEMBLE_CHUNK):
         chunk_perp = np.zeros_like(perp_sum)
-        for idx in range(start, min(start + ENSEMBLE_CHUNK, n_samples)):
-            traj = sample_trajectory(space, schedule, children[idx])
+        limbs = child_states[start:start + ENSEMBLE_CHUNK].tolist()
+        for idx, (s_hi, s_lo, i_hi, i_lo) in enumerate(limbs, start):
+            bit_generator.state = {"bit_generator": "PCG64", "has_uint32": 0, "uinteger": 0,
+                                   "state": {"state": s_hi << 64 | s_lo,
+                                             "inc": i_hi << 64 | i_lo}}
+            traj = sample_trajectory(space, schedule, rng)
             if not traj.jumps:
                 survived += 1
             else:

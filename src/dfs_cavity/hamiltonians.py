@@ -64,10 +64,6 @@ class Pulse:
     def n_atoms(self) -> int:
         return len(self.rabi)
 
-    @property
-    def is_off(self) -> bool:
-        return all(r == 0 for r in self.rabi)
-
 
 def _check_pulse(space: HilbertSpace, pulse: Pulse) -> None:
     if pulse.n_atoms != space.n_atoms:

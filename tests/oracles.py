@@ -7,7 +7,8 @@ arithmetic rather than against themselves.  The inverse flat index and
 configuration bitstrings, the pair-basis amplitude equations, the
 exact-exponential Lindblad evolution, the greedy all-pairings trapped
 basis, the loop- and product-built operators, the dense-exponential
-schedule chain and quantum-jump sampler, the slow model's propagator
+schedule chain and quantum-jump sampler, the trajectory ensemble over
+numpy-spawned child seeds, the slow model's propagator
 and amplitudes, the sweep row built point by point, the no-emission
 probability and conditioned state of one propagation, the
 trapped-subspace projector and a few operator helpers that only the
@@ -20,13 +21,14 @@ import numpy as np
 from scipy.integrate import solve_ivp
 from scipy.linalg import expm
 
-from dfs_cavity import (DfsBasis, HilbertSpace, Pulse, Schedule, SlowModel, SystemParams,
-                        Trajectory, atomic_lowering, build_slow_model, build_space,
-                        conditional_hamiltonian, dfs_basis, entangling_pulse_duration,
-                        jump_operators, omega_pm, p0_closed_form, propagate_conditional)
+from dfs_cavity import (DfsBasis, EnsembleResult, HilbertSpace, Pulse, Schedule, SlowModel,
+                        SystemParams, Trajectory, atomic_lowering, build_slow_model,
+                        build_space, conditional_hamiltonian, dfs_basis,
+                        entangling_pulse_duration, jump_operators, omega_pm, p0_closed_form,
+                        propagate_conditional, sample_trajectory)
 from dfs_cavity.analytic import _sin_over_s
 from dfs_cavity.dfs import RANK_TOL, _singlet_product
-from dfs_cavity.dynamics import NORM_BISECTION_TOL
+from dfs_cavity.dynamics import ENSEMBLE_CHUNK, NORM_BISECTION_TOL
 from dfs_cavity.hamiltonians import _check_pulse
 
 PAIR_INDEX = {"g": 0, "a": 1, "s": 2, "e": 3}
@@ -323,6 +325,36 @@ def sample_trajectory_expm(space: HilbertSpace, schedule: Schedule, seed,
     return Trajectory(tuple(jumps), psi / nrm)
 
 
+def run_ensemble_spawned(space: HilbertSpace, schedule: Schedule, n_samples: int,
+                         seed: int) -> EnsembleResult:
+    """run_ensemble's reduction with one numpy-spawned child seed per trajectory.
+
+    Trajectory i is ``sample_trajectory`` on ``SeedSequence(seed).spawn(n_samples)[i]``,
+    which builds its own Generator; the emitted outer products are summed
+    per ENSEMBLE_CHUNK trajectories and the chunk sums added in order.  The
+    no-jump state is the last survivor's final state (None if none
+    survived), so the package's batched seeding must reproduce every byte.
+    """
+    children = np.random.SeedSequence(seed).spawn(n_samples)
+    perp_sum = np.zeros((space.dim, space.dim), dtype=complex)
+    survivor_state = None
+    records = []
+    for start in range(0, n_samples, ENSEMBLE_CHUNK):
+        chunk_perp = np.zeros_like(perp_sum)
+        for idx in range(start, min(start + ENSEMBLE_CHUNK, n_samples)):
+            traj = sample_trajectory(space, schedule, children[idx])
+            if not traj.jumps:
+                survivor_state = traj.final_state
+            else:
+                chunk_perp += np.outer(traj.final_state, traj.final_state.conj())
+                records.extend((idx, t, chan) for t, chan in traj.jumps)
+        perp_sum += chunk_perp
+    jumped = len({idx for idx, _, _ in records})
+    rho_perp = 0.5 * (perp_sum + perp_sum.conj().T) / jumped if jumped else None
+    return EnsembleResult((n_samples - jumped) / n_samples, survivor_state, n_samples, seed,
+                          rho_perp, tuple(records))
+
+
 def integrate_pair_amplitudes(params: SystemParams, omega1, omega2, duration,
                               rtol=1e-10, atol=1e-12):
     """Black-box DOP853 integration of the pair-basis amplitude equations.
@@ -482,7 +514,7 @@ def conditional_hamiltonian_products(space: HilbertSpace, params: SystemParams,
             h += -1j * params.gamma * (sdag @ s)
     if params.kappa:
         h += -1j * params.kappa * (b.conj().T @ b)
-    if pulse is not None and not pulse.is_off:
+    if pulse is not None and any(pulse.rabi):
         h += laser_hamiltonian_products(space, pulse)
     return h
 

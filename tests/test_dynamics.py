@@ -5,7 +5,7 @@ from unittest.mock import patch
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import solve_ivp
 from scipy.linalg import expm
@@ -688,6 +688,43 @@ def test_ensemble_hands_out_copies_of_the_cached_no_jump_state():
     assert second.p0_estimate == first.p0_estimate
     assert second.jump_records == first.jump_records
     assert second.rho_perp.tobytes() == first.rho_perp.tobytes()
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(seed=st.integers(0, 2**128),
+       indices=st.lists(st.integers(0, 10**5) | st.integers(2**32, 2**64 - 1),
+                        min_size=1, max_size=8))
+@example(seed=0, indices=[0, 2**32 - 1, 2**32])  # the spawn key's word boundary
+@example(seed=2**128, indices=[10**5])  # a five-word seed
+def test_child_pcg64_states_are_numpys_spawned_children(seed, indices):
+    # pins the batch against numpy's own SeedSequence and PCG64: a change to either
+    # stream (NEP 19 forbids one) fails here
+    limbs = dynamics._child_pcg64_states(seed, np.array(indices, dtype=np.uint64))
+    assert limbs.dtype == np.uint64 and limbs.shape == (len(indices), 4)
+    for i, (s_hi, s_lo, i_hi, i_lo) in zip(indices, limbs.tolist()):
+        state = np.random.PCG64(np.random.SeedSequence(seed, spawn_key=(i,))).state["state"]
+        assert (s_hi << 64 | s_lo, i_hi << 64 | i_lo) == (state["state"], state["inc"])
+
+
+@pytest.mark.parametrize("n_atoms, gamma, duration, n_samples, seed", [
+    (2, 0.0, "auto", 600, 1926512726),  # the ensemble benchmark's config
+    (4, 1e-3, 30.0, 260, 2**64 + 17),
+])
+def test_ensemble_has_the_bytes_of_the_spawned_reference_loop(n_atoms, gamma, duration,
+                                                               n_samples, seed):
+    params = SystemParams(n_atoms=n_atoms, g=1.0, kappa=1.0, gamma=gamma, n_max=3)
+    space = build_space(params)
+    rabi = tuple(0.05 * (-1) ** i for i in range(n_atoms))
+    if duration == "auto":
+        duration = entangling_pulse_duration(build_slow_model(params, *rabi))
+    schedule = Schedule((Pulse(rabi, duration), Pulse.off(n_atoms, 10.0)))
+    result = run_ensemble(space, schedule, n_samples, seed)
+    reference = oracles.run_ensemble_spawned(space, schedule, n_samples, seed)
+    assert reference.jump_records and reference.no_jump_state is not None
+    assert result.jump_records == reference.jump_records
+    assert result.p0_estimate == reference.p0_estimate
+    assert result.no_jump_state.tobytes() == reference.no_jump_state.tobytes()
+    assert result.rho_perp.tobytes() == reference.rho_perp.tobytes()
 
 
 def test_run_ensemble_checks_the_no_jump_state_before_sampling():

@@ -25,7 +25,7 @@ def test_pulse_validation():
     with pytest.raises(ValueError):
         Pulse((0.1,), -1.0)
     off = Pulse.off(3, 2.0)
-    assert off.is_off and off.n_atoms == 3 and off.duration == 2.0
+    assert off.rabi == (0.0,) * 3 and off.n_atoms == 3 and off.duration == 2.0
     assert Pulse((0.1 + 0.2j,), 1.0).rabi == (0.1 + 0.2j,)
 
 
