@@ -13,8 +13,9 @@ unnormalized state is the probability that no photon has been emitted,
 which is what trajectory sampling inverts: draw r uniform in (0, 1),
 evolve until the norm falls to r, then apply a jump operator
 sqrt(2*gamma)*sigma_i or sqrt(2*kappa)*b chosen with probability
-proportional to its emission weight.  That choice
-of jump operators makes conditional evolution plus jumps exactly
+proportional to its emission weight, each gathered from its entry table
+(sigma_i within a photon block, b one block down).  That choice of jump
+operators makes conditional evolution plus jumps exactly
 trace-preserving on average, which the test suite checks against an
 independent solution of the Lindblad master equation.  The sampler steps with dense
 exponentials and bisects for the jump time with O(dim^2) eigen-probes
@@ -30,7 +31,7 @@ midpoints outside that bracket, whose decisions the norm's monotonicity
 already fixes.  After a jump an eigen-probe of the rest of the segment
 decides whether its exponential is needed at all.  What the sampler
 precomputes for one (space, schedule), the segment propagators and
-eigensystems, the ground state's no-jump path and the emission channels,
+eigensystems, the ground state's no-jump path and the channel tables,
 is one cached, read-only sampler plan.  Every trajectory follows the
 plan's no-jump path until the segment where its threshold is crossed, so
 one that emits nothing costs a single draw and ends in the same no-jump
@@ -50,9 +51,9 @@ from functools import lru_cache, partial
 import numpy as np
 from scipy.linalg import expm
 
-from .hamiltonians import Pulse, _conditional_entries, conditional_hamiltonian
-from .hilbert import (HilbertSpace, _read_only, atomic_lowering, cavity_annihilation,
-                      check_dense_budget)
+from .hamiltonians import (Pulse, _channel_entries, _conditional_entries,
+                           conditional_hamiltonian)
+from .hilbert import HilbertSpace, _read_only, check_dense_budget
 
 NORM_BISECTION_TOL = 1e-10
 # An eigen-probe's squared norm is trusted to PROBE_MARGIN * cond_1(V) * dim * eps of the
@@ -235,33 +236,6 @@ def _krylov_stepper(space: HilbertSpace):
     return generator, advance
 
 
-def jump_operators(space: HilbertSpace) -> list[tuple[str, np.ndarray]]:
-    """Emission channels: ("cavity", sqrt(2 kappa) b) then ("atom_i", sqrt(2 gamma) sigma_i).
-
-    Channels with zero rate are omitted.  The ordering is part of the
-    deterministic RNG contract for trajectory sampling.
-    """
-    params = space.params
-    ops: list[tuple[str, np.ndarray]] = []
-    if params.kappa > 0:
-        ops.append(("cavity", np.sqrt(2.0 * params.kappa) * cavity_annihilation(space)))
-    if params.gamma > 0:
-        for i in range(1, space.n_atoms + 1):
-            ops.append((f"atom_{i}", np.sqrt(2.0 * params.gamma) * atomic_lowering(space, i)))
-    return ops
-
-
-@lru_cache(maxsize=16)
-def _jump_channels(space: HilbertSpace) -> tuple[tuple[str, ...], tuple[np.ndarray, ...]]:
-    """(labels, operators) of ``jump_operators(space)``, built once per space.
-
-    Cached; the operators are read-only.
-    """
-    channels = jump_operators(space)
-    return (tuple(name for name, _ in channels),
-            tuple(_read_only(op) for _, op in channels))
-
-
 @dataclass(frozen=True, eq=False)
 class _SamplerPlan:
     segments: tuple[tuple, ...]  # (H_cond, full-duration propagator, duration, eigensystem)
@@ -269,7 +243,7 @@ class _SamplerPlan:
     offsets: tuple[float, ...]  # schedule time at which each segment starts
     end_norms: tuple[float, ...]  # no-jump squared norm at each segment end; inf if duration 0
     psi0: np.ndarray | None  # normalized no-jump final state; None if it vanished
-    channels: tuple[tuple[str, ...], tuple[np.ndarray, ...]]  # _jump_channels(space)
+    channels: tuple[tuple[str, ...], tuple[tuple, ...]]  # labels, (rows, cols, values) each
 
 
 @lru_cache(maxsize=16)
@@ -278,7 +252,7 @@ def _sampler_plan(space: HilbertSpace, schedule: Schedule) -> _SamplerPlan:
 
     The no-jump path of the ground state is built with the products the
     sampler applies: a segment of zero duration leaves the state as it is.
-    The channels are the per-space ``_jump_channels`` tuple, not a copy.
+    The channels are the entry tables of ``_channel_entries``.
     Cached; every array is read-only.  Raises ValueError (from
     conditional_hamiltonian) when the schedule drives another atom count
     than the space holds.
@@ -301,8 +275,10 @@ def _sampler_plan(space: HilbertSpace, schedule: Schedule) -> _SamplerPlan:
             end_norms.append(np.inf)
         t_offset += seg.duration
     psi0 = _read_only(psi / np.linalg.norm(psi)) if np.vdot(psi, psi).real > 0 else None
+    labels, tables = _channel_entries(space)
+    tables = tuple(tuple(map(_read_only, table)) for table in tables)
     return _SamplerPlan(tuple(segments), tuple(starts), tuple(offsets), tuple(end_norms), psi0,
-                        _jump_channels(space))
+                        (labels, tables))
 
 
 def _eigensystem(h: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
@@ -498,7 +474,7 @@ def sample_trajectory(space: HilbertSpace, schedule: Schedule, seed,
         psi = np.asarray(initial_state, dtype=complex).copy()
         r = _draw_threshold(rng)
         first, t_offset = 0, 0.0
-    labels, ops = plan.channels
+    labels, tables = plan.channels
     jumps: list[tuple[float, str]] = []
     for h, u_full, duration, eig in plan.segments[first:]:
         elapsed = 0.0
@@ -516,13 +492,16 @@ def sample_trajectory(space: HilbertSpace, schedule: Schedule, seed,
                 psi = candidate
                 break
             tau, psi_at = _bisect_jump(h, eig, psi, r, remaining)
-            emitted = [op @ psi_at for op in ops]
+            emitted = []
+            for rows, cols, values in tables:  # the dense product's bytes: one entry per row
+                emitted.append(np.zeros_like(psi_at))
+                emitted[-1][rows] = values * psi_at[cols]
             weights = np.array([np.vdot(e, e).real for e in emitted])
             total = weights.sum()
             if not total > 0:
                 raise RuntimeError("norm decayed with no open emission channel")
             pick = min(int(np.searchsorted(np.cumsum(weights) / total, rng.random(),
-                                           side="right")), len(ops) - 1)
+                                           side="right")), len(tables) - 1)
             psi = emitted[pick] / np.linalg.norm(emitted[pick])
             jumps.append((t_offset + elapsed + tau, labels[pick]))
             if len(jumps) > 100_000:
@@ -601,9 +580,9 @@ def run_ensemble(space: HilbertSpace, schedule: Schedule, n_samples: int,
     """Sample n_samples seeded trajectories from the ground state.
 
     The dense matrices it holds (per segment H_cond, its propagator, V and
-    V^-1; per channel the operator and the cached one it scales; two partial
-    sums of rho_perp) raise DeskScaleError over DENSE_BUDGET_BYTES, before
-    any is allocated.  The sampler plan is built next, so a schedule under
+    V^-1; two partial sums of rho_perp; the channels are entry tables)
+    raise DeskScaleError over DENSE_BUDGET_BYTES, before any is
+    allocated.  The sampler plan is built next, so a schedule under
     which the no-jump state vanishes raises ArithmeticError before any
     sampling.  Trajectory i draws from ``SeedSequence(seed).spawn(n)[i]``:
     the children's PCG64 states are computed in one batch
@@ -614,8 +593,7 @@ def run_ensemble(space: HilbertSpace, schedule: Schedule, n_samples: int,
     """
     if n_samples < 1:
         raise ValueError(f"n_samples must be >= 1, got {n_samples}")
-    check_dense_budget("a trajectory ensemble",
-                       4 * len(schedule.segments) + 2 * (space.n_atoms + 1) + 2, space.dim)
+    check_dense_budget("a trajectory ensemble", 4 * len(schedule.segments) + 2, space.dim)
     plan = _sampler_plan(space, schedule)
     if plan.psi0 is None:
         raise ArithmeticError("conditional state vanished entirely")

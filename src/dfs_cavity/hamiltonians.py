@@ -19,6 +19,7 @@ photon block and -i g sqrt(n) on their transposes, -i(gamma n_exc + kappa n)
 on the diagonal, and the drive on the sigma_i positions and their
 transposes.  The dense functions scatter it onto zeros, the schedule
 propagator makes it sparse; the values round as full-space products do.
+The emission channels sqrt(2 kappa) b and sqrt(2 gamma) sigma_i are tables too.
 """
 
 from __future__ import annotations
@@ -106,6 +107,27 @@ def _conditional_entries(space: HilbertSpace, pulse: Pulse | None) -> tuple[np.n
     if pulse is None:
         return table
     return tuple(np.concatenate(pair) for pair in zip(table, _drive_entries(space, pulse)))
+
+
+def _channel_entries(space: HilbertSpace) -> tuple[tuple[str, ...], tuple[tuple, ...]]:
+    """Labels and (rows, cols, values) of the emission channels.
+
+    "cavity", sqrt(2 kappa) b, then "atom_1" ... "atom_N", sqrt(2 gamma)
+    sigma_i; channels with zero rate are left out.  The order is part of
+    the deterministic RNG contract for trajectory sampling.
+    """
+    params, nc = space.params, space.n_configs
+    labels, tables = [], []
+    if params.kappa > 0:
+        lower = np.arange(space.dim - nc)  # b moves block n + 1 down to block n
+        labels.append("cavity")
+        tables.append((lower, lower + nc, np.sqrt(2.0 * params.kappa) * np.sqrt(lower // nc + 1)))
+    if params.gamma > 0:
+        rows, cols, atoms = lowering_entries(space)
+        rate = np.full(space.dim // 2, np.sqrt(2.0 * params.gamma))  # dim / 2 entries each
+        labels += [f"atom_{i + 1}" for i in range(space.n_atoms)]
+        tables += [(rows[atoms == i], cols[atoms == i], rate) for i in range(space.n_atoms)]
+    return tuple(labels), tuple((r, c, v + 0j) for r, c, v in tables)
 
 
 def _scatter(space: HilbertSpace, entries: tuple[np.ndarray, ...]) -> np.ndarray:

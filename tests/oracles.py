@@ -6,8 +6,8 @@ so the package paths are checked against genuinely independent
 arithmetic rather than against themselves.  The inverse flat index and
 configuration bitstrings, the pair-basis amplitude equations, the
 exact-exponential Lindblad evolution, the greedy all-pairings trapped
-basis, the loop- and product-built operators, the dense-exponential
-schedule chain and quantum-jump sampler, the trajectory ensemble over
+basis, the loop- and product-built operators and jump channels, the
+dense-exponential schedule chain and quantum-jump sampler, the trajectory ensemble over
 numpy-spawned child seeds, the slow model's propagator
 and amplitudes, the sweep row built point by point, the no-emission
 probability and conditioned state of one propagation, the
@@ -24,7 +24,7 @@ from scipy.linalg import expm
 from dfs_cavity import (DfsBasis, EnsembleResult, HilbertSpace, Pulse, Schedule, SlowModel,
                         SystemParams, Trajectory, atomic_lowering, build_slow_model,
                         build_space, conditional_hamiltonian, dfs_basis,
-                        entangling_pulse_duration, jump_operators, omega_pm, p0_closed_form,
+                        entangling_pulse_duration, omega_pm, p0_closed_form,
                         propagate_conditional, sample_trajectory)
 from dfs_cavity.analytic import _sin_over_s
 from dfs_cavity.dfs import RANK_TOL, _singlet_product
@@ -445,8 +445,9 @@ def two_atom_ode_rhs(coeffs: np.ndarray, params: SystemParams,
 
 
 # The loop- and product-built operators the package used before it
-# assembled every operator as a photon factor (x) an atomic factor; the
-# package must reproduce them bit for bit.
+# scattered every operator from a table of entries (H_cond from
+# ``_conditional_entries``, the jump channels from ``_channel_entries``);
+# the package must reproduce them bit for bit.
 
 @lru_cache(maxsize=64)
 def atomic_lowering_loops(space: HilbertSpace, i: int) -> np.ndarray:
@@ -479,6 +480,22 @@ def cavity_annihilation_loops(space: HilbertSpace) -> np.ndarray:
         for bits in range(nc):
             op[(n - 1) * nc + bits, n * nc + bits] = root
     return op
+
+
+def jump_operators(space: HilbertSpace) -> list[tuple[str, np.ndarray]]:
+    """Emission channels: ("cavity", sqrt(2 kappa) b) then ("atom_i", sqrt(2 gamma) sigma_i).
+
+    Channels with zero rate are omitted, in the order the package's
+    sampler draws them.
+    """
+    params = space.params
+    ops = []
+    if params.kappa > 0:
+        ops.append(("cavity", np.sqrt(2.0 * params.kappa) * cavity_annihilation_loops(space)))
+    if params.gamma > 0:
+        ops += [(f"atom_{i}", np.sqrt(2.0 * params.gamma) * atomic_lowering_loops(space, i))
+                for i in range(1, space.n_atoms + 1)]
+    return ops
 
 
 def laser_hamiltonian_products(space: HilbertSpace, pulse: Pulse) -> np.ndarray:

@@ -312,9 +312,11 @@ def test_outputs_byte_identical_for_same_config_and_seed(tmp_path):
 
 def test_cli_bytes_independent_of_blas_threads(tmp_path):
     # pulse/evolve: N=4 (dim 64) runs the dense exponential, N=5 (dim 128) the Krylov
-    # steps; trajectories: N=2, 4 and 5 search jump times with eigen-probes, and N=5 is
-    # the first dim at which a dense exponential chain was seen to change its bytes
-    rabi = ("0.049+0.008j", "-0.048+0.012j", "0.05-0.003j", "-0.047-0.015j", "0.046+0.019j")
+    # steps; trajectories: N=2, 4, 5 and 6 search jump times with eigen-probes, N=5 is
+    # the first dim at which a dense exponential chain was seen to change its bytes, and
+    # the N=6 run emits from an atom, so its jumps gather from an atomic channel table
+    rabi = ("0.049+0.008j", "-0.048+0.012j", "0.05-0.003j", "-0.047-0.015j", "0.046+0.019j",
+            "-0.045+0.01j")
     cfgs = []
     for n in (4, 5):
         text = (f"n_atoms = {n}\nkappa = 1.0\nn_max = 3\nduration = 30\nevolve_points = 100\n"
@@ -323,8 +325,8 @@ def test_cli_bytes_independent_of_blas_threads(tmp_path):
                      write_config(tmp_path, text + "settle = 5\n", name=f"evolve{n}.ini")))
     traj_cfgs = [(n, write_config(tmp_path, (
         f"n_atoms = {n}\nkappa = 1.0\ngamma = 0.001\nn_max = 3\nduration = 30\nsettle = 5\n"
-        f"rabi = {', '.join(rabi[:n])}\nsamples = 200\nseed = 7\njump_log = true\n"),
-        name=f"traj{n}.ini")) for n in (2, 4, 5)]
+        f"rabi = {', '.join(rabi[:n])}\nsamples = {samples}\nseed = 7\njump_log = true\n"),
+        name=f"traj{n}.ini")) for n, samples in ((2, 200), (4, 200), (5, 200), (6, 20))]
     outputs = {}
     for threads in ("1", "2"):
         code = "from dfs_cavity.cli import main"
@@ -344,6 +346,7 @@ def test_cli_bytes_independent_of_blas_threads(tmp_path):
                                  for n, _ in traj_cfgs for name in ("ensemble.json", "jumps.csv")})
     assert outputs["1"] == outputs["2"]
     assert all(outputs["1"][n, "jumps.csv"].count(b"\n") > 1 for n, _ in traj_cfgs)
+    assert b",atom_" in outputs["1"][6, "jumps.csv"]
 
 
 def test_sweep_and_trajectories_do_not_load_sparse_linalg(tmp_path):

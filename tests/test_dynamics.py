@@ -12,13 +12,14 @@ from scipy.linalg import expm
 
 from dfs_cavity import (Pulse, Schedule, SystemParams, atomic_lowering, build_slow_model,
                         build_space, cavity_annihilation, conditional_hamiltonian, dfs_basis,
-                        entangling_pulse_duration, fidelity, jump_operators,
-                        no_detection_mixture, propagate_conditional, propagate_schedule,
-                        run_ensemble, sample_trajectory)
+                        entangling_pulse_duration, fidelity, no_detection_mixture,
+                        propagate_conditional, propagate_schedule, run_ensemble,
+                        sample_trajectory)
 from dfs_cavity import dynamics, hilbert
 from dfs_cavity.dynamics import _bisect_jump, _eigensystem
+from dfs_cavity.hamiltonians import _scatter
 import oracles
-from oracles import (bisect_jump_expm, conditional_state, dfs_projector,
+from oracles import (bisect_jump_expm, conditional_state, dfs_projector, jump_operators,
                      master_equation_evolve, no_photon_probability, pair_vector,
                      sample_trajectory_expm, schedule_states_dense)
 
@@ -533,12 +534,12 @@ def test_eigen_bracket_sides_are_verified_or_infinite():
         (-np.inf, np.inf)
 
 
-def test_jump_operators_channel_list():
+def test_sampler_plan_channel_list():
+    schedule = Schedule((Pulse((0.1, -0.1), 2.0),))
     space, params = two_atom_setup(gamma=1e-3)
-    names = [name for name, _ in jump_operators(space)]
-    assert names == ["cavity", "atom_1", "atom_2"]
+    assert dynamics._sampler_plan(space, schedule).channels[0] == ("cavity", "atom_1", "atom_2")
     lossless = build_space(SystemParams(n_atoms=2, g=1.0, kappa=1.0, gamma=0.0, n_max=3))
-    assert [n for n, _ in jump_operators(lossless)] == ["cavity"]
+    assert dynamics._sampler_plan(lossless, schedule).channels[0] == ("cavity",)
 
 
 def test_cached_arrays_are_read_only():
@@ -546,13 +547,15 @@ def test_cached_arrays_are_read_only():
     schedule = Schedule((Pulse((0.1, -0.1), 2.0),))
     plan = dynamics._sampler_plan(space, schedule)
     (h, u, _, eig), = plan.segments
-    labels, ops = plan.channels
-    assert plan.channels is dynamics._jump_channels(space)  # shared per space, not copied
-    assert labels == tuple(name for name, _ in jump_operators(space))
-    assert all(np.array_equal(a, b) for a, (_, b) in zip(ops, jump_operators(space)))
+    labels, tables = plan.channels
+    channels = jump_operators(space)
+    assert labels == tuple(name for name, _ in channels)
+    assert len(tables) == len(channels)
+    assert all(np.array_equal(_scatter(space, table), op)
+               for table, (_, op) in zip(tables, channels))
     cached = [atomic_lowering(space, 1), cavity_annihilation(space),
               *hilbert.lowering_entries(space), dfs_basis(space).vectors,
-              h, u, *eig[:3], *plan.starts, plan.psi0, *ops]
+              h, u, *eig[:3], *plan.starts, plan.psi0, *(a for table in tables for a in table)]
     for a in cached:
         with pytest.raises(ValueError):
             a[1] *= -1

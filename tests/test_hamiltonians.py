@@ -5,12 +5,14 @@ from hypothesis import strategies as st
 from scipy.sparse import csr_array
 
 from dfs_cavity import (Pulse, SystemParams, atomic_lowering, build_space,
-                        cavity_annihilation, conditional_hamiltonian, jump_operators,
-                        laser_hamiltonian, photon_loss_density)
+                        cavity_annihilation, conditional_hamiltonian, laser_hamiltonian,
+                        photon_loss_density)
 from dfs_cavity.dynamics import _krylov_stepper
+from dfs_cavity.hamiltonians import _channel_entries, _scatter
 from oracles import (atomic_lowering_loops, cavity_annihilation_loops,
-                     conditional_hamiltonian_products, laser_hamiltonian_products,
-                     pair_ladder_matrix, pair_vector, two_atom_ode_rhs, two_atom_pair_basis)
+                     conditional_hamiltonian_products, jump_operators,
+                     laser_hamiltonian_products, pair_ladder_matrix, pair_vector,
+                     two_atom_ode_rhs, two_atom_pair_basis)
 
 
 @pytest.fixture
@@ -216,16 +218,15 @@ def assert_operators_match_oracle(params, pulse):
     if pulse is not None:
         assert (laser_hamiltonian(space, pulse).tobytes()
                 == laser_hamiltonian_products(space, pulse).tobytes())
-    expected_jumps = []
-    if params.kappa > 0:
-        expected_jumps.append(np.sqrt(2.0 * params.kappa) * cavity_annihilation_loops(space))
     for i in range(1, params.n_atoms + 1):
         assert atomic_lowering(space, i).tobytes() == atomic_lowering_loops(space, i).tobytes()
-        if params.gamma > 0:
-            expected_jumps.append(np.sqrt(2.0 * params.gamma) * atomic_lowering_loops(space, i))
     assert cavity_annihilation(space).tobytes() == cavity_annihilation_loops(space).tobytes()
-    jumps = [op for _, op in jump_operators(space)]
-    assert [op.tobytes() for op in jumps] == [op.tobytes() for op in expected_jumps]
+    # the jump channels' entry tables, scattered onto zeros
+    labels, tables = _channel_entries(space)
+    expected_jumps = jump_operators(space)
+    assert list(labels) == [name for name, _ in expected_jumps]
+    assert ([_scatter(space, table).tobytes() for table in tables]
+            == [op.tobytes() for _, op in expected_jumps])
 
 
 rates = st.one_of(st.just(0.0), st.floats(0.0, 1e3))
