@@ -12,9 +12,8 @@ from .analytic import (OverdampedError, SlowModel, ZenoReport, build_slow_model,
                        zeno_timescale_check)
 from .dfs import (DfsBasis, dfs_basis, dfs_dimension, dicke_degeneracy, export_basis,
                   generating_states)
-from .dynamics import (EnsembleResult, Schedule, Trajectory, fidelity, no_detection_mixture,
-                       propagate_conditional, propagate_schedule, run_ensemble,
-                       sample_trajectory)
+from .dynamics import (EnsembleResult, Schedule, Trajectory, propagate_conditional,
+                       propagate_schedule, run_ensemble, sample_trajectory)
 from .hamiltonians import (Pulse, conditional_hamiltonian, laser_hamiltonian,
                            photon_loss_density)
 from .hilbert import (DeskScaleError, HilbertSpace, SystemParams, atomic_lowering,
@@ -27,8 +26,8 @@ __all__ = [
     "Pulse", "Schedule", "SlowModel", "SystemParams", "Trajectory", "ZenoReport",
     "atomic_lowering", "build_slow_model", "build_space", "cavity_annihilation",
     "conditional_hamiltonian", "dfs_basis", "dfs_dimension", "dicke_degeneracy",
-    "effective_rates", "entangling_pulse_duration", "export_basis", "fidelity",
-    "generating_states", "laser_hamiltonian", "no_detection_mixture",
-    "omega_pm", "p0_closed_form", "photon_loss_density", "propagate_conditional",
-    "propagate_schedule", "run_ensemble", "sample_trajectory", "zeno_timescale_check",
+    "effective_rates", "entangling_pulse_duration", "export_basis", "generating_states",
+    "laser_hamiltonian", "omega_pm", "p0_closed_form", "photon_loss_density",
+    "propagate_conditional", "propagate_schedule", "run_ensemble", "sample_trajectory",
+    "zeno_timescale_check",
 ]

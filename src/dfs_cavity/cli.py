@@ -28,8 +28,7 @@ import numpy as np
 from .analytic import (OverdampedError, build_slow_model, entangling_pulse_duration,
                        p0_closed_form, zeno_timescale_check)
 from .dfs import dfs_basis, dicke_degeneracy, export_basis
-from .dynamics import (Schedule, fidelity, no_detection_mixture, propagate_conditional,
-                       propagate_schedule, run_ensemble)
+from .dynamics import Schedule, propagate_conditional, propagate_schedule, run_ensemble
 from .hamiltonians import Pulse, conditional_hamiltonian, laser_hamiltonian
 from .hilbert import DeskScaleError, SystemParams, build_space, check_dense_budget
 
@@ -358,32 +357,34 @@ def cmd_trajectories(cfg: RunConfig, out: Path) -> None:
     space = build_space(cfg.params)
     schedule, _ = _resolve_schedule(cfg)
     result = run_ensemble(space, schedule, cfg.samples, cfg.seed)
-    if cfg.eta == 1 and result.p0_estimate == 0:
+    p0, eta = result.p0_estimate, cfg.eta
+    if eta == 1 and p0 == 0:
         raise ArithmeticError("no sample survived, so the no-detection state at eta = 1 is empty")
-    psi0 = result.no_jump_state
-    rho_perp = result.rho_perp
-    if rho_perp is None:
-        rho_perp = np.outer(psi0, psi0.conj())
-    mixture, multiplier = no_detection_mixture(result.p0_estimate, psi0, rho_perp, cfg.eta)
+    # no photon is detected: no emission (weight p0) or an undetected one ((1 - eta)(1 - p0))
+    denom = 1.0 - eta * (1.0 - p0)
     payload = {
         "mode": "trajectories",
-        "p0_estimate": result.p0_estimate,
+        "p0_estimate": p0,
         "stderr": result.stderr,
         "n_samples": result.n_samples,
         "seed": result.seed,
-        "eta": cfg.eta,
-        "multiplier": multiplier,
-        "n_jumped": result.n_samples - round(result.p0_estimate * result.n_samples),
+        "eta": eta,
+        "multiplier": p0 / denom,
+        "n_jumped": result.n_samples - round(p0 * result.n_samples),
+        "fidelity_conditional": None,
+        "fidelity": None,
     }
     if cfg.params.n_atoms == 2:
         basis = dfs_basis(space)
         target = basis.vectors[1]  # antisymmetric trapped state
-        fid_cond = float(abs(np.vdot(target, psi0)) ** 2)
-        payload["fidelity_conditional"] = fid_cond
-        payload["fidelity"] = fidelity(mixture, target)
-    else:
-        payload["fidelity_conditional"] = None
-        payload["fidelity"] = None
+        psi0 = result.no_jump_state
+        rho_perp = result.rho_perp
+        if rho_perp is None:
+            rho_perp = np.outer(psi0, psi0.conj())
+        mixture = (p0 * np.outer(psi0, psi0.conj())
+                   + (1.0 - eta) * (1.0 - p0) * rho_perp) / denom
+        payload["fidelity_conditional"] = float(abs(np.vdot(target, psi0)) ** 2)
+        payload["fidelity"] = float(np.vdot(target, mixture @ target).real)
     _write_json(out / "ensemble.json", payload)
     if cfg.jump_log:
         with (out / "jumps.csv").open("w", newline="") as fh:
@@ -392,7 +393,7 @@ def cmd_trajectories(cfg: RunConfig, out: Path) -> None:
             for traj_id, t, channel in result.jump_records:
                 writer.writerow([traj_id, f"{t:.17g}", channel])
         print(f"wrote {out / 'jumps.csv'} ({len(result.jump_records)} jumps)")
-    print(f"p0_estimate = {result.p0_estimate:.6f} +- {result.stderr:.6f} "
+    print(f"p0_estimate = {p0:.6f} +- {result.stderr:.6f} "
           f"({result.n_samples} samples)")
     print(f"wrote {out / 'ensemble.json'}")
 

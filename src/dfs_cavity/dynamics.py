@@ -621,40 +621,3 @@ def run_ensemble(space: HilbertSpace, schedule: Schedule, n_samples: int,
     rho_perp = 0.5 * (perp_sum + perp_sum.conj().T) / jumped if jumped else None
     return EnsembleResult(survived / n_samples, plan.psi0.copy(), n_samples, seed, rho_perp,
                           tuple(records))
-
-
-def no_detection_mixture(p0: float, psi0: np.ndarray, rho_perp: np.ndarray,
-                         eta: float) -> tuple[np.ndarray, float]:
-    """State prepared when no photon is *detected* with efficiency eta.
-
-    Returns the normalized mixture
-    [p0 |psi0><psi0| + (1 - eta)(1 - p0) rho_perp] / tr and the fidelity
-    multiplier p0 / (1 - eta (1 - p0)) that converts the conditional
-    fidelity into the no-detection fidelity.
-    """
-    if not 0 <= eta <= 1:
-        raise ValueError(f"eta must lie in [0, 1], got {eta}")
-    if not 0 <= p0 <= 1:
-        raise ValueError(f"p0 must lie in [0, 1], got {p0}")
-    nrm = np.linalg.norm(psi0)
-    if abs(nrm - 1.0) > 1e-9:
-        raise ValueError("psi0 must be normalized")
-    rho_perp = np.asarray(rho_perp, dtype=complex)
-    if np.max(np.abs(rho_perp - rho_perp.conj().T)) > 1e-10:
-        raise ValueError("rho_perp is not Hermitian")
-    if abs(np.trace(rho_perp).real - 1.0) > 1e-10:
-        raise ValueError("rho_perp trace differs from 1")
-    if np.linalg.eigvalsh(rho_perp).min() < -1e-10:
-        raise ValueError("rho_perp has a negative eigenvalue")
-    denom = 1.0 - eta * (1.0 - p0)
-    if denom <= 0:
-        raise ValueError("no-detection conditioning is empty (p0 = 0 with eta = 1)")
-    mix = (p0 * np.outer(psi0, psi0.conj()) + (1.0 - eta) * (1.0 - p0) * rho_perp) / denom
-    return mix, p0 / denom
-
-
-def fidelity(rho: np.ndarray, target_state: np.ndarray) -> float:
-    """Overlap <target|rho|target> of a density matrix with a pure target."""
-    if rho.shape != (target_state.shape[0], target_state.shape[0]):
-        raise ValueError("density matrix and target dimensions disagree")
-    return float(np.vdot(target_state, rho @ target_state).real)

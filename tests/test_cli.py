@@ -5,13 +5,14 @@ import subprocess
 import sys
 import tracemalloc
 from pathlib import Path
+from unittest.mock import patch
 
 import numpy as np
 import pytest
 from scipy.linalg import expm
 
 import dfs_cavity
-from dfs_cavity import SystemParams, build_space, dfs_basis, Pulse
+from dfs_cavity import SystemParams, build_space, dfs_basis, dynamics, Pulse
 from dfs_cavity.cli import SWEEP_CHUNK, main
 from oracles import effective_hamiltonian, embed_vacuum, four_atom_state, sweep_point
 
@@ -257,6 +258,49 @@ def test_trajectories_reports_detection_conditioned_fidelity(tmp_path):
     assert len({r["trajectory_id"] for r in jump_rows}) <= payload["n_jumped"]
     for row in jump_rows:
         assert row["channel"] == "cavity"
+
+
+TWO_ATOMS_DRIVEN = ("n_atoms = 2\nkappa = 1.0\ngamma = 0.002\nn_max = 3\nrabi = 0.1, -0.1\n"
+                    "duration = auto\nsettle = 10\nsamples = 300\n")
+
+
+@pytest.mark.parametrize("text, eta", [
+    (TWO_ATOMS_DRIVEN, 0.0), (TWO_ATOMS_DRIVEN, 0.5), (TWO_ATOMS_DRIVEN, 1.0),
+    # lasers off: every sample survives, so the run has no rho_perp
+    ("n_atoms = 2\nkappa = 1.0\nn_max = 3\nrabi = 0, 0\nduration = 5\nsamples = 50\n", 0.7),
+    ("n_atoms = 3\nkappa = 1.0\ngamma = 0.001\nn_max = 3\nrabi = 0.1, -0.1, 0.05j\n"
+     "duration = 15\nsettle = 5\nsamples = 100\nseed = 11\n", 0.5),
+], ids=["eta0", "eta0.5", "eta1", "lasers-off", "three-atoms"])
+def test_trajectories_outputs_match_the_undetected_state_of_the_samples(tmp_path, text, eta):
+    sample_trajectory = dynamics.sample_trajectory
+    sampled = []
+
+    def recording(space, *args):
+        sampled.append((space, sample_trajectory(space, *args)))
+        return sampled[-1][1]
+
+    cfg = write_config(tmp_path, text + f"eta = {eta}\n")
+    with patch.object(dynamics, "sample_trajectory", recording):
+        assert main(["trajectories", "--config", cfg, "--out", str(tmp_path)]) == 0
+    payload = json.loads((tmp_path / "ensemble.json").read_text())
+    space = sampled[0][0]
+    trajectories = [traj for _, traj in sampled]
+    assert len(trajectories) == payload["n_samples"]
+    survivors = [traj for traj in trajectories if not traj.jumps]
+    p0 = len(survivors) / len(trajectories)
+    assert payload["p0_estimate"] == p0
+    assert payload["multiplier"] == pytest.approx(p0 / (1.0 - eta * (1.0 - p0)), abs=1e-12)
+    if space.params.n_atoms != 2:
+        assert payload["fidelity_conditional"] is None and payload["fidelity"] is None
+        return
+    # no photon detected: a survivor weighs 1, an emitter goes unseen with 1 - eta
+    rho = sum((1.0 - eta if traj.jumps else 1.0)
+              * np.outer(traj.final_state, traj.final_state.conj()) for traj in trajectories)
+    rho /= np.trace(rho).real
+    target = dfs_basis(space).vectors[1]
+    assert payload["fidelity"] == pytest.approx(np.vdot(target, rho @ target).real, abs=1e-12)
+    assert payload["fidelity_conditional"] == pytest.approx(
+        abs(np.vdot(target, survivors[0].final_state)) ** 2, abs=1e-12)
 
 
 def test_sweep_agreement_wherever_weak_driving_holds(tmp_path):

@@ -12,9 +12,8 @@ from scipy.linalg import expm
 
 from dfs_cavity import (Pulse, Schedule, SystemParams, atomic_lowering, build_slow_model,
                         build_space, cavity_annihilation, conditional_hamiltonian, dfs_basis,
-                        entangling_pulse_duration, fidelity, no_detection_mixture,
-                        propagate_conditional, propagate_schedule, run_ensemble,
-                        sample_trajectory)
+                        entangling_pulse_duration, propagate_conditional, propagate_schedule,
+                        run_ensemble, sample_trajectory)
 from dfs_cavity import dynamics, hilbert
 from dfs_cavity.dynamics import _bisect_jump, _eigensystem
 from dfs_cavity.hamiltonians import _scatter
@@ -659,6 +658,11 @@ def test_ensemble_survivors_share_the_no_jump_state(n_atoms, gamma, n_samples):
     psi0 = result.no_jump_state
     assert psi0.tobytes() == dynamics._sampler_plan(space, schedule).psi0.tobytes()
     assert all(traj.final_state.tobytes() == psi0.tobytes() for traj in survivors)
+    # rho_perp is a density matrix: Hermitian, unit trace, positive semidefinite
+    rho_perp = result.rho_perp
+    assert np.array_equal(rho_perp, rho_perp.conj().T)
+    assert abs(np.trace(rho_perp) - 1.0) <= 1e-12
+    assert np.linalg.eigvalsh(rho_perp).min() >= -1e-10
     # p0 |psi0><psi0| + (1 - p0) rho_perp is the average over every trajectory
     p0 = result.p0_estimate
     assert p0 == len(survivors) / n_samples
@@ -872,42 +876,6 @@ def test_truncation_convergence():
         h = conditional_hamiltonian(space, Pulse((0.1, -0.1), duration))
         results[n_max] = no_photon_probability(h, space.ground_state(), duration)
     assert abs(results[3] - results[5]) < 1e-6
-
-
-def test_no_detection_mixture():
-    space, _ = two_atom_setup()
-    psi = singlet_state(space)
-    ortho = space.ground_state()
-    rho_perp = np.outer(ortho, ortho.conj())
-
-    mix, mult = no_detection_mixture(0.7, psi, rho_perp, eta=1.0)
-    assert mult == pytest.approx(1.0)
-    assert np.max(np.abs(mix - np.outer(psi, psi.conj()))) < 1e-12
-
-    mix, mult = no_detection_mixture(1.0, psi, rho_perp, eta=0.3)
-    assert mult == pytest.approx(1.0)
-    assert np.max(np.abs(mix - np.outer(psi, psi.conj()))) < 1e-12
-
-    mix, mult = no_detection_mixture(0.9, psi, rho_perp, eta=0.0)
-    assert fidelity(mix, psi) == pytest.approx(0.9)
-    assert mult == pytest.approx(0.9)
-
-    with pytest.raises(ValueError):
-        no_detection_mixture(1.2, psi, rho_perp, eta=0.0)
-    with pytest.raises(ValueError):
-        no_detection_mixture(0.5, psi, rho_perp, eta=-0.1)
-    with pytest.raises(ValueError):
-        no_detection_mixture(0.0, psi, rho_perp, eta=1.0)
-
-
-def test_fidelity():
-    space, _ = two_atom_setup()
-    psi = singlet_state(space)
-    assert fidelity(np.outer(psi, psi.conj()), psi) == pytest.approx(1.0)
-    ortho = space.ground_state()
-    assert fidelity(np.outer(ortho, ortho.conj()), psi) == pytest.approx(0.0)
-    with pytest.raises(ValueError):
-        fidelity(np.eye(3), psi)
 
 
 def test_schedule_validation():
