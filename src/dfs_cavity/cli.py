@@ -407,9 +407,10 @@ def cmd_evolve(cfg: RunConfig, out: Path) -> None:
     times = np.linspace(0.0, schedule.total_duration, cfg.evolve_points)
     states = propagate_schedule(space, schedule, times)
     rows = []
+    conj_basis = basis.vectors.conj()
     for t, psi in zip(times, states):
         p0 = float(np.vdot(psi, psi).real)
-        amps = basis.vectors.conj() @ psi
+        amps = conj_basis @ psi
         dfs_pop = float(np.vdot(amps, amps).real / p0) if p0 > 0 else 0.0
         rows.append((float(t), p0, dfs_pop))
     with (out / "evolve.csv").open("w", newline="") as fh:

@@ -28,8 +28,11 @@ exceptional point) take the same search and simply recompute more probes.
 A regula falsi on the eigen-probes first brackets the jump time between
 two probes that lie clear of the margin, and the bisection skips the
 midpoints outside that bracket, whose decisions the norm's monotonicity
-already fixes.  After a jump an eigen-probe of the rest of the segment
-decides whether its exponential is needed at all.  What the sampler
+already fixes.  One search, _next_jump, decides what is left of a segment:
+an eigen-probe at its end rules survival out without an exponential, or
+else the exponential at its end (at a segment start, the plan's cached
+propagator) decides, and the bisection runs only if that says the state
+does not survive.  What the sampler
 precomputes for one (space, schedule), the segment propagators and
 eigensystems, the ground state's no-jump path and the channel tables,
 is one cached, read-only sampler plan.  Every trajectory follows the
@@ -310,29 +313,41 @@ def _draw_threshold(rng: np.random.Generator) -> float:
     return r
 
 
-def _bisect_jump(h: np.ndarray, eig: tuple, psi: np.ndarray, r: float,
-                 t_max: float) -> tuple[float, np.ndarray]:
-    """Locate tau in (0, t_max] where ||U(tau) psi||^2 crosses r.
+def _next_jump(h: np.ndarray, u: np.ndarray | None, eig: tuple, psi: np.ndarray, r: float,
+               t_max: float) -> tuple[float | None, np.ndarray]:
+    """(tau, U(tau) psi) at the tau in (0, t_max] where ||U(tau) psi||^2 crosses r.
 
+    A state that outlives t_max returns (None, U(t_max) psi).  ``u`` is
+    U(t_max) when the caller holds it (a segment start), else None.  An
+    eigen-probe V (exp(-i lam t_max) * V^-1 psi) from ``eig`` (see
+    _eigensystem) decides first: one more than NORM_BISECTION_TOL + delta
+    below r cannot come from a norm above r, so no exponential is formed.
+    Otherwise the exponential at t_max decides, ``u`` or expm(-i t_max h).
     The norm is non-increasing along the conditional evolution, so 200
     halvings reach |norm^2 - r| <= 1e-10; if not, raise ArithmeticError.
-    Each probe is V (exp(-i lam tau) * V^-1 psi) from ``eig`` (see
-    _eigensystem); one not farther than NORM_BISECTION_TOL + delta from
+    Each halving's probe not farther than NORM_BISECTION_TOL + delta from
     r (NaN and delta = inf included) is recomputed with the exponential,
     which then decides.  Every decision, and so the result, is the one
     exponential probes alone would give.  The halvings replay from the
     bracket (a, b) of _eigen_bracket: a midpoint at or below a is decided
     "later" and one at or above b "earlier" without a probe, the
     decisions any probe there would make.  A jump costs about 11-15
-    eigen-probes and 1.5 / 1.9 / 1.9 / 2.3 / 3.3 exponentials at N = 2 /
-    3 / 4 / 5 / 6 (``n_max = 3``): the deciding one, those of other
-    midpoints inside the margin, and the post-jump propagator when the
-    trajectory survives the rest of the segment (see _survives).
+    eigen-probes (11.19 at N = 2, 11.84 at N = 4) and 1.5 / 1.9 / 1.9 /
+    2.3 / 3.3 exponentials at N = 2 / 3 / 4 / 5 / 6 (``n_max = 3``): the
+    deciding one, those of other midpoints inside the margin, and the one
+    at t_max of the rest of the segment after the jump, unless its
+    eigen-probe rules survival out.
     """
     lam, v, v_inv, delta = eig
     coeffs = v_inv @ psi
     trusted = NORM_BISECTION_TOL + delta
-    a, b = _eigen_bracket(lam, v, coeffs, np.vdot(psi, psi).real, r, t_max,
+    end = _eigen_probe(lam, v, coeffs, t_max)
+    n_end = np.vdot(end, end).real
+    if not n_end - r < -trusted:
+        survivor = (expm(-1j * t_max * h) if u is None else u) @ psi
+        if np.vdot(survivor, survivor).real > r:
+            return None, survivor
+    a, b = _eigen_bracket(lam, v, coeffs, np.vdot(psi, psi).real, n_end, r, t_max,
                           trusted + 2.0 * delta)
     lo, hi = 0.0, t_max
     for _ in range(200):
@@ -359,11 +374,12 @@ def _bisect_jump(h: np.ndarray, eig: tuple, psi: np.ndarray, r: float,
     return mid, cand
 
 
-def _eigen_bracket(lam: np.ndarray, v: np.ndarray, coeffs: np.ndarray, norm0: float, r: float,
-                   t_max: float, s: float) -> tuple[float, float]:
+def _eigen_bracket(lam: np.ndarray, v: np.ndarray, coeffs: np.ndarray, norm0: float,
+                   norm_max: float, r: float, t_max: float, s: float) -> tuple[float, float]:
     """Times a < b in (0, t_max] where eigen-probes put norm^2 - r above s and below -s.
 
-    norm0 is the squared norm at time 0.  Pegasus regula falsi (Dowell &
+    norm0 is the squared norm at time 0 and norm_max the eigen-probe's at
+    t_max, which is not probed again.  Pegasus regula falsi (Dowell &
     Jarratt, BIT 12, 503 (1972)) on log(norm^2 / r), which is close to
     linear where the norm decays exponentially, finds a time t* whose
     probe lies within s of r; t* -+ 1.25 (s + |norm^2(t*) - r|) / |slope|
@@ -379,20 +395,22 @@ def _eigen_bracket(lam: np.ndarray, v: np.ndarray, coeffs: np.ndarray, norm0: fl
     if not s < np.inf:
         return a, b
 
-    def probe(t):
+    def verify(t, norm):
         nonlocal a, b
-        cand = _eigen_probe(lam, v, coeffs, t)
-        norm = np.vdot(cand, cand).real
         if norm - r > s:
             a = max(a, t)
         elif norm - r < -s:
             b = min(b, t)
         return norm
 
+    def probe(t):
+        cand = _eigen_probe(lam, v, coeffs, t)
+        return verify(t, np.vdot(cand, cand).real)
+
     def log_ratio(norm):
         return math.log(norm / r) if norm > 0 else -np.inf
 
-    lo, n_lo, hi, n_hi = 0.0, norm0, t_max, probe(t_max)
+    lo, n_lo, hi, n_hi = 0.0, norm0, t_max, verify(t_max, norm_max)
     g_lo, g_hi, side, root = log_ratio(n_lo), log_ratio(n_hi), 0, None
     for _ in range(BRACKET_ITERATIONS):
         if not g_lo > 0 > g_hi > -np.inf:
@@ -431,22 +449,6 @@ def _eigen_probe(lam: np.ndarray, v: np.ndarray, coeffs: np.ndarray, t: float) -
     return v @ (np.exp(-1j * t * lam) * coeffs)
 
 
-def _survives(h: np.ndarray, eig: tuple, psi: np.ndarray, r: float,
-              t: float) -> np.ndarray | None:
-    """exp(-i h t) psi if its squared norm exceeds r, else None.
-
-    An eigen-probe decides first: one more than NORM_BISECTION_TOL + delta
-    below r cannot come from a norm above r, so no exponential is formed.
-    Otherwise the exponential decides, and its product is returned.
-    """
-    lam, v, v_inv, delta = eig
-    cand = _eigen_probe(lam, v, v_inv @ psi, t)
-    if np.vdot(cand, cand).real - r < -(NORM_BISECTION_TOL + delta):
-        return None
-    cand = expm(-1j * t * h) @ psi
-    return cand if np.vdot(cand, cand).real > r else None
-
-
 def sample_trajectory(space: HilbertSpace, schedule: Schedule, seed,
                       initial_state: np.ndarray | None = None) -> Trajectory:
     """One quantum-jump realization of the schedule (waiting-time algorithm).
@@ -478,20 +480,12 @@ def sample_trajectory(space: HilbertSpace, schedule: Schedule, seed,
     jumps: list[tuple[float, str]] = []
     for h, u_full, duration, eig in plan.segments[first:]:
         elapsed = 0.0
-        while True:
-            remaining = duration - elapsed
-            if remaining <= 0:
+        while elapsed < duration:
+            tau, psi_at = _next_jump(h, u_full if elapsed == 0.0 else None, eig, psi, r,
+                                     duration - elapsed)
+            if tau is None:
+                psi = psi_at
                 break
-            if elapsed == 0.0:
-                candidate = u_full @ psi
-                survived = np.vdot(candidate, candidate).real > r
-            else:
-                candidate = _survives(h, eig, psi, r, remaining)
-                survived = candidate is not None
-            if survived:
-                psi = candidate
-                break
-            tau, psi_at = _bisect_jump(h, eig, psi, r, remaining)
             emitted = []
             for rows, cols, values in tables:  # the dense product's bytes: one entry per row
                 emitted.append(np.zeros_like(psi_at))

@@ -15,7 +15,7 @@ from dfs_cavity import (Pulse, Schedule, SystemParams, atomic_lowering, build_sl
                         entangling_pulse_duration, propagate_conditional, propagate_schedule,
                         run_ensemble, sample_trajectory)
 from dfs_cavity import dynamics, hilbert
-from dfs_cavity.dynamics import _bisect_jump, _eigensystem
+from dfs_cavity.dynamics import _eigensystem, _next_jump
 from dfs_cavity.hamiltonians import _scatter
 import oracles
 from oracles import (bisect_jump_expm, conditional_state, dfs_projector, jump_operators,
@@ -301,15 +301,39 @@ def test_conditional_state_rejects_vanished_state():
         conditional_state(h, pair_vector(space, 0, "s"), 1500.0)
 
 
-def test_bisect_jump_raises_when_the_norm_never_reaches_the_threshold():
+def test_next_jump_returns_the_survivor_when_the_norm_never_reaches_the_threshold():
     # a Hermitian generator keeps ||psi||^2 = 1, so the threshold 0.5 is never crossed
     h = np.array([[0.0, 0.3], [0.3, 1.0]], dtype=complex)
     psi = np.array([1.0, 0.0], dtype=complex)
     lam, v, v_inv, delta = _eigensystem(h)
     assert np.isfinite(delta)
+    exact = expm(-1j * 1.0 * h) @ psi
+    # a stand-in for the cached U(t_max), so the test sees which product is returned
+    u = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
     for eig in ((lam, v, v_inv, delta), (lam, v, v_inv, np.inf)):
+        tau, state = _next_jump(h, None, eig, psi, 0.5, 1.0)
+        assert tau is None and state.tobytes() == exact.tobytes()
+        tau, state = _next_jump(h, u, eig, psi, 0.5, 1.0)
+        assert tau is None and state.tobytes() == (u @ psi).tobytes()
+
+
+def test_next_jump_raises_when_the_bisection_does_not_converge():
+    # delta = inf sends every probe to the exponential, and a stand-in exponential whose
+    # norm stays 2e-10 above r at every midpoint and is below r only at t_max leaves every
+    # halving undecided by more than the tolerance
+    h = np.diag([1.0, 0.0]).astype(complex)
+    psi = np.array([1.0, 0.0], dtype=complex)
+    lam, v, v_inv, _ = _eigensystem(h)
+    r, t_max = 0.5, 1.0
+
+    def stand_in(a):
+        t = (1j * a[0, 0]).real  # a = -1j t h
+        return math.sqrt(r + 2e-10 if t < t_max else r - 1e-3) * np.eye(2, dtype=complex)
+
+    with patch.object(dynamics, "expm", side_effect=stand_in) as exact:
         with pytest.raises(ArithmeticError):
-            _bisect_jump(h, eig, psi, 0.5, 1.0)
+            _next_jump(h, None, (lam, v, v_inv, np.inf), psi, r, t_max)
+    assert exact.call_count == 201  # t_max, then one per halving
 
 
 def assert_same_trajectory(a, b):
@@ -335,19 +359,17 @@ def jump_scenarios(draw):
 @settings(max_examples=40, deadline=None)
 @given(jump_scenarios())
 def test_eigen_probe_search_matches_the_exponential_search(scenario):
-    # every eigen-probe (bracket, bisection and post-jump remainder) is checked against
-    # the exponential applied to the state its own search started from
+    # every eigen-probe (the one at t_max, the bracket's and the bisection's) is checked
+    # against the exponential applied to the state its own search started from
     space, schedule, seed = scenario
     context, misses = {}, []
 
-    def with_context(fn):
-        def wrapped(h, eig, psi, r, t):
-            context.update(h=h, psi=psi, delta=eig[3])
-            try:
-                return fn(h, eig, psi, r, t)
-            finally:
-                context.clear()
-        return wrapped
+    def with_context(h, u, eig, psi, r, t):
+        context.update(h=h, psi=psi, delta=eig[3])
+        try:
+            return _next_jump(h, u, eig, psi, r, t)
+        finally:
+            context.clear()
 
     def probe(lam, v, coeffs, t):
         out = eigen_probe(lam, v, coeffs, t)
@@ -358,8 +380,7 @@ def test_eigen_probe_search_matches_the_exponential_search(scenario):
         return out
 
     eigen_probe = dynamics._eigen_probe
-    with patch.object(dynamics, "_bisect_jump", with_context(_bisect_jump)), \
-            patch.object(dynamics, "_survives", with_context(dynamics._survives)), \
+    with patch.object(dynamics, "_next_jump", with_context), \
             patch.object(dynamics, "_eigen_probe", probe):
         fast = sample_trajectory(space, schedule, seed)
     reference = sample_trajectory_expm(space, schedule, seed)
@@ -398,16 +419,17 @@ def test_singular_eigenvectors_probe_with_the_exponential():
     assert eig[3] == np.inf
     counts = []
 
-    def search(h, eig, psi, r, t_max):
+    def search(h, u, eig, psi, r, t_max):
         with patch.object(dynamics, "expm", wraps=expm) as exact, \
                 patch.object(dynamics, "_eigen_probe", wraps=dynamics._eigen_probe) as probe:
-            out = _bisect_jump(h, eig, psi, r, t_max)
-        counts.append((probe.call_count, exact.call_count))
+            out = _next_jump(h, u, eig, psi, r, t_max)
+        # a product with the cached propagator u is the exponential at t_max
+        counts.append((probe.call_count, exact.call_count + (u is not None)))
         return out
 
     symmetric = pair_vector(space, 0, "s")
     for seed in range(5):
-        with patch.object(dynamics, "_bisect_jump", search):
+        with patch.object(dynamics, "_next_jump", search):
             fast = sample_trajectory(space, schedule, seed, symmetric)
         reference = sample_trajectory_expm(space, schedule, seed, symmetric)
         assert_same_trajectory(fast, reference)
@@ -504,6 +526,28 @@ def test_threshold_at_the_post_jump_remainder_norm_matches_the_exponential_sampl
     assert [t for t, _ in reference.jumps] == [tau]
 
 
+def test_segment_entered_after_a_jump_uses_the_cached_propagator():
+    # seed 4 jumps twice in the pulse and survives the lasers-off segment, which it enters
+    # with a jumped state: the cached full-duration propagator answers there, no expm
+    space, _ = two_atom_setup()
+    schedule = Schedule((Pulse((0.3, -0.2), 10.0), Pulse.off(2, 10.0)))
+    h_off, u_off = dynamics._sampler_plan(space, schedule).segments[1][:2]
+    calls = []
+
+    def search(h, u, eig, psi, r, t_max):
+        with patch.object(dynamics, "expm", wraps=expm) as exact:
+            out = _next_jump(h, u, eig, psi, r, t_max)
+        if h is h_off:
+            calls.append((u is u_off, exact.call_count, out[0]))
+        return out
+
+    with patch.object(dynamics, "_next_jump", search):
+        fast = sample_trajectory(space, schedule, 4)
+    assert fast.jumps and all(t <= 10.0 for t, _ in fast.jumps)
+    assert calls == [(True, 0, None)]
+    assert_same_trajectory(fast, sample_trajectory_expm(space, schedule, 4))
+
+
 def test_eigen_bracket_sides_are_verified_or_infinite():
     # a verified side holds the exponential's norm beyond the tolerance on its side of r;
     # a side that no probe verified stays infinite, so the bisection probes there
@@ -520,8 +564,10 @@ def test_eigen_bracket_sides_are_verified_or_infinite():
         return np.vdot(x, x).real - r
 
     at_t_max = excess(t_max, 0.0)
+    end = dynamics._eigen_probe(lam, v, coeffs, t_max)
+    n_end = np.vdot(end, end).real
     for r in (0.9, 0.5, 0.1, 0.01, at_t_max):
-        a, b = dynamics._eigen_bracket(lam, v, coeffs, 1.0, r, t_max, s)
+        a, b = dynamics._eigen_bracket(lam, v, coeffs, 1.0, n_end, r, t_max, s)
         assert 0 < a < b
         assert excess(a, r) > dynamics.NORM_BISECTION_TOL
         if r == at_t_max:
@@ -529,7 +575,7 @@ def test_eigen_bracket_sides_are_verified_or_infinite():
         else:
             assert b <= t_max and excess(b, r) < -dynamics.NORM_BISECTION_TOL
             assert b - a < 1e-6
-    assert dynamics._eigen_bracket(lam, v, coeffs, 1.0, 0.5, t_max, np.inf) == \
+    assert dynamics._eigen_bracket(lam, v, coeffs, 1.0, n_end, 0.5, t_max, np.inf) == \
         (-np.inf, np.inf)
 
 
