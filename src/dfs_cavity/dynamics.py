@@ -167,51 +167,42 @@ def propagate_schedule(space: HilbertSpace, schedule: Schedule,
                        times: np.ndarray | None = None) -> np.ndarray:
     """No-emission evolution of the ground state through the schedule.
 
-    Returns the unnormalized final state or, given non-decreasing
-    ``times`` inside the schedule span, one row per time holding the
-    state at that time.  A step that passes a segment end by more than
-    1e-12 is split there.  Each step applies exp(-i H_cond t): up to
-    DENSE_MAX_DIM as the dense exponential, above it with
-    ``expm_multiply`` in equal sub-steps of norm at most KRYLOV_STEP_NORM,
-    so the result does not depend on numpy's global RNG, which is left
-    untouched.  Raises ArithmeticError when the squared norm of the final
-    state underflows to zero, and ValueError (from the H_cond builder)
-    when the schedule drives another atom count than the space holds.
+    Returns the unnormalized final state or, given finite non-decreasing
+    ``times`` inside the schedule span (else ValueError), one row per
+    time.  Both come from one walk to the schedule end that steps from
+    each segment's start, so a segment is stepped by exactly its duration
+    and a row at a segment end has the bytes of the final state there (up
+    to DENSE_MAX_DIM, also of the sampler's no-jump state).  A time up to
+    1e-12 past a segment end is taken at that end.  Each step applies
+    exp(-i H_cond t): up to DENSE_MAX_DIM as the dense exponential, above
+    it with ``expm_multiply`` in equal sub-steps of norm at most
+    KRYLOV_STEP_NORM, so numpy's global RNG is left untouched.  Raises
+    ArithmeticError when the squared norm at the schedule end underflows
+    to zero, and ValueError (from the H_cond builder) when the schedule
+    drives another atom count than the space holds.
     """
     if space.dim <= DENSE_MAX_DIM:
         generator = partial(conditional_hamiltonian, space)
         advance = propagate_conditional
     else:
         generator, advance = _krylov_stepper(space)
-
-    psi = space.ground_state()
-    if times is None:
-        for seg in schedule.segments:
-            psi = advance(generator(seg), psi, seg.duration)
-        out = psi
-    else:
-        times = np.asarray(times, dtype=float)
-        if (times.ndim != 1 or not times.size or times[0] < 0 or np.any(np.diff(times) < 0)
-                or times[-1] > schedule.total_duration + 1e-12):
-            raise ValueError("times must be non-decreasing and lie within the schedule span")
-        out = np.empty((times.size, space.dim), dtype=complex)
-        segments = iter(schedule.segments)
-        seg = next(segments)
-        gen = generator(seg)
-        cursor, seg_end = 0.0, seg.duration
-        for k, t in enumerate(times):
-            while t > seg_end + 1e-12:
-                psi = advance(gen, psi, seg_end - cursor)
-                cursor = seg_end
-                seg = next(segments)
-                gen = generator(seg)
-                seg_end += seg.duration
-            psi = advance(gen, psi, min(t, seg_end) - cursor)
-            cursor = min(t, seg_end)
-            out[k] = psi
+    grid = np.asarray([] if times is None else times, dtype=float)
+    if times is not None and (grid.ndim != 1 or not grid.size or not np.isfinite(grid).all()
+                              or grid[0] < 0 or np.any(np.diff(grid) < 0)
+                              or grid[-1] > schedule.total_duration + 1e-12):
+        raise ValueError("times must be finite, non-decreasing and lie within the schedule span")
+    out = np.empty((grid.size, space.dim), dtype=complex)
+    psi, start, k = space.ground_state(), 0.0, 0
+    for seg in schedule.segments:
+        gen, at, end = generator(seg), 0.0, start + seg.duration
+        while k < grid.size and grid[k] <= end + 1e-12:
+            t = seg.duration if grid[k] >= end else grid[k] - start
+            psi, at = advance(gen, psi, t - at), t
+            out[k], k = psi, k + 1
+        psi, start = advance(gen, psi, seg.duration - at), end
     if not np.vdot(psi, psi).real > 0:
         raise ArithmeticError("conditional state vanished entirely")
-    return out
+    return psi if times is None else out
 
 
 def _krylov_stepper(space: HilbertSpace):
@@ -256,10 +247,13 @@ def _sampler_plan(space: HilbertSpace, schedule: Schedule) -> _SamplerPlan:
     The no-jump path of the ground state is built with the products the
     sampler applies: a segment of zero duration leaves the state as it is.
     The channels are the entry tables of ``_channel_entries``.
-    Cached; every array is read-only.  Raises ValueError (from
+    Cached; every array is read-only.  Raises DeskScaleError, before it
+    builds anything, when its dense matrices (per segment H_cond, its
+    propagator, V and V^-1) exceed DENSE_BUDGET_BYTES, and ValueError (from
     conditional_hamiltonian) when the schedule drives another atom count
     than the space holds.
     """
+    check_dense_budget("a sampler plan", 4 * len(schedule.segments), space.dim)
     segments, starts, offsets, end_norms = [], [], [], []
     psi, t_offset = space.ground_state(), 0.0
     for seg in schedule.segments:
@@ -459,7 +453,8 @@ def sample_trajectory(space: HilbertSpace, schedule: Schedule, seed,
     one Generator loaded with each child's state).  From
     the ground state, the trajectory follows the plan's no-jump path up to
     the first segment whose end norm is not above its threshold; one that
-    never reaches such a segment returns psi0 without a product.
+    never reaches such a segment returns psi0 without a product.  The
+    plan raises DeskScaleError over DENSE_BUDGET_BYTES.
     """
     plan = _sampler_plan(space, schedule)
     rng = np.random.default_rng(seed)

@@ -10,10 +10,11 @@ from hypothesis import strategies as st
 from scipy.integrate import solve_ivp
 from scipy.linalg import expm
 
-from dfs_cavity import (Pulse, Schedule, SystemParams, atomic_lowering, build_slow_model,
-                        build_space, cavity_annihilation, conditional_hamiltonian, dfs_basis,
-                        entangling_pulse_duration, propagate_conditional, propagate_schedule,
-                        run_ensemble, sample_trajectory)
+from dfs_cavity import (DeskScaleError, Pulse, Schedule, SystemParams, atomic_lowering,
+                        build_slow_model, build_space, cavity_annihilation,
+                        conditional_hamiltonian, dfs_basis, entangling_pulse_duration,
+                        propagate_conditional, propagate_schedule, run_ensemble,
+                        sample_trajectory)
 from dfs_cavity import dynamics, hilbert
 from dfs_cavity.dynamics import _eigensystem, _next_jump
 from dfs_cavity.hamiltonians import _scatter
@@ -121,7 +122,10 @@ def test_propagate_schedule_chains_segments(monkeypatch):
         assert same(rows[2], at_boundary)
         assert same(rows[4], at_end)
         assert np.allclose(rows[4], chained, rtol=0, atol=1e-12)
-        for bad in ([0.0, 5.6], [1.0, 0.5], [-0.1], []):
+        # a time up to 1e-12 past a segment end is taken at that end, and its row written
+        late = propagate_schedule(space, schedule, [0.0, 1.5, 3.0 + 5e-13, 4.0, 5.5 + 5e-13])
+        assert np.array_equal(late, rows)
+        for bad in ([0.0, 5.6], [1.0, 0.5], [-0.1], [], [math.nan], [0.0, math.nan, 1.0]):
             with pytest.raises(ValueError):
                 propagate_schedule(space, schedule, bad)
 
@@ -158,6 +162,31 @@ def test_propagate_schedule_matches_dense_expm_chain(case):
             final = propagate_schedule(space, schedule)
         assert np.allclose(rows, expected_rows, rtol=0, atol=1e-12)
         assert np.allclose(final, expected_final, rtol=0, atol=1e-12)
+
+
+def two_segment_three_atom_case():
+    params = SystemParams(n_atoms=3, g=1.0, kappa=1.0, gamma=1e-3, n_max=3)
+    schedule = Schedule((Pulse((0.05, -0.05, 0.05), 17.3), Pulse.off(3, 4.1)))
+    return build_space(params), params, schedule, [0.0]
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(schedule_cases())
+@example(two_segment_three_atom_case())  # 17.3 + 4.1 - 17.3 is not 4.1
+def test_rows_at_segment_ends_hold_the_final_state_and_the_sampler_path(case):
+    space, _, schedule, _ = case
+    ends = np.cumsum([seg.duration for seg in schedule.segments])
+    # on the Krylov steps at every dim, then as configured (dense up to dim 64), whose
+    # rows the sampler plan's no-jump path must match
+    for dense_max_dim in (0, dynamics.DENSE_MAX_DIM):
+        with patch.object(dynamics, "DENSE_MAX_DIM", dense_max_dim):
+            rows = propagate_schedule(space, schedule, ends)
+            final = propagate_schedule(space, schedule)
+        assert rows[-1].tobytes() == final.tobytes()
+    if space.dim <= dynamics.DENSE_MAX_DIM:
+        starts = dynamics._sampler_plan(space, schedule).starts
+        for k, row in enumerate(rows[:-1]):
+            assert np.array_equal(row, starts[k + 1])
 
 
 def test_propagate_schedule_leaves_the_global_rng_alone(monkeypatch):
@@ -585,6 +614,19 @@ def test_sampler_plan_channel_list():
     assert dynamics._sampler_plan(space, schedule).channels[0] == ("cavity", "atom_1", "atom_2")
     lossless = build_space(SystemParams(n_atoms=2, g=1.0, kappa=1.0, gamma=0.0, n_max=3))
     assert dynamics._sampler_plan(lossless, schedule).channels[0] == ("cavity",)
+
+
+def test_sampler_plan_checks_the_dense_budget_before_building(monkeypatch):
+    space, _ = two_atom_setup(gamma=1e-3)
+    schedule = Schedule((Pulse((0.1, -0.1), 2.0), Pulse.off(2, 1.0)))
+    dynamics._sampler_plan.cache_clear()
+    monkeypatch.setattr(hilbert, "DENSE_BUDGET_BYTES", 1 << 10)  # one dim-16 matrix: 4 KiB
+    with patch.object(dynamics, "conditional_hamiltonian") as build:
+        with pytest.raises(DeskScaleError, match="sampler plan"):
+            sample_trajectory(space, schedule, 0)
+    assert build.call_count == 0
+    monkeypatch.undo()
+    assert sample_trajectory(space, schedule, 0).final_state.shape == (space.dim,)
 
 
 def test_cached_arrays_are_read_only():
