@@ -54,8 +54,7 @@ class RunConfig:
     params: SystemParams
     seed: int = 1
     eta: float = 0.0
-    rabi: tuple[complex, ...] | None = None
-    duration: float | str | None = None
+    schedule: Schedule | None = None  # the pulse and its settle tail; evolve, pulse, trajectories
     settle: float = 0.0
     samples: int = 10000
     jump_log: bool = False
@@ -125,8 +124,15 @@ def _get_list(raw: dict[str, str], key: str) -> tuple[float, ...] | None:
     return vals
 
 
-def load_config(path: str | Path, mode: str) -> RunConfig:
-    """Read and validate a config file against the requested mode."""
+def load_config(path: str | Path, mode: str, seed: int | None = None,
+                samples: int | None = None) -> RunConfig:
+    """Read a config file, apply the --seed/--samples overrides and check every mode rule.
+
+    The returned run is valid for its mode, so a config error (ConfigError)
+    raises before any output or Hilbert space exists.  The schedule is built
+    here; ``duration = auto`` (two atoms, kappa > 0) takes the slow model's
+    full-rotation length, whose OverdampedError stays a guard error.
+    """
     path = Path(path)
     if not path.is_file():
         raise ConfigError(f"config file not found: {path}")
@@ -158,29 +164,43 @@ def load_config(path: str | Path, mode: str) -> RunConfig:
     cfg.samples = _get_int(raw, "samples", cfg.samples)
     cfg.jump_log = _get_bool(raw, "jump_log", cfg.jump_log)
     cfg.evolve_points = _get_int(raw, "evolve_points", cfg.evolve_points)
+    # the --seed/--samples overrides replace the file's values, which must still parse
+    cfg.seed = cfg.seed if seed is None else seed
+    cfg.samples = cfg.samples if samples is None else samples
+    if mode == "trajectories" and cfg.samples < 1:
+        raise ConfigError("samples must be >= 1")
+    if mode == "trajectories" and cfg.seed < 0:
+        raise ConfigError("seed must be >= 0")
+    if mode == "evolve" and cfg.evolve_points < 2:
+        raise ConfigError("evolve_points must be >= 2")
 
     if mode in ("evolve", "pulse", "trajectories"):
         if "rabi" not in raw:
             raise ConfigError(f"mode {mode!r} requires the 'rabi' key")
         try:
-            cfg.rabi = tuple(complex(tok.strip()) for tok in raw["rabi"].split(","))
+            rabi = tuple(complex(tok.strip()) for tok in raw["rabi"].split(","))
         except ValueError:
             raise ConfigError(f"rabi must be comma-separated complex numbers, got {raw['rabi']!r}")
-        if not all(map(cmath.isfinite, cfg.rabi)):
+        if not all(map(cmath.isfinite, rabi)):
             raise ConfigError(f"rabi entries must be finite, got {raw['rabi']!r}")
-        if len(cfg.rabi) != params.n_atoms:
-            raise ConfigError(
-                f"rabi lists {len(cfg.rabi)} drives for {params.n_atoms} atoms")
+        if len(rabi) != params.n_atoms:
+            raise ConfigError(f"rabi lists {len(rabi)} drives for {params.n_atoms} atoms")
         if raw.get("duration") == "auto":
-            cfg.duration = "auto"
+            if params.n_atoms != 2 or params.kappa == 0:
+                raise ConfigError("duration = auto needs two atoms and kappa > 0")
+            duration = entangling_pulse_duration(build_slow_model(params, *rabi))
         else:
-            cfg.duration = _get_float(raw, "duration")
-            if cfg.duration < 0:
+            duration = _get_float(raw, "duration")
+            if duration < 0:
                 raise ConfigError("duration must be >= 0")
+        segments = [Pulse(rabi, duration)]
+        if cfg.settle > 0:
+            segments.append(Pulse.off(params.n_atoms, cfg.settle))
+        cfg.schedule = Schedule(tuple(segments))
 
     if mode == "sweep":
-        if params.n_atoms != 2:
-            raise ConfigError("sweep requires exactly two atoms")
+        if params.n_atoms != 2 or params.kappa == 0:
+            raise ConfigError("sweep needs two atoms and kappa > 0")
         explicit = _get_list(raw, "omega1_list")
         if explicit is not None:
             grid = explicit
@@ -208,23 +228,7 @@ def load_config(path: str | Path, mode: str) -> RunConfig:
             cfg.gamma_list = gammas
         elif "gamma" in raw:
             cfg.gamma_list = (params.gamma,)
-    if params.kappa == 0 and (mode == "sweep" or cfg.duration == "auto"):
-        raise ConfigError("the slow model behind sweep and duration = auto needs kappa > 0")
     return cfg
-
-
-def _resolve_schedule(cfg: RunConfig) -> tuple[Schedule, float]:
-    """Pulse (+ optional settle tail) from the config; returns (schedule, T)."""
-    duration = cfg.duration
-    if duration == "auto":
-        if cfg.params.n_atoms != 2:
-            raise ConfigError("duration = auto is only defined for two atoms")
-        model = build_slow_model(cfg.params, cfg.rabi[0], cfg.rabi[1])
-        duration = entangling_pulse_duration(model)
-    segments = [Pulse(cfg.rabi, duration)]
-    if cfg.settle > 0:
-        segments.append(Pulse.off(cfg.params.n_atoms, cfg.settle))
-    return Schedule(tuple(segments)), duration
 
 
 def _write_json(path: Path, payload: dict) -> None:
@@ -316,21 +320,21 @@ def cmd_sweep(cfg: RunConfig, out: Path) -> None:
 def cmd_pulse(cfg: RunConfig, out: Path) -> None:
     space = build_space(cfg.params)
     basis = dfs_basis(space)
-    schedule, duration = _resolve_schedule(cfg)
-    psi = propagate_schedule(space, schedule)
+    pulse = cfg.schedule.segments[0]
+    psi = propagate_schedule(space, cfg.schedule)
     p0 = float(np.vdot(psi, psi).real)
     psi_hat = psi / np.sqrt(p0)
     overlaps = [float(abs(np.vdot(basis.vectors[k], psi_hat)) ** 2)
                 for k in range(len(basis))]
-    report = zeno_timescale_check(cfg.params, schedule.segments[0])
+    report = zeno_timescale_check(cfg.params, pulse)
     payload = {
         "mode": "pulse",
         "n_atoms": cfg.params.n_atoms,
         "kappa_over_g": cfg.params.kappa,
         "gamma_over_g": cfg.params.gamma,
         "n_max": cfg.params.n_max,
-        "rabi_over_g": [[r.real, r.imag] for r in cfg.rabi],
-        "pulse_duration_g": float(duration),
+        "rabi_over_g": [[r.real, r.imag] for r in pulse.rabi],
+        "pulse_duration_g": pulse.duration,
         "settle_g": cfg.settle,
         "p0": p0,
         "final_state_re_im": _state_as_pairs(psi_hat),
@@ -350,13 +354,8 @@ def cmd_pulse(cfg: RunConfig, out: Path) -> None:
 
 
 def cmd_trajectories(cfg: RunConfig, out: Path) -> None:
-    if cfg.samples < 1:
-        raise ConfigError("samples must be >= 1")
-    if cfg.seed < 0:
-        raise ConfigError("seed must be >= 0")
     space = build_space(cfg.params)
-    schedule, _ = _resolve_schedule(cfg)
-    result = run_ensemble(space, schedule, cfg.samples, cfg.seed)
+    result = run_ensemble(space, cfg.schedule, cfg.samples, cfg.seed)
     p0, eta = result.p0_estimate, cfg.eta
     if eta == 1 and p0 == 0:
         raise ArithmeticError("no sample survived, so the no-detection state at eta = 1 is empty")
@@ -399,13 +398,10 @@ def cmd_trajectories(cfg: RunConfig, out: Path) -> None:
 
 
 def cmd_evolve(cfg: RunConfig, out: Path) -> None:
-    if cfg.evolve_points < 2:
-        raise ConfigError("evolve_points must be >= 2")
     space = build_space(cfg.params)
     basis = dfs_basis(space)
-    schedule, _ = _resolve_schedule(cfg)
-    times = np.linspace(0.0, schedule.total_duration, cfg.evolve_points)
-    states = propagate_schedule(space, schedule, times)
+    times = np.linspace(0.0, cfg.schedule.total_duration, cfg.evolve_points)
+    states = propagate_schedule(space, cfg.schedule, times)
     rows = []
     conj_basis = basis.vectors.conj()
     for t, psi in zip(times, states):
@@ -421,7 +417,7 @@ def cmd_evolve(cfg: RunConfig, out: Path) -> None:
     final = states[-1] / np.linalg.norm(states[-1])
     _write_json(out / "evolve.json", {
         "mode": "evolve",
-        "total_duration_g": schedule.total_duration,
+        "total_duration_g": cfg.schedule.total_duration,
         "p0_final": rows[-1][1],
         "final_state_re_im": _state_as_pairs(final),
     })
@@ -450,11 +446,7 @@ def main(argv: list[str] | None = None) -> int:
                         help="override the trajectory sample count")
     args = parser.parse_args(argv)
     try:
-        cfg = load_config(args.config, args.mode)
-        if args.seed is not None:
-            cfg.seed = args.seed
-        if args.samples is not None:
-            cfg.samples = args.samples
+        cfg = load_config(args.config, args.mode, args.seed, args.samples)
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
         COMMANDS[args.mode](cfg, out)

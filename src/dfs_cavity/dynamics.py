@@ -169,11 +169,14 @@ def propagate_schedule(space: HilbertSpace, schedule: Schedule,
 
     Returns the unnormalized final state or, given finite non-decreasing
     ``times`` inside the schedule span (else ValueError), one row per
-    time.  Both come from one walk to the schedule end that steps from
-    each segment's start, so a segment is stepped by exactly its duration
-    and a row at a segment end has the bytes of the final state there (up
-    to DENSE_MAX_DIM, also of the sampler's no-jump state).  A time up to
-    1e-12 past a segment end is taken at that end.  Each step applies
+    time.  Both come from one walk to the schedule end.  It takes times as
+    offsets from each segment's start and steps from row to row, then on
+    to the segment end, so a segment without rows is one step of exactly
+    its duration.  A row at a segment end has the bytes of the final state
+    there (up to DENSE_MAX_DIM, also of the sampler's no-jump state) only
+    when no earlier row falls inside that segment: ``evolve``'s last p0
+    can differ from ``pulse``'s in the last digits.  A time up to 1e-12
+    past a segment end is taken at that end.  Each step applies
     exp(-i H_cond t): up to DENSE_MAX_DIM as the dense exponential, above
     it with ``expm_multiply`` in equal sub-steps of norm at most
     KRYLOV_STEP_NORM, so numpy's global RNG is left untouched.  Raises

@@ -12,7 +12,7 @@ import pytest
 from scipy.linalg import expm
 
 import dfs_cavity
-from dfs_cavity import SystemParams, build_space, dfs_basis, dynamics, Pulse
+from dfs_cavity import SystemParams, build_space, cli, dfs_basis, dynamics, Pulse
 from dfs_cavity.cli import SWEEP_CHUNK, main
 from oracles import effective_hamiltonian, embed_vacuum, four_atom_state, sweep_point
 
@@ -143,6 +143,37 @@ def test_config_errors_exit_code(tmp_path):
                        ("nan_omega1_min", "n_atoms = 2\nomega1_min = nan\n")]:
         path = write_config(tmp_path, text, name=f"{name}.ini")
         assert main(["sweep", "--config", path, "--out", str(tmp_path)]) == 2, name
+
+
+TRAJ = "n_atoms = 2\nrabi = 0.05, -0.05\nduration = 1\n"
+THREE_ATOMS_AUTO = "n_atoms = 3\nrabi = 0.05, -0.05, 0.05\nduration = auto\n"
+
+
+@pytest.mark.parametrize("mode, text, flags, code", [
+    ("pulse", THREE_ATOMS_AUTO, [], 2),
+    ("evolve", THREE_ATOMS_AUTO, [], 2),
+    ("trajectories", THREE_ATOMS_AUTO, [], 2),
+    ("evolve", TRAJ + "evolve_points = 1\n", [], 2),
+    ("trajectories", TRAJ + "samples = 0\n", [], 2),
+    ("trajectories", TRAJ, ["--samples", "0"], 2),
+    ("trajectories", TRAJ, ["--seed", "-1"], 2),
+    # an override replaces the file's value, which must still parse
+    ("trajectories", TRAJ + "seed = one\n", ["--seed", "3"], 2),
+    # equal drives leave the slow model overdamped: no full rotation, a guard error
+    ("pulse", "n_atoms = 2\nrabi = 0.05, 0.05\nduration = auto\n", [], 3),
+], ids=["auto-n3-pulse", "auto-n3-evolve", "auto-n3-trajectories", "evolve-points-1",
+        "samples-0", "samples-flag-0", "seed-flag-minus-1", "malformed-seed-under-flag",
+        "overdamped-auto"])
+def test_config_errors_exit_before_any_output_or_space(tmp_path, monkeypatch, mode, text,
+                                                       flags, code):
+    def no_space(params):
+        raise AssertionError("a Hilbert space was built for an invalid run")
+
+    monkeypatch.setattr(cli, "build_space", no_space)
+    out = tmp_path / "out"
+    cfg = write_config(tmp_path, text)
+    assert main([mode, "--config", cfg, "--out", str(out), *flags]) == code
+    assert not out.exists()
 
 
 def test_pulse_auto_duration_prepares_entangled_state(tmp_path):

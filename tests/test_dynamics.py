@@ -927,6 +927,39 @@ def test_three_atom_trajectories_average_to_master_equation():
     assert np.all(np.abs(diff.imag) <= 5.0 * stderr_im + 1e-9)
 
 
+@pytest.mark.parametrize("n_atoms, n_samples", [(4, 1500), (5, 600)])
+def test_first_jumps_follow_the_waiting_time_distribution(n_atoms, n_samples):
+    # beyond the Lindblad oracle's reach (dim 32): from the ground state the first jump
+    # has the CDF F(t) = 1 - ||U(t) psi0||^2, and channel k takes the share
+    # int_0^T ||L_k U(s) psi0||^2 ds of the first jumps (Dalibard, Castin & Molmer, PRL 68,
+    # 580 (1992)).  Bounds fixed before the run: the 99.9 % KS value 1.95 / sqrt(n) and a
+    # binomial |z| <= 3.3 per channel.  N = 5 (dim 128) takes the Krylov steps here.
+    space = build_space(SystemParams(n_atoms=n_atoms, kappa=1.0, gamma=0.05, n_max=3))
+    rabi = tuple(0.05 * (-1) ** i for i in range(n_atoms))
+    schedule = Schedule((Pulse(rabi, 15.0),))
+    times = np.linspace(0.0, 15.0, 601)
+    states = propagate_schedule(space, schedule, times)
+    cdf = 1.0 - np.linalg.norm(states, axis=1) ** 2
+    first = {}
+    for idx, t, channel in run_ensemble(space, schedule, n_samples, seed=1).jump_records:
+        first.setdefault(idx, (t, channel))
+    jump_times = np.sort([t for t, _ in first.values()])
+    model = np.interp(jump_times, times, cdf)
+    ranks = np.arange(1, jump_times.size + 1) / n_samples
+    ks = max(np.abs(ranks - model).max(), np.abs(ranks - 1.0 / n_samples - model).max(),
+             abs(jump_times.size / n_samples - cdf[-1]))
+    assert ks <= 1.95 / np.sqrt(n_samples), ks
+    shares = {}
+    for label, op in jump_operators(space):
+        shares[label] = np.trapezoid(np.linalg.norm(states @ op.T, axis=1) ** 2, times)
+        count = sum(channel == label for _, channel in first.values())
+        z = (count - n_samples * shares[label]) / np.sqrt(
+            n_samples * shares[label] * (1.0 - shares[label]))
+        assert abs(z) <= 3.3, (label, z)
+    # the shares exhaust the jump probability: d||psi||^2/dt = -sum_k ||L_k psi||^2
+    assert sum(shares.values()) == pytest.approx(cdf[-1], rel=1e-5)
+
+
 def test_zeno_confinement_regression():
     # population outside the trapped pair stays bounded by the drive scale;
     # the 1.5 prefactor is a frozen regression value (measured max 0.81)
