@@ -17,8 +17,10 @@ import argparse
 import cmath
 import configparser
 import csv
+import gc
 import json
 import math
+import shutil
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -434,6 +436,21 @@ COMMANDS = {
 
 
 def main(argv: list[str] | None = None) -> int:
+    """Run one command; returns the exit code (0, 2 config error, 3 guard abort).
+
+    The first statement freezes the collector: every object alive when main
+    starts, about 40 000 tracked ones from the numpy/scipy/package imports,
+    moves to the permanent generation, which the collections at interpreter
+    exit skip.  So a CLI process leaves its import-time cycles to the OS
+    instead of freeing them one by one (from main's return to exit, about
+    110 ms -> 25 ms).  Reference counting still frees a frozen object; an
+    in-process caller keeps the collector, but cycles alive when it called
+    main are no longer collected.
+
+    A guard abort removes the topmost directory this run made for --out, so
+    it leaves no output; a directory that existed before keeps its files.
+    """
+    gc.freeze()
     parser = argparse.ArgumentParser(
         prog="dfs-cavity-sim",
         description="Trapped-state (decoherence-free) subspace simulator for "
@@ -445,15 +462,18 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--samples", type=int, default=None,
                         help="override the trajectory sample count")
     args = parser.parse_args(argv)
+    out = Path(args.out)
+    created = next((p for p in reversed((out, *out.parents)) if not p.exists()), None)
     try:
         cfg = load_config(args.config, args.mode, args.seed, args.samples)
-        out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
         COMMANDS[args.mode](cfg, out)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except GUARD_ERRORS as exc:
+        if created is not None:
+            shutil.rmtree(created, ignore_errors=True)
         print(f"numerical guard: {exc}", file=sys.stderr)
         return 3
     return 0

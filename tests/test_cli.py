@@ -1,9 +1,11 @@
 import csv
+import gc
 import json
 import os
 import subprocess
 import sys
 import tracemalloc
+import weakref
 from pathlib import Path
 from unittest.mock import patch
 
@@ -26,12 +28,12 @@ def write_config(tmp_path, text, name="run.ini"):
     return str(path)
 
 
-def run_python(code, **env):
-    """Run `python -c code` in a fresh interpreter with the package importable."""
+def run_python(*args, **env):
+    """Run `python *args` in a fresh interpreter with the package importable."""
     child_env = dict(os.environ, **env)
     child_env["PYTHONPATH"] = os.pathsep.join(
         p for p in (PACKAGE_ROOT, os.environ.get("PYTHONPATH")) if p)
-    result = subprocess.run([sys.executable, "-c", code], env=child_env,
+    result = subprocess.run([sys.executable, *args], env=child_env,
                             capture_output=True, text=True, timeout=300)
     assert result.returncode == 0, result.stderr
     return result.stdout
@@ -69,7 +71,12 @@ def test_basis_five_atoms(tmp_path):
 
 def test_desk_scale_guard_exit_code(tmp_path):
     cfg = write_config(tmp_path, "n_atoms = 13\nn_max = 0\n")
-    assert main(["basis", "--config", cfg, "--out", str(tmp_path)]) == 3
+    # a guard abort removes the topmost directory the run made and keeps one that
+    # existed before, with its files
+    for out in (tmp_path, tmp_path / "out", tmp_path / "a" / "b"):
+        assert main(["basis", "--config", cfg, "--out", str(out)]) == 3
+    assert [p.name for p in tmp_path.iterdir()] == ["run.ini"]
+    assert Path(cfg).read_text() == "n_atoms = 13\nn_max = 0\n"
 
 
 def run_traced(args):
@@ -412,7 +419,7 @@ def test_cli_bytes_independent_of_blas_threads(tmp_path):
         for n, traj_cfg in traj_cfgs:
             out = str(tmp_path / f"threads{threads}" / f"traj{n}")
             code += f"; assert main(['trajectories', '--config', {traj_cfg!r}, '--out', {out!r}]) == 0"
-        run_python(code, OPENBLAS_NUM_THREADS=threads)
+        run_python("-c", code, OPENBLAS_NUM_THREADS=threads)
         base = tmp_path / f"threads{threads}"
         outputs[threads] = {(n, name): (base / f"n{n}" / name).read_bytes()
                             for n, _, _ in cfgs
@@ -431,11 +438,56 @@ def test_sweep_and_trajectories_do_not_load_sparse_linalg(tmp_path):
     traj = write_config(tmp_path, ("n_atoms = 2\ngamma = 0.01\nrabi = 0.1, -0.1\n"
                                    "duration = 20\nsettle = 5\nsamples = 20\n"), name="traj.ini")
     loaded = run_python(
-        "import sys; from dfs_cavity.cli import main; "
+        "-c", "import sys; from dfs_cavity.cli import main; "
         f"assert main(['sweep', '--config', {sweep!r}, '--out', {str(tmp_path)!r}]) == 0; "
         f"assert main(['trajectories', '--config', {traj!r}, '--out', {str(tmp_path)!r}]) == 0; "
         "print('loaded' if 'scipy.sparse.linalg' in sys.modules else 'absent')")
     assert loaded.splitlines()[-1] == "absent"
+
+
+CONSOLE_RUNS = {
+    "basis": "n_atoms = 4\nn_max = 1\n",
+    "evolve": TRAJ + "settle = 2\nevolve_points = 20\n",
+    "pulse": TRAJ + "settle = 2\n",
+    "sweep": "n_atoms = 2\nomega1_list = 0.03, 0.08\ngamma_list = 0, 0.001\n",
+    "trajectories": ("n_atoms = 2\ngamma = 0.01\nrabi = 0.1, -0.1\nduration = 20\n"
+                     "settle = 5\nsamples = 40\nseed = 3\njump_log = true\n"),
+}
+
+
+@pytest.mark.parametrize("mode", sorted(CONSOLE_RUNS))
+def test_console_run_writes_the_outputs_of_an_in_process_run(tmp_path, capsys, mode):
+    # main freezes the collector, so the console process leaves its objects to the
+    # OS at exit: every output must be whole by then, with no finaliser to flush it
+    cfg = write_config(tmp_path, CONSOLE_RUNS[mode])
+    here, there = tmp_path / "in_process", tmp_path / "console"
+    assert main([mode, "--config", cfg, "--out", str(here)]) == 0
+    last = capsys.readouterr().out.splitlines()[-1]
+    # block-buffered stdout, as for any console run into a pipe
+    stdout = run_python("-m", "dfs_cavity.cli", mode, "--config", cfg, "--out", str(there),
+                        PYTHONUNBUFFERED="")
+    assert last.startswith("wrote ")
+    assert stdout.splitlines()[-1] == last.replace(str(here), str(there))
+    names = sorted(p.name for p in here.iterdir())
+    assert sorted(p.name for p in there.iterdir()) == names
+    for name in names:
+        assert (there / name).read_bytes() == (here / name).read_bytes(), name
+
+
+def test_collector_still_collects_after_an_in_process_main(tmp_path):
+    cfg = write_config(tmp_path, "n_atoms = 2\nn_max = 1\n")
+    assert main(["basis", "--config", cfg, "--out", str(tmp_path)]) == 0
+    assert gc.isenabled()
+
+    class Node:
+        pass
+
+    node = Node()
+    node.self = node
+    ref = weakref.ref(node)
+    del node
+    gc.collect()
+    assert ref() is None
 
 
 def test_evolve_timeseries(tmp_path):
@@ -472,7 +524,7 @@ def test_no_survivor_at_full_detection_efficiency_exits_with_guard_code(tmp_path
     assert main(["trajectories", "--config", empty, "--out", str(tmp_path / "a")]) == 3
     err = capsys.readouterr().err
     assert err.startswith("numerical guard: ") and err.count("\n") == 1
-    assert not (tmp_path / "a" / "ensemble.json").exists()
+    assert not (tmp_path / "a").exists()
     lossy = write_config(tmp_path, text + "eta = 0.9\n", name="lossy.ini")
     assert main(["trajectories", "--config", lossy, "--out", str(tmp_path / "b")]) == 0
     assert json.loads((tmp_path / "b" / "ensemble.json").read_text())["p0_estimate"] == 0.0
