@@ -13,8 +13,8 @@ pairs: place n disjoint atom pairs in (|10> - |01>)/sqrt(2) and every
 remaining atom in the ground state.  Only the pairings read off the
 columns of the two-row standard Young tableaux of shape (N - n, n) are
 used; there is exactly one per trapped state and they are linearly
-independent.  Modified Gram-Schmidt within each sector, in a fixed
-enumeration order, makes the output orthonormal and deterministic.
+independent.  One Householder QR per sector, of the generators in a
+fixed enumeration order, makes the output orthonormal and deterministic.
 """
 
 from __future__ import annotations
@@ -132,34 +132,31 @@ class DfsBasis:
 def dfs_basis(space: HilbertSpace) -> DfsBasis:
     """Build the orthonormal trapped-state basis for the given space.
 
-    Each sector's generators are orthonormalized with modified Gram-Schmidt
-    (two passes) against the earlier vectors of the same sector only:
-    sectors have disjoint support, so they are already orthogonal.  The
-    generators are independent, so a residual norm below RANK_TOL raises
-    RuntimeError.  The result is cached per space and ``vectors`` is
-    read-only.
+    Each sector's generators, as columns, are factored G = QR by one
+    Householder QR, and Q's columns, signed so that R has a positive real
+    diagonal, are the sector's vectors: Gram-Schmidt's vectors in exact
+    arithmetic.  Sectors have disjoint support, so they are already
+    orthogonal.  The generators are independent, so a |R_kk| below RANK_TOL
+    raises RuntimeError.  The result is cached per space and ``vectors``
+    is read-only.
     """
     n_atoms = space.n_atoms
-    accepted: list[np.ndarray] = []
+    count = dfs_dimension(n_atoms)
+    # the atomic vectors fill the photon-0 block of the composite space
+    vectors = np.zeros((count, space.dim), dtype=complex)
     excitations: list[int] = []
     for n in range(n_atoms // 2 + 1):
-        start = len(accepted)
-        for v in generating_states(n_atoms, n):
-            for _ in range(2):
-                for u in accepted[start:]:
-                    v -= np.vdot(u, v) * u
-            nrm = np.linalg.norm(v)
-            if nrm < RANK_TOL:
-                raise RuntimeError(f"dependent generator in excitation sector {n}")
-            accepted.append(v / nrm)
-            excitations.append(n)
-    count = dfs_dimension(n_atoms)
-    if len(accepted) != count:
+        q, r = np.linalg.qr(np.array(generating_states(n_atoms, n)).T)
+        diag = r.diagonal()
+        if not np.abs(diag).min() >= RANK_TOL:
+            raise RuntimeError(f"dependent generator in excitation sector {n}")
+        # + 0.0 turns an exact -0.0 amplitude into 0.0
+        vectors[len(excitations):len(excitations) + len(diag), : space.n_configs] = (
+            q.T * (diag / np.abs(diag))[:, None] + 0.0)
+        excitations += [n] * len(diag)
+    if len(excitations) != count:
         raise RuntimeError(
-            f"constructed {len(accepted)} trapped states, expected {count}")
-    # embed the atomic vectors in the photon-0 block of the composite space
-    vectors = np.zeros((count, space.dim), dtype=complex)
-    vectors[:, : space.n_configs] = np.array(accepted)
+            f"constructed {len(excitations)} trapped states, expected {count}")
     dicke_l = tuple(n_atoms / 2 - n for n in excitations)
     return DfsBasis(space, _read_only(vectors), tuple(excitations), dicke_l)
 

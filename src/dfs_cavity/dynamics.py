@@ -56,7 +56,8 @@ from scipy.linalg import expm
 
 from .hamiltonians import (Pulse, _channel_entries, _conditional_entries,
                            conditional_hamiltonian)
-from .hilbert import HilbertSpace, _read_only, check_dense_budget
+from .hilbert import (DENSE_BUDGET_BYTES, DeskScaleError, HilbertSpace, _read_only,
+                      check_dense_budget)
 
 NORM_BISECTION_TOL = 1e-10
 # An eigen-probe's squared norm is trusted to PROBE_MARGIN * cond_1(V) * dim * eps of the
@@ -180,9 +181,11 @@ def propagate_schedule(space: HilbertSpace, schedule: Schedule,
     exp(-i H_cond t): up to DENSE_MAX_DIM as the dense exponential, above
     it with ``expm_multiply`` in equal sub-steps of norm at most
     KRYLOV_STEP_NORM, so numpy's global RNG is left untouched.  Raises
-    ArithmeticError when the squared norm at the schedule end underflows
-    to zero, and ValueError (from the H_cond builder) when the schedule
-    drives another atom count than the space holds.
+    DeskScaleError, before it allocates them, when the rows exceed
+    DENSE_BUDGET_BYTES, ArithmeticError when the squared norm at the
+    schedule end underflows to zero, and ValueError (from the H_cond
+    builder) when the schedule drives another atom count than the space
+    holds.
     """
     if space.dim <= DENSE_MAX_DIM:
         generator = partial(conditional_hamiltonian, space)
@@ -194,6 +197,9 @@ def propagate_schedule(space: HilbertSpace, schedule: Schedule,
                               or grid[0] < 0 or np.any(np.diff(grid) < 0)
                               or grid[-1] > schedule.total_duration + 1e-12):
         raise ValueError("times must be finite, non-decreasing and lie within the schedule span")
+    if 16 * grid.size * space.dim > DENSE_BUDGET_BYTES:
+        raise DeskScaleError(f"{grid.size} rows of {space.dim} complex amplitudes exceed the "
+                             f"budget of {DENSE_BUDGET_BYTES >> 30} GiB")
     out = np.empty((grid.size, space.dim), dtype=complex)
     psi, start, k = space.ground_state(), 0.0, 0
     for seg in schedule.segments:

@@ -25,8 +25,9 @@ import numpy as np
 
 MAX_ATOMS = 12
 MAX_DIM = 65536
-# Bytes of dense dim x dim matrices a mode may hold at once (2 GiB); on a 7 GB desk machine
-# it leaves room for the expm and eig workspace and the rest of the process
+# Bytes of dense dim x dim matrices, or of evolve's state rows, a mode may hold at once
+# (2 GiB); on a 7 GB desk machine it leaves room for the expm and eig workspace and the
+# rest of the process
 DENSE_BUDGET_BYTES = 2 << 30
 
 

@@ -107,6 +107,16 @@ def test_sweep_over_the_dense_budget_exits_before_allocating(tmp_path):
     assert not (tmp_path / "sweep.csv").exists()
 
 
+def test_evolve_rows_over_the_budget_exit_before_allocating(tmp_path):
+    # 10 000 000 rows of dim 4096 would take 610 GiB
+    rabi = ", ".join(["0.05", "-0.05"] * 5)
+    cfg = write_config(tmp_path, (f"n_atoms = 10\nn_max = 3\nrabi = {rabi}\nduration = 1\n"
+                                  "evolve_points = 10000000\n"))
+    out = tmp_path / "out"
+    assert main(["evolve", "--config", cfg, "--out", str(out)]) == 3
+    assert not out.exists()
+
+
 def test_config_errors_exit_code(tmp_path):
     missing = write_config(tmp_path, "kappa = 1.0\n", name="missing.ini")
     assert main(["basis", "--config", missing, "--out", str(tmp_path)]) == 2
@@ -396,7 +406,8 @@ def test_cli_bytes_independent_of_blas_threads(tmp_path):
     # pulse/evolve: N=4 (dim 64) runs the dense exponential, N=5 (dim 128) the Krylov
     # steps; trajectories: N=2, 4, 5 and 6 search jump times with eigen-probes, N=5 is
     # the first dim at which a dense exponential chain was seen to change its bytes, and
-    # the N=6 run emits from an atom, so its jumps gather from an atomic channel table
+    # the N=6 run emits from an atom, so its jumps gather from an atomic channel table; the
+    # N=11 trapped basis factors a sector of 132 generators with one Householder QR
     rabi = ("0.049+0.008j", "-0.048+0.012j", "0.05-0.003j", "-0.047-0.015j", "0.046+0.019j",
             "-0.045+0.01j")
     cfgs = []
@@ -411,7 +422,8 @@ def test_cli_bytes_independent_of_blas_threads(tmp_path):
         name=f"traj{n}.ini")) for n, samples in ((2, 200), (4, 200), (5, 200), (6, 20))]
     outputs = {}
     for threads in ("1", "2"):
-        code = "from dfs_cavity.cli import main"
+        code = ("import hashlib; from dfs_cavity import SystemParams, build_space, dfs_basis"
+                "; from dfs_cavity.cli import main")
         for n, pulse_cfg, evolve_cfg in cfgs:
             out = str(tmp_path / f"threads{threads}" / f"n{n}")
             code += (f"; assert main(['pulse', '--config', {pulse_cfg!r}, '--out', {out!r}]) == 0"
@@ -419,11 +431,14 @@ def test_cli_bytes_independent_of_blas_threads(tmp_path):
         for n, traj_cfg in traj_cfgs:
             out = str(tmp_path / f"threads{threads}" / f"traj{n}")
             code += f"; assert main(['trajectories', '--config', {traj_cfg!r}, '--out', {out!r}]) == 0"
-        run_python("-c", code, OPENBLAS_NUM_THREADS=threads)
+        code += ("; print(hashlib.sha256(dfs_basis(build_space(SystemParams(11, n_max=0)))"
+                 ".vectors.tobytes()).hexdigest())")
+        stdout = run_python("-c", code, OPENBLAS_NUM_THREADS=threads)
         base = tmp_path / f"threads{threads}"
         outputs[threads] = {(n, name): (base / f"n{n}" / name).read_bytes()
                             for n, _, _ in cfgs
                             for name in ("pulse.json", "evolve.csv", "evolve.json")}
+        outputs[threads][11, "dfs_basis"] = stdout.splitlines()[-1]
         outputs[threads].update({(n, name): (base / f"traj{n}" / name).read_bytes()
                                  for n, _ in traj_cfgs for name in ("ensemble.json", "jumps.csv")})
     assert outputs["1"] == outputs["2"]
