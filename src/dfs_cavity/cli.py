@@ -6,9 +6,11 @@ the atom-cavity coupling g, which is fixed to 1; durations are in units
 of 1/g.  Outputs are plain CSV/JSON written with full double precision
 so identical (config, seed) pairs produce byte-identical files.
 
-A key outside CONFIG_KEYS is a config error.
+A key outside CONFIG_KEYS, or one set twice (in one section or in two),
+is a config error; a ``%`` in a value is read as it stands.
 
-Exit codes: 0 success, 2 config error, 3 numerical-guard abort.
+Exit codes: 0 success, 2 config error, 3 numerical-guard abort (an
+allocation over the byte budget of ``hilbert.check_budget`` included).
 """
 
 from __future__ import annotations
@@ -29,10 +31,10 @@ import numpy as np
 
 from .analytic import (OverdampedError, build_slow_model, entangling_pulse_duration,
                        p0_closed_form, zeno_timescale_check)
-from .dfs import dfs_basis, dicke_degeneracy, export_basis
+from .dfs import dfs_basis, dfs_dimension, dicke_degeneracy, export_basis
 from .dynamics import Schedule, propagate_conditional, propagate_schedule, run_ensemble
 from .hamiltonians import Pulse, conditional_hamiltonian, laser_hamiltonian
-from .hilbert import DeskScaleError, SystemParams, build_space, check_dense_budget
+from .hilbert import DeskScaleError, SystemParams, build_space, check_budget
 
 # the keys load_config reads; every mode accepts each of them
 CONFIG_KEYS = frozenset({
@@ -67,14 +69,19 @@ class RunConfig:
 
 
 def _parse_flat(text: str) -> dict[str, str]:
-    parser = configparser.ConfigParser()
+    # values are read as they stand (no % interpolation), and every header, [DEFAULT]
+    # included, starts an ordinary section, so a key set in two sections is seen
+    parser = configparser.ConfigParser(interpolation=None, default_section=None)
     try:
         parser.read_string("[run]\n" + text)
     except configparser.Error as exc:
         raise ConfigError(f"cannot parse config: {exc}") from exc
     flat: dict[str, str] = {}
     for section in parser.sections():
-        flat.update(parser[section])
+        for key, value in parser[section].items():
+            if key in flat:
+                raise ConfigError(f"key {key!r} is set in two sections")
+            flat[key] = value
     return flat
 
 
@@ -266,7 +273,7 @@ def _sweep_curve(gamma: float, kappa: float, n_max: int, eta: float,
     params = SystemParams(2, 1.0, kappa, gamma, n_max)
     space = build_space(params)
     # h0, the drive and, per chunk, the H_cond stack, its scaled copy and the exponentials
-    check_dense_budget("sweep", 2 + 3 * min(SWEEP_CHUNK, len(grid)), space.dim)
+    check_budget("sweep", 16 * (2 + 3 * min(SWEEP_CHUNK, len(grid))) * space.dim * space.dim)
     trapped_g, trapped_a = dfs_basis(space).vectors[:2]  # ground and antisymmetric trapped states
     psi0 = space.ground_state()
     h0 = conditional_hamiltonian(space)
@@ -401,14 +408,15 @@ def cmd_trajectories(cfg: RunConfig, out: Path) -> None:
 
 def cmd_evolve(cfg: RunConfig, out: Path) -> None:
     space = build_space(cfg.params)
+    check_budget(f"{cfg.evolve_points} state rows and the trapped basis",
+                 16 * (cfg.evolve_points + dfs_dimension(space.n_atoms)) * space.dim)
     basis = dfs_basis(space)
     times = np.linspace(0.0, cfg.schedule.total_duration, cfg.evolve_points)
     states = propagate_schedule(space, cfg.schedule, times)
     rows = []
-    conj_basis = basis.vectors.conj()
     for t, psi in zip(times, states):
         p0 = float(np.vdot(psi, psi).real)
-        amps = conj_basis @ psi
+        amps = basis.vectors @ psi.conj()  # conj(vectors) @ psi conjugated: the same norm
         dfs_pop = float(np.vdot(amps, amps).real / p0) if p0 > 0 else 0.0
         rows.append((float(t), p0, dfs_pop))
     with (out / "evolve.csv").open("w", newline="") as fh:

@@ -28,7 +28,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .hilbert import HilbertSpace, _read_only
+from .hilbert import HilbertSpace, _read_only, check_budget
 
 RANK_TOL = 1e-10
 
@@ -138,10 +138,17 @@ def dfs_basis(space: HilbertSpace) -> DfsBasis:
     arithmetic.  Sectors have disjoint support, so they are already
     orthogonal.  The generators are independent, so a |R_kk| below RANK_TOL
     raises RuntimeError.  The result is cached per space and ``vectors``
-    is read-only.
+    is read-only.  Raises DeskScaleError, before it allocates, when the
+    basis and the QR workspace of its largest sector would exceed the budget.
     """
     n_atoms = space.n_atoms
     count = dfs_dimension(n_atoms)
+    largest = max(dicke_degeneracy(n_atoms, n_atoms / 2 - n) for n in range(n_atoms // 2 + 1))
+    # beside the basis, a sector's build holds its generators, their copies inside the
+    # QR, Q and its signed copy (at most 4.1 generator arrays, measured at N = 8-12), and
+    # interpreter objects (at most 13 KiB, measured at N = 1-12)
+    check_budget(f"the trapped basis of {count} vectors of length {space.dim}",
+                 16 * (count * space.dim + 5 * largest * space.n_configs) + (64 << 10))
     # the atomic vectors fill the photon-0 block of the composite space
     vectors = np.zeros((count, space.dim), dtype=complex)
     excitations: list[int] = []
@@ -171,9 +178,10 @@ def export_basis(basis: DfsBasis, csv_path: str | Path, sidecar_path: str | Path
     with csv_path.open("w", newline="") as fh:
         # the bytes csv.writer writes: every field is a number, so none is quoted
         fh.write("vector_index,flat_basis_index,re_amplitude,im_amplitude\r\n")
+        # one vector at a time: the whole basis as Python objects is about 2.5x its bytes
         fh.writelines("%d,%d,%.17g,%.17g\r\n" % (k, flat, amp.real, amp.imag)
-                      for k, row in enumerate(basis.vectors.tolist())
-                      for flat, amp in enumerate(row))
+                      for k, vec in enumerate(basis.vectors)
+                      for flat, amp in enumerate(vec.tolist()))
     sidecar = {
         "n_atoms": basis.space.n_atoms,
         "n_max": basis.space.n_max,

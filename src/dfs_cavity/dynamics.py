@@ -56,8 +56,7 @@ from scipy.linalg import expm
 
 from .hamiltonians import (Pulse, _channel_entries, _conditional_entries,
                            conditional_hamiltonian)
-from .hilbert import (DENSE_BUDGET_BYTES, DeskScaleError, HilbertSpace, _read_only,
-                      check_dense_budget)
+from .hilbert import HilbertSpace, _read_only, check_budget
 
 NORM_BISECTION_TOL = 1e-10
 # An eigen-probe's squared norm is trusted to PROBE_MARGIN * cond_1(V) * dim * eps of the
@@ -197,9 +196,8 @@ def propagate_schedule(space: HilbertSpace, schedule: Schedule,
                               or grid[0] < 0 or np.any(np.diff(grid) < 0)
                               or grid[-1] > schedule.total_duration + 1e-12):
         raise ValueError("times must be finite, non-decreasing and lie within the schedule span")
-    if 16 * grid.size * space.dim > DENSE_BUDGET_BYTES:
-        raise DeskScaleError(f"{grid.size} rows of {space.dim} complex amplitudes exceed the "
-                             f"budget of {DENSE_BUDGET_BYTES >> 30} GiB")
+    check_budget(f"{grid.size} rows of {space.dim} complex amplitudes",
+                 16 * grid.size * space.dim)
     out = np.empty((grid.size, space.dim), dtype=complex)
     psi, start, k = space.ground_state(), 0.0, 0
     for seg in schedule.segments:
@@ -262,7 +260,7 @@ def _sampler_plan(space: HilbertSpace, schedule: Schedule) -> _SamplerPlan:
     conditional_hamiltonian) when the schedule drives another atom count
     than the space holds.
     """
-    check_dense_budget("a sampler plan", 4 * len(schedule.segments), space.dim)
+    check_budget("a sampler plan", 16 * 4 * len(schedule.segments) * space.dim * space.dim)
     segments, starts, offsets, end_norms = [], [], [], []
     psi, t_offset = space.ground_state(), 0.0
     for seg in schedule.segments:
@@ -591,7 +589,8 @@ def run_ensemble(space: HilbertSpace, schedule: Schedule, n_samples: int,
     """
     if n_samples < 1:
         raise ValueError(f"n_samples must be >= 1, got {n_samples}")
-    check_dense_budget("a trajectory ensemble", 4 * len(schedule.segments) + 2, space.dim)
+    check_budget("a trajectory ensemble",
+                 16 * (4 * len(schedule.segments) + 2) * space.dim * space.dim)
     plan = _sampler_plan(space, schedule)
     if plan.psi0 is None:
         raise ArithmeticError("conditional state vanished entirely")

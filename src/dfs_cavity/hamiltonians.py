@@ -30,7 +30,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .hilbert import HilbertSpace, atomic_lowering, cavity_annihilation, lowering_entries
+from .hilbert import (HilbertSpace, _dense_zeros, atomic_lowering, cavity_annihilation,
+                      check_budget, lowering_entries)
 
 
 @dataclass(frozen=True)
@@ -131,8 +132,9 @@ def _channel_entries(space: HilbertSpace) -> tuple[tuple[str, ...], tuple[tuple,
 
 
 def _scatter(space: HilbertSpace, entries: tuple[np.ndarray, ...]) -> np.ndarray:
+    """The entries on a dense dim x dim array; DeskScaleError over the budget."""
     rows, cols, values = entries
-    h = np.zeros((space.dim, space.dim), dtype=complex)
+    h = _dense_zeros(space, "a dense Hamiltonian")
     h[rows, cols] = values
     return h
 
@@ -148,7 +150,8 @@ def conditional_hamiltonian(space: HilbertSpace, pulse: Pulse | None = None) -> 
 
     ``pulse=None`` means lasers off; a pulse that drives another atom
     count than the space holds raises ValueError, also when it is off.
-    Returns a fresh, writeable array.
+    Returns a fresh, writeable array; DeskScaleError when it would exceed
+    the budget.
     """
     return _scatter(space, _conditional_entries(space, pulse))
 
@@ -157,11 +160,15 @@ def photon_loss_density(space: HilbertSpace, state: np.ndarray) -> float:
     """Instantaneous emission probability density of a normalized state.
 
     Equals 2*kappa*<b^dag b> + 2*gamma*<sum_i sigma_i^dag sigma_i>, the
-    decay rate -dP0/dt at t=0; zero exactly on trapped states.
+    decay rate -dP0/dt at t=0; zero exactly on trapped states.  Raises
+    DeskScaleError when its N + 1 cached dense operators would exceed the
+    budget together.
     """
     nrm = np.linalg.norm(state)
     if abs(nrm - 1.0) > 1e-9:
         raise ValueError(f"state must be normalized, got norm {nrm!r}")
+    check_budget("photon_loss_density's operators b, sigma_1 ... sigma_N",
+                 16 * (space.n_atoms + 1) * space.dim * space.dim)
     params = space.params
     b = cavity_annihilation(space)
     val = 2.0 * params.kappa * np.vdot(state, b.conj().T @ (b @ state)).real

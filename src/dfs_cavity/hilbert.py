@@ -8,8 +8,10 @@ Conventions used throughout the package:
   ``n * 2**n_atoms + bits``.  Bit ``n_atoms - i`` of the integer ``bits``
   is 1 iff atom ``i`` (1-based) is excited, so ``format(bits, '0Nb')``
   reads atom 1 ... atom N left to right.
-* States are complex vectors of length ``dim``.  Dimensions stay desk-scale
-  (:func:`build_space`; dense modes check :func:`check_dense_budget`).
+* States are complex vectors of length ``dim``.  There is no cap on N or
+  ``dim``: each allocation that grows with the space (the sigma_i entry
+  table, a dense dim x dim operator, the trapped basis, ``evolve``'s rows)
+  checks its own bytes with :func:`check_budget` before it is made.
 * Operators are scattered onto zeros, never multiplied out.  sigma_i and the
   drive land on the positions :func:`lowering_entries` lists, the coupling
   b J_plus on them shifted by one photon block, b one block above the diagonal.
@@ -23,16 +25,14 @@ from functools import lru_cache
 
 import numpy as np
 
-MAX_ATOMS = 12
-MAX_DIM = 65536
-# Bytes of dense dim x dim matrices, or of evolve's state rows, a mode may hold at once
+# Bytes one allocation that grows with the space may take, with what it holds beside it
 # (2 GiB); on a 7 GB desk machine it leaves room for the expm and eig workspace and the
 # rest of the process
 DENSE_BUDGET_BYTES = 2 << 30
 
 
 class DeskScaleError(ValueError):
-    """Requested work exceeds a desk-scale guard (N > 12, dim > 65536 or the dense budget)."""
+    """An allocation would take more than DENSE_BUDGET_BYTES (raised by check_budget)."""
 
 
 @dataclass(frozen=True)
@@ -118,19 +118,31 @@ class HilbertSpace:
 
 
 def build_space(params: SystemParams) -> HilbertSpace:
-    """Construct the composite space, enforcing the desk-scale guard."""
-    if params.n_atoms > MAX_ATOMS:
-        raise DeskScaleError(f"n_atoms = {params.n_atoms} exceeds guard of {MAX_ATOMS}")
-    if params.dim > MAX_DIM:
-        raise DeskScaleError(f"dim = {params.dim} exceeds guard of {MAX_DIM}")
+    """Construct the composite space.
+
+    Raises DeskScaleError when the sigma_i entry table, which every
+    propagation builds, would exceed the budget: three int64 arrays
+    (:func:`lowering_entries`) of N dim / 2 entries each.
+    """
+    check_budget("the sigma_i entry table", 12 * params.n_atoms * params.dim)
     return HilbertSpace(params)
 
 
-def check_dense_budget(what: str, n_matrices: int, dim: int) -> None:
-    """Raise DeskScaleError when n_matrices dense complex dim x dim arrays exceed the budget."""
-    if 16 * n_matrices * dim * dim > DENSE_BUDGET_BYTES:
-        raise DeskScaleError(f"{what} would hold {n_matrices} dense complex {dim} x {dim} "
-                             f"matrices, over the budget of {DENSE_BUDGET_BYTES >> 30} GiB")
+def check_budget(what: str, n_bytes: int) -> None:
+    """Raise DeskScaleError when ``what`` would take more than DENSE_BUDGET_BYTES.
+
+    The one desk-scale rule: every allocation that grows with the space
+    calls it with its own bytes before it allocates.
+    """
+    if n_bytes > DENSE_BUDGET_BYTES:
+        raise DeskScaleError(f"{what} would take {n_bytes / (1 << 30):.3g} GiB, over the "
+                             f"budget of {DENSE_BUDGET_BYTES >> 30} GiB")
+
+
+def _dense_zeros(space: HilbertSpace, what: str) -> np.ndarray:
+    """A complex dim x dim array of zeros, checked against the budget before it is made."""
+    check_budget(what, 16 * space.dim * space.dim)
+    return np.zeros((space.dim, space.dim), dtype=complex)
 
 
 @lru_cache(maxsize=32)
@@ -160,12 +172,13 @@ def _read_only(a: np.ndarray) -> np.ndarray:
 def atomic_lowering(space: HilbertSpace, i: int) -> np.ndarray:
     """Lowering operator sigma_i = |0><1| on atom i, identity elsewhere.
 
-    The cached return value is read-only.
+    The cached return value is read-only.  Raises DeskScaleError when the
+    dense matrix would exceed the budget.
     """
     space.atom_bit(i)  # raises ValueError for i outside [1, N]
+    op = _dense_zeros(space, f"sigma_{i}")
     rows, cols, atoms = lowering_entries(space)
     mine = atoms == i - 1
-    op = np.zeros((space.dim, space.dim), dtype=complex)
     op[rows[mine], cols[mine]] = 1.0
     return _read_only(op)
 
@@ -175,9 +188,10 @@ def cavity_annihilation(space: HilbertSpace) -> np.ndarray:
     """Bosonic annihilation b with b|n> = sqrt(n)|n-1>, truncated at n_max.
 
     The truncation only breaks the ladder algebra at the cutoff row:
-    b_dag |n_max> = 0.  The cached return value is read-only.
+    b_dag |n_max> = 0.  The cached return value is read-only.  Raises
+    DeskScaleError when the dense matrix would exceed the budget.
     """
+    op = _dense_zeros(space, "the cavity annihilation b")
     lower = np.arange(space.dim - space.n_configs)  # every index below the top photon block
-    op = np.zeros((space.dim, space.dim), dtype=complex)
     op[lower, lower + space.n_configs] = np.sqrt(lower // space.n_configs + 1)
     return _read_only(op)

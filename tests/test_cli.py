@@ -70,13 +70,24 @@ def test_basis_five_atoms(tmp_path):
 
 
 def test_desk_scale_guard_exit_code(tmp_path):
-    cfg = write_config(tmp_path, "n_atoms = 13\nn_max = 0\n")
+    # the N = 15 trapped basis, 6435 vectors of length 32768, would take 3.4 GB
+    cfg = write_config(tmp_path, "n_atoms = 15\nn_max = 0\n")
     # a guard abort removes the topmost directory the run made and keeps one that
     # existed before, with its files
     for out in (tmp_path, tmp_path / "out", tmp_path / "a" / "b"):
-        assert main(["basis", "--config", cfg, "--out", str(out)]) == 3
+        code, peak = run_traced(["basis", "--config", cfg, "--out", str(out)])
+        assert code == 3 and peak < 1 << 20
     assert [p.name for p in tmp_path.iterdir()] == ["run.ini"]
-    assert Path(cfg).read_text() == "n_atoms = 13\nn_max = 0\n"
+    assert Path(cfg).read_text() == "n_atoms = 15\nn_max = 0\n"
+
+
+def test_pulse_whose_trapped_basis_is_over_the_budget_exits_before_allocating(tmp_path):
+    # N = 13 at n_max = 9 (dim 81920): its 1716 trapped vectors alone would take 2.25 GB
+    rabi = ", ".join(["0.05", "-0.05"] * 6 + ["0.05"])
+    cfg = write_config(tmp_path, f"n_atoms = 13\nn_max = 9\nrabi = {rabi}\nduration = 1\n")
+    code, peak = run_traced(["pulse", "--config", cfg, "--out", str(tmp_path / "out")])
+    assert code == 3 and peak < 1 << 20
+    assert not (tmp_path / "out").exists()
 
 
 def run_traced(args):
@@ -113,7 +124,8 @@ def test_evolve_rows_over_the_budget_exit_before_allocating(tmp_path):
     cfg = write_config(tmp_path, (f"n_atoms = 10\nn_max = 3\nrabi = {rabi}\nduration = 1\n"
                                   "evolve_points = 10000000\n"))
     out = tmp_path / "out"
-    assert main(["evolve", "--config", cfg, "--out", str(out)]) == 3
+    code, peak = run_traced(["evolve", "--config", cfg, "--out", str(out)])
+    assert code == 3 and peak < 1 << 20
     assert not out.exists()
 
 
@@ -152,6 +164,13 @@ def test_config_errors_exit_code(tmp_path):
         assert main([mode, "--config", path, "--out", str(tmp_path)]) == 2, name
     pulse = "n_atoms = 2\nrabi = 0.05, -0.05\nduration = 1\n"
     for name, text in [("nan_kappa", pulse + "kappa = nan\n"),
+                       # a value is read as it stands: no % interpolation
+                       ("percent", pulse + "kappa = 1%\n"),
+                       ("interpolated", pulse + "kappa = 0.5\ngamma = %(kappa)s\n"),
+                       # a key set twice, in one section or in two
+                       ("twice", pulse + "kappa = 0.5\nkappa = 0.7\n"),
+                       ("two_sections", pulse + "[other]\nkappa = 0.5\n[third]\nkappa = 0.7\n"),
+                       ("default", pulse + "[DEFAULT]\nkappa = 0.5\n[other]\nkappa = 0.7\n"),
                        ("inf_duration", pulse.replace("duration = 1", "duration = inf")),
                        ("nan_rabi", pulse.replace("0.05, -0.05", "nan, -0.05"))]:
         path = write_config(tmp_path, text, name=f"{name}.ini")

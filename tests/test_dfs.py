@@ -1,13 +1,17 @@
 import csv
 import json
+import tracemalloc
+from unittest.mock import patch
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy.linalg import expm, null_space
 
-from dfs_cavity import (Pulse, SystemParams, build_space, conditional_hamiltonian, dfs_basis,
-                        dfs_dimension, dicke_degeneracy, export_basis, generating_states,
-                        laser_hamiltonian)
+from dfs_cavity import (Pulse, SystemParams, build_space, conditional_hamiltonian, dfs,
+                        dfs_basis, dfs_dimension, dicke_degeneracy, export_basis,
+                        generating_states, laser_hamiltonian)
 from oracles import (basis_projector, collective_lowering, dfs_projector,
                      effective_hamiltonian, embed_vacuum, four_atom_effective_matrix,
                      four_atom_trapped_states, greedy_pairing_basis, pair_vector)
@@ -229,3 +233,35 @@ def test_export_basis_roundtrip(tmp_path):
     assert sidecar["dfs_dimension"] == 6
     assert sidecar["sector_counts"] == {"0": 1, "1": 3, "2": 2}
     assert [s["excitation"] for s in sidecar["sectors"]] == [0, 1, 1, 1, 2, 2]
+
+
+def traced_peak(call, *args):
+    """Traced peak in bytes of call(*args) under tracemalloc, and its result."""
+    tracemalloc.start()
+    try:
+        result = call(*args)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return peak, result
+
+
+def test_export_basis_writes_one_vector_at_a_time(tmp_path):
+    # the N = 9, n_max = 3 basis: 126 vectors of 2048 amplitudes, 4.1 MB; as Python
+    # objects all at once about 10 MB, one vector at a time about 0.1 MB
+    basis = dfs_basis(space_of(9, n_max=3))
+    peak, _ = traced_peak(export_basis, basis, tmp_path / "basis.csv", tmp_path / "basis.json")
+    assert peak < 1 << 20
+
+
+@settings(max_examples=25, deadline=None, derandomize=True, database=None)
+@given(st.integers(1, 11), st.sampled_from([0, 1, 3]))
+@example(1, 0)
+@example(11, 3)
+def test_basis_build_stays_within_the_bytes_it_checks(n_atoms, n_max):
+    space = space_of(n_atoms, n_max=n_max)
+    checked = []
+    with patch.object(dfs, "check_budget", lambda what, n_bytes: checked.append(n_bytes)):
+        peak, basis = traced_peak(dfs_basis.__wrapped__, space)  # not the cached basis
+    assert len(checked) == 1 and len(basis) == dfs_dimension(n_atoms)
+    assert peak <= checked[0]

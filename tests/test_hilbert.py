@@ -1,8 +1,12 @@
+import tracemalloc
+from functools import partial
+
 import numpy as np
 import pytest
 
 from dfs_cavity import (DeskScaleError, SystemParams, atomic_lowering, build_space,
-                        cavity_annihilation)
+                        cavity_annihilation, conditional_hamiltonian, dfs_basis,
+                        photon_loss_density)
 from oracles import basis_labels, collective_lowering, config_string, expectation
 
 
@@ -16,11 +20,26 @@ def test_dimensions(n_atoms, n_max, dim):
 
 
 def test_desk_scale_guard():
+    # no cap on N or dim: each allocation checks its own bytes against the 2 GiB budget
+    with pytest.raises(DeskScaleError, match="sigma_i entry table"):
+        build_space(SystemParams(n_atoms=23, n_max=0))  # its entry table: 2.3 GB
+    build_space(SystemParams(n_atoms=22, n_max=0))  # 1.1 GB, built only when used
+    space = build_space(SystemParams(n_atoms=12, n_max=15))  # dim 65536
+    small = space_of(10, 3)  # dim 4096
     with pytest.raises(DeskScaleError):
-        build_space(SystemParams(n_atoms=13, n_max=0))
-    build_space(SystemParams(n_atoms=12, n_max=15))  # dim = 65536, still allowed
-    with pytest.raises(DeskScaleError):
-        build_space(SystemParams(n_atoms=12, n_max=16))
+        conditional_hamiltonian(space)  # 68.7 GB, scattered from a 50 MB entry table
+    for build in (partial(atomic_lowering, space, 1), partial(cavity_annihilation, space),
+                  # one dense dim-4096 operator fits, N + 1 = 11 of them (2.8 GB) do not
+                  partial(photon_loss_density, small, small.ground_state()),
+                  partial(dfs_basis, space_of(13, 9))):  # 2.25 GB for the basis alone
+        tracemalloc.start()
+        try:
+            with pytest.raises(DeskScaleError):
+                build()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
 
 
 def test_params_validation():
