@@ -70,10 +70,14 @@ class RunConfig:
 
 def _parse_flat(text: str) -> dict[str, str]:
     # values are read as they stand (no % interpolation), and every header, [DEFAULT]
-    # included, starts an ordinary section, so a key set in two sections is seen
+    # included, starts an ordinary section, so a key set in two sections is seen.  Keys
+    # before the first header go into an implicit [run] section, which is added only
+    # when the first line that is neither blank nor a comment is not a header
     parser = configparser.ConfigParser(interpolation=None, default_section=None)
+    lines = (line.strip() for line in text.splitlines())
+    first = next((line for line in lines if line and not line.startswith(("#", ";"))), "")
     try:
-        parser.read_string("[run]\n" + text)
+        parser.read_string(text if first.startswith("[") else "[run]\n" + text)
     except configparser.Error as exc:
         raise ConfigError(f"cannot parse config: {exc}") from exc
     flat: dict[str, str] = {}

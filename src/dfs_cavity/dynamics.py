@@ -2,10 +2,11 @@
 
 Between emission events the state evolves with U_cond(t) = exp(-i H_cond t),
 exact for the piecewise-constant schedules used here.  Above
-DENSE_MAX_DIM the schedule propagator applies it to the state with
-scipy's truncated-Taylor ``expm_multiply`` on a sparse H_cond built from
-its entry table (Al-Mohy & Higham, SIAM J. Sci. Comput. 33, 488 (2011))
-and forms no dim x dim matrix; up to DENSE_MAX_DIM, and in single
+DENSE_MAX_DIM the schedule propagator applies it to the state with its
+own truncated Taylor series on a sparse H_cond built from its entry
+table (algorithm 3.2 of Al-Mohy & Higham, SIAM J. Sci. Comput. 33, 488
+(2011), see _krylov_stepper), shifted and normed once per segment, and
+forms no dim x dim matrix; up to DENSE_MAX_DIM, and in single
 propagations, it uses the dense matrix exponential.  A single propagation
 also takes a stack of H_cond with one time per slice and exponentiates
 the whole stack in one call, which keeps each slice's bytes.  The squared norm of the
@@ -65,13 +66,26 @@ NORM_BISECTION_TOL = 1e-10
 # 0.52 / 0.62 / 0.12 / 0.08 / 0.02 on N = 2-6 ensembles (cond_1(V) up to 146).
 PROBE_MARGIN = 64.0
 # Largest dim the schedule propagator steps with the dense exponential.  Up to here it
-# is faster than expm_multiply at every duration, and its bytes were measured not to
+# was measured faster than the sparse Taylor step at every duration, and its bytes not to
 # depend on the BLAS thread count; at dim 128 they do.
 DENSE_MAX_DIM = 64
-# Largest ||t (A - mu I)||_1 handed to one expm_multiply call.  Above about 63.4
-# (condition 3.13 of Al-Mohy & Higham) scipy estimates ||A^p||_1 with onenormest,
-# which draws from numpy's global RNG; below it every call takes the exact-norm branch.
-KRYLOV_STEP_NORM = 32.0
+# theta_m of the truncated Taylor step for unit roundoff 2^-53: a series of degree m
+# taken s times meets the backward-error tolerance when ||t A||_1 / s <= theta_m.
+# m = 1-30 from Higham & Al-Mohy, Acta Numerica 19, 159 (2010), table A.3; m = 35-55
+# from Al-Mohy & Higham, SIAM J. Sci. Comput. 33, 488 (2011), table 3.1.
+TAYLOR_THETA = {
+    1: 2.29e-16, 2: 2.58e-8, 3: 1.39e-5, 4: 3.40e-4, 5: 2.40e-3, 6: 9.07e-3, 7: 2.38e-2,
+    8: 5.00e-2, 9: 8.96e-2, 10: 1.44e-1, 11: 2.14e-1, 12: 3.00e-1, 13: 4.00e-1,
+    14: 5.14e-1, 15: 6.41e-1, 16: 7.81e-1, 17: 9.31e-1, 18: 1.09, 19: 1.26, 20: 1.44,
+    21: 1.62, 22: 1.82, 23: 2.01, 24: 2.22, 25: 2.43, 26: 2.64, 27: 2.86, 28: 3.08,
+    29: 3.31, 30: 3.54, 35: 4.7, 40: 6.0, 45: 7.2, 50: 8.5, 55: 9.9,
+}
+TAYLOR_TOL = 2.0 ** -53  # a step's series stops once two terms fall below this times ||F||
+# Dense dim x dim matrices one expm(-1j * t * h) holds at its peak: its argument, seven
+# Pade and solve arrays and its result (tracemalloc at dim 64-1024).  A segment's eig and
+# inv hold at most 4.3 with V and V^-1 (peak RSS at dim 1024), so this is the largest
+# transient of a plan's segment build and of a jump search.
+EXPM_PEAK_MATRICES = 9
 # Regula falsi steps _eigen_bracket takes at most; the bisection's result does not
 # depend on them
 BRACKET_ITERATIONS = 12
@@ -178,8 +192,8 @@ def propagate_schedule(space: HilbertSpace, schedule: Schedule,
     can differ from ``pulse``'s in the last digits.  A time up to 1e-12
     past a segment end is taken at that end.  Each step applies
     exp(-i H_cond t): up to DENSE_MAX_DIM as the dense exponential, above
-    it with ``expm_multiply`` in equal sub-steps of norm at most
-    KRYLOV_STEP_NORM, so numpy's global RNG is left untouched.  Raises
+    it as the truncated Taylor series of _krylov_stepper on the sparse
+    H_cond, within 1e-12 of the dense exponential.  Raises
     DeskScaleError, before it allocates them, when the rows exceed
     DENSE_BUDGET_BYTES, ArithmeticError when the squared norm at the
     schedule end underflows to zero, and ValueError (from the H_cond
@@ -213,28 +227,68 @@ def propagate_schedule(space: HilbertSpace, schedule: Schedule,
 
 
 def _krylov_stepper(space: HilbertSpace):
-    """(generator, advance) pair stepping exp(-i H_cond t) psi with expm_multiply."""
-    # imported on first use: scipy.sparse.linalg adds about 2.6 MB to every process
-    from scipy.sparse import csr_array
-    from scipy.sparse.linalg import expm_multiply
+    """(generator, advance) pair stepping exp(-i H_cond t) psi with a truncated Taylor series.
 
-    def generator(seg: Pulse) -> tuple[csr_array, float]:
+    Algorithm 3.2 of Al-Mohy & Higham (SIAM J. Sci. Comput. 33, 488 (2011)).
+    Per segment, ``generator`` builds the CSR a = -i H_cond from the entry
+    table, the shift mu = trace(a) / dim, the CSR A = a - mu I and its exact
+    1-norm, and returns (a, A, mu, ||A||_1); a is what the tests compare
+    with the dense H_cond.  Per step, ``advance`` takes the plan (m, s) of _taylor_plan for
+    ||t A||_1 and, in each of s steps of h = t / s, sums the terms
+    (h / j) A b up to degree m, stopping early once two consecutive terms
+    fall below TAYLOR_TOL times the partial sum (infinity norms), then
+    scales the sum by exp(h mu).  No norm is estimated, so numpy's global
+    RNG is never drawn from.  A step whose exponent t A and t mu are both
+    zero returns the state itself.
+    """
+    # imported on first use, so a process that never steps here does not load scipy.sparse
+    from scipy.sparse import csr_array, eye_array
+
+    identity = eye_array(space.dim, dtype=complex, format="csr")
+
+    def generator(seg: Pulse) -> tuple[csr_array, csr_array, complex, float]:
         rows, cols, values = _conditional_entries(space, seg)
         keep = values != 0  # csr_array(-1j * H_cond)'s bytes: no zeros, int32, sorted rows
         ij = rows[keep].astype(np.int32), cols[keep].astype(np.int32)
         a = csr_array((-1j * values[keep], ij), shape=(space.dim, space.dim))
-        # ||A||_1 + |mu| bounds ||A - mu I||_1, the norm expm_multiply tests after
-        # shifting A by mu = trace(A) / dim
-        return a, float(abs(a).sum(axis=0).max()) + abs(a.trace()) / space.dim
+        mu = complex(a.trace()) / space.dim
+        shifted = a - mu * identity
+        return a, shifted, mu, float(abs(shifted).sum(axis=0).max())
 
-    def advance(gen: tuple[csr_array, float], psi: np.ndarray, t: float) -> np.ndarray:
-        a, norm = gen
-        steps = math.ceil(t * norm / KRYLOV_STEP_NORM)
-        for _ in range(steps):
-            psi = expm_multiply((t / steps) * a, psi)
-        return psi
+    def advance(gen: tuple[csr_array, csr_array, complex, float], psi: np.ndarray,
+                t: float) -> np.ndarray:
+        _, shifted, mu, norm = gen
+        if not (t * norm or t * mu):
+            return psi
+        m, s = _taylor_plan(t * norm)
+        h = t / s
+        eta = np.exp(h * mu)
+        f = psi
+        for _ in range(s):
+            b, c1 = f, np.abs(f).max()
+            for j in range(1, m + 1):
+                b = (h / j) * (shifted @ b)
+                c2 = np.abs(b).max()
+                f = f + b
+                if c1 + c2 <= TAYLOR_TOL * np.abs(f).max():
+                    break
+                c1 = c2
+            f = eta * f
+        return f
 
     return generator, advance
+
+
+def _taylor_plan(norm: float) -> tuple[int, int]:
+    """(m, s) with norm / s <= TAYLOR_THETA[m] and the least m * s, the least m on a tie.
+
+    ``norm`` is ||t A||_1; a zero norm takes no term, (0, 1).
+    """
+    if norm == 0:
+        return 0, 1
+    steps = {m: math.ceil(norm / theta) for m, theta in TAYLOR_THETA.items()}
+    m = min(steps, key=lambda m: m * steps[m])
+    return m, steps[m]
 
 
 @dataclass(frozen=True, eq=False)
@@ -256,11 +310,13 @@ def _sampler_plan(space: HilbertSpace, schedule: Schedule) -> _SamplerPlan:
     The channels are the entry tables of ``_channel_entries``.
     Cached; every array is read-only.  Raises DeskScaleError, before it
     builds anything, when its dense matrices (per segment H_cond, its
-    propagator, V and V^-1) exceed DENSE_BUDGET_BYTES, and ValueError (from
+    propagator, V and V^-1) and the EXPM_PEAK_MATRICES of one exponential
+    exceed DENSE_BUDGET_BYTES, and ValueError (from
     conditional_hamiltonian) when the schedule drives another atom count
     than the space holds.
     """
-    check_budget("a sampler plan", 16 * 4 * len(schedule.segments) * space.dim * space.dim)
+    check_budget("a sampler plan", 16 * (4 * len(schedule.segments) + EXPM_PEAK_MATRICES)
+                 * space.dim * space.dim)
     segments, starts, offsets, end_norms = [], [], [], []
     psi, t_offset = space.ground_state(), 0.0
     for seg in schedule.segments:
@@ -576,9 +632,9 @@ def run_ensemble(space: HilbertSpace, schedule: Schedule, n_samples: int,
     """Sample n_samples seeded trajectories from the ground state.
 
     The dense matrices it holds (per segment H_cond, its propagator, V and
-    V^-1; two partial sums of rho_perp; the channels are entry tables)
-    raise DeskScaleError over DENSE_BUDGET_BYTES, before any is
-    allocated.  The sampler plan is built next, so a schedule under
+    V^-1; two partial sums of rho_perp; the channels are entry tables) and
+    the EXPM_PEAK_MATRICES of the exponential a jump search forms raise
+    DeskScaleError over DENSE_BUDGET_BYTES, before any is allocated.  The sampler plan is built next, so a schedule under
     which the no-jump state vanishes raises ArithmeticError before any
     sampling.  Trajectory i draws from ``SeedSequence(seed).spawn(n)[i]``:
     the children's PCG64 states are computed in one batch
@@ -590,7 +646,8 @@ def run_ensemble(space: HilbertSpace, schedule: Schedule, n_samples: int,
     if n_samples < 1:
         raise ValueError(f"n_samples must be >= 1, got {n_samples}")
     check_budget("a trajectory ensemble",
-                 16 * (4 * len(schedule.segments) + 2) * space.dim * space.dim)
+                 16 * (4 * len(schedule.segments) + 2 + EXPM_PEAK_MATRICES)
+                 * space.dim * space.dim)
     plan = _sampler_plan(space, schedule)
     if plan.psi0 is None:
         raise ArithmeticError("conditional state vanished entirely")

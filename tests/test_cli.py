@@ -171,6 +171,9 @@ def test_config_errors_exit_code(tmp_path):
                        ("twice", pulse + "kappa = 0.5\nkappa = 0.7\n"),
                        ("two_sections", pulse + "[other]\nkappa = 0.5\n[third]\nkappa = 0.7\n"),
                        ("default", pulse + "[DEFAULT]\nkappa = 0.5\n[other]\nkappa = 0.7\n"),
+                       # an explicit [run] header is a section like any other
+                       ("run_twice", "[run]\n" + pulse + "[run]\nkappa = 0.5\n"),
+                       ("run_and_sim", "[run]\n" + pulse + "kappa = 0.5\n[sim]\nkappa = 0.7\n"),
                        ("inf_duration", pulse.replace("duration = 1", "duration = inf")),
                        ("nan_rabi", pulse.replace("0.05, -0.05", "nan, -0.05"))]:
         path = write_config(tmp_path, text, name=f"{name}.ini")
@@ -179,6 +182,16 @@ def test_config_errors_exit_code(tmp_path):
                        ("nan_omega1_min", "n_atoms = 2\nomega1_min = nan\n")]:
         path = write_config(tmp_path, text, name=f"{name}.ini")
         assert main(["sweep", "--config", path, "--out", str(tmp_path)]) == 2, name
+
+
+@pytest.mark.parametrize("header", ["[run]\n", "# a comment\n\n[run]\n", "[sim]\n"])
+def test_a_leading_section_header_is_optional(tmp_path, header):
+    text = "n_atoms = 2\nkappa = 0.5\nrabi = 0.05, -0.05\nduration = 3\nsettle = 1\n"
+    bare = write_config(tmp_path, text, name="bare.ini")
+    headed = write_config(tmp_path, header + text, name="headed.ini")
+    assert cli.load_config(headed, "pulse") == cli.load_config(bare, "pulse")
+    assert main(["basis", "--config", headed, "--out", str(tmp_path / "out")]) == 0
+    assert (tmp_path / "out" / "dfs_basis.csv").is_file()
 
 
 TRAJ = "n_atoms = 2\nrabi = 0.05, -0.05\nduration = 1\n"
@@ -466,7 +479,7 @@ def test_cli_bytes_independent_of_blas_threads(tmp_path):
 
 
 def test_sweep_and_trajectories_do_not_load_sparse_linalg(tmp_path):
-    # scipy.sparse.linalg is imported on first use by propagate_schedule only
+    # the package never imports scipy.sparse.linalg, and scipy.sparse only on a sparse step
     sweep = write_config(tmp_path, "n_atoms = 2\nomega1_list = 0.05\ngamma_list = 0\n",
                          name="sweep.ini")
     traj = write_config(tmp_path, ("n_atoms = 2\ngamma = 0.01\nrabi = 0.1, -0.1\n"

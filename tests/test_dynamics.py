@@ -1,6 +1,10 @@
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 from functools import partial
+from pathlib import Path
 from unittest.mock import patch
 
 import numpy as np
@@ -190,8 +194,8 @@ def test_rows_at_segment_ends_hold_the_final_state_and_the_sampler_path(case):
 
 
 def test_propagate_schedule_leaves_the_global_rng_alone(monkeypatch):
-    # ||t A||_1 is about 294 over the first segment: a single expm_multiply call
-    # over it would estimate matrix-power norms from numpy's global RNG
+    # ||t A||_1 is about 294 over the first segment: a step plan chosen from estimated
+    # matrix-power norms (onenormest) would draw from numpy's global RNG
     monkeypatch.setattr(dynamics, "DENSE_MAX_DIM", 0)  # Krylov steps at dim 16
     space, params = two_atom_setup()
     schedule = Schedule((Pulse((0.05, -0.05), 45.2), Pulse.off(2, 10)))
@@ -212,9 +216,68 @@ def test_propagate_schedule_leaves_the_global_rng_alone(monkeypatch):
         np.random.set_state(saved)
 
 
+@st.composite
+def long_krylov_cases(draw):
+    # dim 96-256 (above DENSE_MAX_DIM) with steps of ||t A||_1 from 64 to 1000: past
+    # 63.4 (condition 3.13 of Al-Mohy & Higham), the step still plans from the exact norm
+    n_atoms = draw(st.integers(5, 6))
+    params = SystemParams(n_atoms=n_atoms, g=1.0, n_max=draw(st.integers(7 - n_atoms, 3)),
+                          kappa=draw(st.floats(0.0, 2.0)), gamma=draw(st.floats(0.0, 1.0)))
+    space = build_space(params)
+    generator, _ = dynamics._krylov_stepper(space)
+    drive = st.complex_numbers(max_magnitude=1.0, allow_nan=False, allow_infinity=False)
+    segments = []
+    for _ in range(draw(st.integers(1, 3))):
+        rabi = tuple(draw(st.lists(drive, min_size=n_atoms, max_size=n_atoms)))
+        norm = generator(Pulse(rabi, 1.0))[3]  # ||A||_1 of the shifted -i H_cond
+        segments.append(Pulse(rabi, draw(st.floats(64.0, 1000.0)) / norm))
+    schedule = Schedule(tuple(segments))
+    ends = np.cumsum([seg.duration for seg in segments]).tolist()
+    times = sorted(draw(st.lists(st.one_of(st.floats(0.0, ends[-1]), st.sampled_from(ends)),
+                                 min_size=1, max_size=4)))
+    return space, params, schedule, times
+
+
+@settings(max_examples=12, deadline=None, derandomize=True, database=None)
+@given(long_krylov_cases())
+def test_long_krylov_steps_match_the_dense_expm_chain(case):
+    space, params, schedule, times = case
+    assert space.dim > dynamics.DENSE_MAX_DIM
+    rows = propagate_schedule(space, schedule, times)
+    final = propagate_schedule(space, schedule)
+    expected = schedule_states_dense(space, params, schedule, times + [schedule.total_duration])
+    assert np.allclose(rows, expected[:-1], rtol=0, atol=1e-12)
+    assert np.allclose(final, expected[-1], rtol=0, atol=1e-12)
+
+
+def test_krylov_step_of_a_zero_hamiltonian_keeps_the_state_bytes(monkeypatch):
+    # N = 1, n_max = 0, no loss, lasers off: H_cond = 0, and exp(0) is the identity
+    monkeypatch.setattr(dynamics, "DENSE_MAX_DIM", 0)
+    space = build_space(SystemParams(n_atoms=1, kappa=0.0, gamma=0.0, n_max=0))
+    schedule = Schedule((Pulse.off(1, 7.5),))
+    assert propagate_schedule(space, schedule).tobytes() == space.ground_state().tobytes()
+    generator, advance = dynamics._krylov_stepper(space)
+    psi = np.array([-0.0 + 0.6j, 0.8 - 0.0j])
+    assert advance(generator(schedule.segments[0]), psi, 7.5).tobytes() == psi.tobytes()
+
+
+def test_krylov_steps_leave_scipy_sparse_linalg_unloaded():
+    code = ("import sys\n"
+            "from dfs_cavity import Pulse, Schedule, SystemParams, build_space, propagate_schedule\n"
+            "space = build_space(SystemParams(n_atoms=5, kappa=1.0, gamma=1e-3, n_max=3))\n"
+            "propagate_schedule(space, Schedule((Pulse((0.05, -0.05) * 2 + (0.05,), 30.0),)))\n"
+            "print('loaded' if 'scipy.sparse.linalg' in sys.modules else 'absent')\n")
+    package_root = str(Path(dynamics.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (package_root, os.environ.get("PYTHONPATH")) if p))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                         timeout=300)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.splitlines()[-1] == "absent"
+
+
 def test_krylov_schedule_forms_no_dense_matrix():
     # dim 2048: one dense complex dim x dim matrix takes 64 MiB, the bound is an eighth of it
-    import scipy.sparse.linalg  # noqa: F401  (imported on first use; not part of the step)
     space = build_space(SystemParams(n_atoms=9, kappa=1.0, gamma=1e-3, n_max=3))
     schedule = Schedule((Pulse(tuple(0.05 * (-1) ** i for i in range(9)), 0.5),))
     propagate_schedule(space, schedule)  # warms the cached sigma_i positions
@@ -627,6 +690,33 @@ def test_sampler_plan_checks_the_dense_budget_before_building(monkeypatch):
     assert build.call_count == 0
     monkeypatch.undo()
     assert sample_trajectory(space, schedule, 0).final_state.shape == (space.dim,)
+
+
+@pytest.mark.parametrize("n_segments", [1, 3])
+def test_sampler_stays_within_the_bytes_it_checks(n_segments):
+    # dim 256, one dense matrix 1 MiB: each segment's build and a jump search's
+    # exponential hold EXPM_PEAK_MATRICES on top of the held matrices
+    space = build_space(SystemParams(n_atoms=6, kappa=1.0, gamma=0.05, n_max=3))
+    rabi = tuple(0.3 * (-1) ** i for i in range(6))
+    schedule = Schedule(tuple(Pulse(rabi, 12.0) if k % 2 == 0 else Pulse.off(6, 5.0)
+                              for k in range(n_segments)))
+    checked = {}
+    peaks = {}
+    with patch.object(dynamics, "check_budget",
+                      lambda what, n_bytes: checked.setdefault(what, n_bytes)):
+        for what, call in (("a sampler plan", partial(dynamics._sampler_plan, space, schedule)),
+                           ("a trajectory ensemble", partial(run_ensemble, space, schedule, 1, 2))):
+            dynamics._sampler_plan.cache_clear()
+            tracemalloc.start()
+            try:
+                result = call()
+                _, peaks[what] = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+    assert result.jump_records  # the jump searches ran
+    # the channel tables and state vectors, O(N dim) bytes, are not counted: about
+    # 120 KiB here
+    assert all(peaks[what] <= checked[what] + (1 << 18) for what in peaks), (peaks, checked)
 
 
 def test_cached_arrays_are_read_only():
