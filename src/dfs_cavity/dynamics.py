@@ -1,15 +1,17 @@
 """No-jump propagation and quantum-jump trajectories.
 
 Between emission events the state evolves with U_cond(t) = exp(-i H_cond t),
-exact for the piecewise-constant schedules used here.  Above
-DENSE_MAX_DIM the schedule propagator applies it to the state with its
-own truncated Taylor series on a sparse H_cond built from its entry
-table (algorithm 3.2 of Al-Mohy & Higham, SIAM J. Sci. Comput. 33, 488
-(2011), see _krylov_stepper), shifted and normed once per segment, and
-forms no dim x dim matrix; up to DENSE_MAX_DIM, and in single
-propagations, it uses the dense matrix exponential.  A single propagation
-also takes a stack of H_cond with one time per slice and exponentiates
-the whole stack in one call, which keeps each slice's bytes.  The squared norm of the
+exact for the piecewise-constant schedules used here.  Every U_cond(t) psi
+is one step of a (generator, advance) pair.  _dense_stepper holds H_cond
+and its full-duration propagator, which a full-segment step applies
+without an exponential; _taylor_stepper sums a truncated Taylor series of
+degree 55 (algorithm 3.2 of Al-Mohy & Higham, SIAM J. Sci. Comput. 33, 488
+(2011)) on a sparse H_cond built from its entry table and forms no
+dim x dim matrix.  The schedule propagator steps with the dense pair up to
+DENSE_MAX_DIM and the Taylor pair above it, the sampler with the dense
+pair at every dim.  propagate_conditional, the single dense exponential,
+also takes a stack of H_cond with one time per slice and exponentiates it
+in one call, which keeps each slice's bytes.  The squared norm of the
 unnormalized state is the probability that no photon has been emitted,
 which is what trajectory sampling inverts: draw r uniform in (0, 1),
 evolve until the norm falls to r, then apply a jump operator
@@ -18,11 +20,11 @@ proportional to its emission weight, each gathered from its entry table
 (sigma_i within a photon block, b one block down).  That choice of jump
 operators makes conditional evolution plus jumps exactly
 trace-preserving on average, which the test suite checks against an
-independent solution of the Lindblad master equation.  The sampler steps with dense
-exponentials and bisects for the jump time with O(dim^2) eigen-probes
+independent solution of the Lindblad master equation.  The sampler
+bisects for the jump time with O(dim^2) eigen-probes
 V (exp(-i lam t) * V^-1 psi), from H_cond = V diag(lam) V^-1 diagonalised
 once per segment; a probe whose norm lies within a margin of the decision
-boundary is recomputed with the dense exponential, so the jumps are the
+boundary is recomputed with the dense step, so the jumps are the
 ones exponential probes alone would give.  The margin grows with
 cond_1(V), so ill-conditioned segments (up to cond_1(V) ~ 1e8 at an
 exceptional point) take the same search and simply recompute more probes.
@@ -31,10 +33,10 @@ two probes that lie clear of the margin, and the bisection skips the
 midpoints outside that bracket, whose decisions the norm's monotonicity
 already fixes.  One search, _next_jump, decides what is left of a segment:
 an eigen-probe at its end rules survival out without an exponential, or
-else the exponential at its end (at a segment start, the plan's cached
+else the dense step to its end (for a full segment, the cached
 propagator) decides, and the bisection runs only if that says the state
 does not survive.  What the sampler
-precomputes for one (space, schedule), the segment propagators and
+precomputes for one (space, schedule), the segment steps and
 eigensystems, the ground state's no-jump path and the channel tables,
 is one cached, read-only sampler plan.  Every trajectory follows the
 plan's no-jump path until the segment where its threshold is crossed, so
@@ -43,7 +45,7 @@ state psi0.  An ensemble keeps psi0, the survival fraction p0 and the
 average rho_perp of the trajectories that emitted; its state is
 p0 |psi0><psi0| + (1 - p0) rho_perp.  Its trajectory i draws from child i
 of ``SeedSequence(seed).spawn(n)``; the children's PCG64 states are
-computed in one batch and loaded into one reused Generator.
+computed in blocks of 65 536 and loaded into one reused Generator.
 """
 
 from __future__ import annotations
@@ -69,17 +71,10 @@ PROBE_MARGIN = 64.0
 # was measured faster than the sparse Taylor step at every duration, and its bytes not to
 # depend on the BLAS thread count; at dim 128 they do.
 DENSE_MAX_DIM = 64
-# theta_m of the truncated Taylor step for unit roundoff 2^-53: a series of degree m
-# taken s times meets the backward-error tolerance when ||t A||_1 / s <= theta_m.
-# m = 1-30 from Higham & Al-Mohy, Acta Numerica 19, 159 (2010), table A.3; m = 35-55
-# from Al-Mohy & Higham, SIAM J. Sci. Comput. 33, 488 (2011), table 3.1.
-TAYLOR_THETA = {
-    1: 2.29e-16, 2: 2.58e-8, 3: 1.39e-5, 4: 3.40e-4, 5: 2.40e-3, 6: 9.07e-3, 7: 2.38e-2,
-    8: 5.00e-2, 9: 8.96e-2, 10: 1.44e-1, 11: 2.14e-1, 12: 3.00e-1, 13: 4.00e-1,
-    14: 5.14e-1, 15: 6.41e-1, 16: 7.81e-1, 17: 9.31e-1, 18: 1.09, 19: 1.26, 20: 1.44,
-    21: 1.62, 22: 1.82, 23: 2.01, 24: 2.22, 25: 2.43, 26: 2.64, 27: 2.86, 28: 3.08,
-    29: 3.31, 30: 3.54, 35: 4.7, 40: 6.0, 45: 7.2, 50: 8.5, 55: 9.9,
-}
+# Degree of the sparse step's Taylor series and theta_55, the largest ||t A||_1 / s of its s
+# sub-steps that meets the backward-error tolerance for unit roundoff 2^-53 (Al-Mohy &
+# Higham, SIAM J. Sci. Comput. 33, 488 (2011), table 3.1)
+TAYLOR_DEGREE, TAYLOR_MAX_NORM = 55, 9.9
 TAYLOR_TOL = 2.0 ** -53  # a step's series stops once two terms fall below this times ||F||
 # Dense dim x dim matrices one expm(-1j * t * h) holds at its peak: its argument, seven
 # Pade and solve arrays and its result (tracemalloc at dim 64-1024).  A segment's eig and
@@ -90,6 +85,9 @@ EXPM_PEAK_MATRICES = 9
 # depend on them
 BRACKET_ITERATIONS = 12
 ENSEMBLE_CHUNK = 256  # trajectories summed per partial sum; fixes the summation order
+# ENSEMBLE_CHUNKs whose children's PCG64 states are computed in one batch: 65 536 children,
+# about 16 MB of transients, so an ensemble's seeding memory does not grow with n_samples
+SEED_BLOCK_CHUNKS = 256
 # numpy's SeedSequence hash constants (numpy/random/bit_generator.pyx) and the 128-bit
 # multiplier of PCG64's seeding LCG; numpy's stream policy (NEP 19) keeps both fixed
 _HASH_INIT_A, _HASH_MULT_A = 0x43B0D7E5, 0x931E8875
@@ -187,24 +185,18 @@ def propagate_schedule(space: HilbertSpace, schedule: Schedule,
     offsets from each segment's start and steps from row to row, then on
     to the segment end, so a segment without rows is one step of exactly
     its duration.  A row at a segment end has the bytes of the final state
-    there (up to DENSE_MAX_DIM, also of the sampler's no-jump state) only
-    when no earlier row falls inside that segment: ``evolve``'s last p0
-    can differ from ``pulse``'s in the last digits.  A time up to 1e-12
-    past a segment end is taken at that end.  Each step applies
-    exp(-i H_cond t): up to DENSE_MAX_DIM as the dense exponential, above
-    it as the truncated Taylor series of _krylov_stepper on the sparse
-    H_cond, within 1e-12 of the dense exponential.  Raises
-    DeskScaleError, before it allocates them, when the rows exceed
-    DENSE_BUDGET_BYTES, ArithmeticError when the squared norm at the
-    schedule end underflows to zero, and ValueError (from the H_cond
-    builder) when the schedule drives another atom count than the space
-    holds.
+    there only when no earlier row falls inside that segment: ``evolve``'s
+    last p0 can differ from ``pulse``'s in the last digits.  A time up to
+    1e-12 past a segment end is taken at that end.  The steps are
+    _dense_stepper's up to DENSE_MAX_DIM, the sampler's own, so such a row
+    also has the bytes of its no-jump state, and _taylor_stepper's above,
+    within 1e-12 of the dense exponential.  Raises DeskScaleError, before
+    it allocates them, when the rows exceed DENSE_BUDGET_BYTES,
+    ArithmeticError when the squared norm at the schedule end underflows
+    to zero, and ValueError (from the H_cond builder) when the schedule
+    drives another atom count than the space holds.
     """
-    if space.dim <= DENSE_MAX_DIM:
-        generator = partial(conditional_hamiltonian, space)
-        advance = propagate_conditional
-    else:
-        generator, advance = _krylov_stepper(space)
+    generator, advance = (_dense_stepper if space.dim <= DENSE_MAX_DIM else _taylor_stepper)(space)
     grid = np.asarray([] if times is None else times, dtype=float)
     if times is not None and (grid.ndim != 1 or not grid.size or not np.isfinite(grid).all()
                               or grid[0] < 0 or np.any(np.diff(grid) < 0)
@@ -226,20 +218,40 @@ def propagate_schedule(space: HilbertSpace, schedule: Schedule,
     return psi if times is None else out
 
 
-def _krylov_stepper(space: HilbertSpace):
+def _dense_stepper(space: HilbertSpace):
+    """(generator, advance) pair stepping exp(-i H_cond t) psi with the dense exponential.
+
+    Per segment, ``generator`` returns the read-only H_cond and U =
+    expm(-1j * duration * H_cond), and the duration.  ``advance`` applies U
+    when t is the duration, so a full-segment step forms no exponential,
+    else expm(-1j * t * H_cond); either has propagate_conditional's bytes.
+    """
+    def generator(seg: Pulse) -> tuple[np.ndarray, np.ndarray, float]:
+        h = conditional_hamiltonian(space, seg)
+        return _read_only(h), _read_only(expm(-1j * seg.duration * h)), seg.duration
+
+    def advance(gen: tuple[np.ndarray, np.ndarray, float], psi: np.ndarray,
+                t: float) -> np.ndarray:
+        h, u, duration = gen
+        return (u if t == duration else expm(-1j * t * h)) @ psi
+
+    return generator, advance
+
+
+def _taylor_stepper(space: HilbertSpace):
     """(generator, advance) pair stepping exp(-i H_cond t) psi with a truncated Taylor series.
 
     Algorithm 3.2 of Al-Mohy & Higham (SIAM J. Sci. Comput. 33, 488 (2011)).
     Per segment, ``generator`` builds the CSR a = -i H_cond from the entry
     table, the shift mu = trace(a) / dim, the CSR A = a - mu I and its exact
     1-norm, and returns (a, A, mu, ||A||_1); a is what the tests compare
-    with the dense H_cond.  Per step, ``advance`` takes the plan (m, s) of _taylor_plan for
-    ||t A||_1 and, in each of s steps of h = t / s, sums the terms
-    (h / j) A b up to degree m, stopping early once two consecutive terms
-    fall below TAYLOR_TOL times the partial sum (infinity norms), then
-    scales the sum by exp(h mu).  No norm is estimated, so numpy's global
-    RNG is never drawn from.  A step whose exponent t A and t mu are both
-    zero returns the state itself.
+    with the dense H_cond.  Per step, ``advance`` takes
+    s = ceil(||t A||_1 / TAYLOR_MAX_NORM) sub-steps of h = t / s and in each
+    sums the terms (h / j) A b up to degree TAYLOR_DEGREE, stopping early
+    once two consecutive terms fall below TAYLOR_TOL times the partial sum
+    (infinity norms), then scales the sum by exp(h mu).  No norm is
+    estimated, so numpy's global RNG is never drawn from.  A step whose
+    exponent t A and t mu are both zero returns the state itself.
     """
     # imported on first use, so a process that never steps here does not load scipy.sparse
     from scipy.sparse import csr_array, eye_array
@@ -260,13 +272,13 @@ def _krylov_stepper(space: HilbertSpace):
         _, shifted, mu, norm = gen
         if not (t * norm or t * mu):
             return psi
-        m, s = _taylor_plan(t * norm)
+        s = max(1, math.ceil(t * norm / TAYLOR_MAX_NORM))
         h = t / s
         eta = np.exp(h * mu)
         f = psi
         for _ in range(s):
             b, c1 = f, np.abs(f).max()
-            for j in range(1, m + 1):
+            for j in range(1, TAYLOR_DEGREE + 1):
                 b = (h / j) * (shifted @ b)
                 c2 = np.abs(b).max()
                 f = f + b
@@ -279,21 +291,9 @@ def _krylov_stepper(space: HilbertSpace):
     return generator, advance
 
 
-def _taylor_plan(norm: float) -> tuple[int, int]:
-    """(m, s) with norm / s <= TAYLOR_THETA[m] and the least m * s, the least m on a tie.
-
-    ``norm`` is ||t A||_1; a zero norm takes no term, (0, 1).
-    """
-    if norm == 0:
-        return 0, 1
-    steps = {m: math.ceil(norm / theta) for m, theta in TAYLOR_THETA.items()}
-    m = min(steps, key=lambda m: m * steps[m])
-    return m, steps[m]
-
-
 @dataclass(frozen=True, eq=False)
 class _SamplerPlan:
-    segments: tuple[tuple, ...]  # (H_cond, full-duration propagator, duration, eigensystem)
+    segments: tuple[tuple, ...]  # (step(psi, t) = U(t) psi, duration, eigensystem)
     starts: tuple[np.ndarray, ...]  # no-jump state entering each segment
     offsets: tuple[float, ...]  # schedule time at which each segment starts
     end_norms: tuple[float, ...]  # no-jump squared norm at each segment end; inf if duration 0
@@ -305,34 +305,30 @@ class _SamplerPlan:
 def _sampler_plan(space: HilbertSpace, schedule: Schedule) -> _SamplerPlan:
     """What the sampler precomputes for one schedule: segments, no-jump path, channels.
 
-    The no-jump path of the ground state is built with the products the
-    sampler applies: a segment of zero duration leaves the state as it is.
-    The channels are the entry tables of ``_channel_entries``.
-    Cached; every array is read-only.  Raises DeskScaleError, before it
-    builds anything, when its dense matrices (per segment H_cond, its
-    propagator, V and V^-1) and the EXPM_PEAK_MATRICES of one exponential
-    exceed DENSE_BUDGET_BYTES, and ValueError (from
-    conditional_hamiltonian) when the schedule drives another atom count
-    than the space holds.
+    Each segment holds its _dense_stepper step, at every dim, and H_cond's
+    eigensystem.  The no-jump path of the ground state is walked with those
+    steps; a segment of zero duration leaves the state as it is.  The
+    channels are the entry tables of ``_channel_entries``.  Cached; every
+    array is read-only.  Raises DeskScaleError, before it builds anything,
+    when its dense matrices (per segment H_cond, its propagator, V and
+    V^-1) and the EXPM_PEAK_MATRICES of one exponential exceed
+    DENSE_BUDGET_BYTES, and ValueError (from conditional_hamiltonian) when
+    the schedule drives another atom count than the space holds.
     """
     check_budget("a sampler plan", 16 * (4 * len(schedule.segments) + EXPM_PEAK_MATRICES)
                  * space.dim * space.dim)
+    generator, advance = _dense_stepper(space)
     segments, starts, offsets, end_norms = [], [], [], []
     psi, t_offset = space.ground_state(), 0.0
     for seg in schedule.segments:
-        h = conditional_hamiltonian(space, seg)
-        u = expm(-1j * seg.duration * h)
-        eig = _eigensystem(h)
-        for a in (h, u) + eig[:3]:
-            _read_only(a)
-        segments.append((h, u, seg.duration, eig))
+        gen = generator(seg)
+        step = partial(advance, gen)
+        segments.append((step, seg.duration, _eigensystem(gen[0])))
         starts.append(_read_only(psi))
         offsets.append(t_offset)
         if seg.duration > 0:
-            psi = u @ psi
-            end_norms.append(np.vdot(psi, psi).real)
-        else:
-            end_norms.append(np.inf)
+            psi = step(psi, seg.duration)
+        end_norms.append(np.vdot(psi, psi).real if seg.duration > 0 else np.inf)
         t_offset += seg.duration
     psi0 = _read_only(psi / np.linalg.norm(psi)) if np.vdot(psi, psi).real > 0 else None
     labels, tables = _channel_entries(space)
@@ -342,7 +338,7 @@ def _sampler_plan(space: HilbertSpace, schedule: Schedule) -> _SamplerPlan:
 
 
 def _eigensystem(h: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
-    """(lam, V, V^-1, delta) with h = V diag(lam) V^-1.
+    """(lam, V, V^-1, delta) with h = V diag(lam) V^-1; the arrays are read-only.
 
     delta = PROBE_MARGIN * cond_1(V) * dim * eps is the margin within which
     an eigen-probe's squared norm is not trusted: 1e-12 at N = 2 and
@@ -360,7 +356,7 @@ def _eigensystem(h: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, flo
     delta = PROBE_MARGIN * cond * h.shape[0] * np.finfo(float).eps
     if not (np.isfinite(delta) and np.isfinite(lam).all()):
         delta = np.inf
-    return lam, v, v_inv, delta
+    return _read_only(lam), _read_only(v), _read_only(v_inv), delta
 
 
 def _draw_threshold(rng: np.random.Generator) -> float:
@@ -370,16 +366,17 @@ def _draw_threshold(rng: np.random.Generator) -> float:
     return r
 
 
-def _next_jump(h: np.ndarray, u: np.ndarray | None, eig: tuple, psi: np.ndarray, r: float,
+def _next_jump(step, eig: tuple, psi: np.ndarray, r: float,
                t_max: float) -> tuple[float | None, np.ndarray]:
     """(tau, U(tau) psi) at the tau in (0, t_max] where ||U(tau) psi||^2 crosses r.
 
-    A state that outlives t_max returns (None, U(t_max) psi).  ``u`` is
-    U(t_max) when the caller holds it (a segment start), else None.  An
+    A state that outlives t_max returns (None, U(t_max) psi).  ``step(psi,
+    t)`` is the segment's dense step U(t) psi (see _dense_stepper), which
+    reads its cached propagator when t_max is the full segment.  An
     eigen-probe V (exp(-i lam t_max) * V^-1 psi) from ``eig`` (see
     _eigensystem) decides first: one more than NORM_BISECTION_TOL + delta
     below r cannot come from a norm above r, so no exponential is formed.
-    Otherwise the exponential at t_max decides, ``u`` or expm(-i t_max h).
+    Otherwise the step to t_max decides.
     The norm is non-increasing along the conditional evolution, so 200
     halvings reach |norm^2 - r| <= 1e-10; if not, raise ArithmeticError.
     Each halving's probe not farther than NORM_BISECTION_TOL + delta from
@@ -401,7 +398,7 @@ def _next_jump(h: np.ndarray, u: np.ndarray | None, eig: tuple, psi: np.ndarray,
     end = _eigen_probe(lam, v, coeffs, t_max)
     n_end = np.vdot(end, end).real
     if not n_end - r < -trusted:
-        survivor = (expm(-1j * t_max * h) if u is None else u) @ psi
+        survivor = step(psi, t_max)
         if np.vdot(survivor, survivor).real > r:
             return None, survivor
     a, b = _eigen_bracket(lam, v, coeffs, np.vdot(psi, psi).real, n_end, r, t_max,
@@ -418,7 +415,7 @@ def _next_jump(h: np.ndarray, u: np.ndarray | None, eig: tuple, psi: np.ndarray,
         cand = _eigen_probe(lam, v, coeffs, mid)
         val = np.vdot(cand, cand).real - r
         if not abs(val) > trusted:
-            cand = expm(-1j * mid * h) @ psi
+            cand = step(psi, mid)
             val = np.vdot(cand, cand).real - r
         if abs(val) <= NORM_BISECTION_TOL:
             break
@@ -528,19 +525,17 @@ def sample_trajectory(space: HilbertSpace, schedule: Schedule, seed,
             return Trajectory((), plan.psi0.copy())
         psi, t_offset = plan.starts[first], plan.offsets[first]
     else:
-        nrm = np.linalg.norm(initial_state)
-        if abs(nrm - 1.0) > 1e-9:
+        if abs(np.linalg.norm(initial_state) - 1.0) > 1e-9:
             raise ValueError("initial state must be normalized")
         psi = np.asarray(initial_state, dtype=complex).copy()
         r = _draw_threshold(rng)
         first, t_offset = 0, 0.0
     labels, tables = plan.channels
     jumps: list[tuple[float, str]] = []
-    for h, u_full, duration, eig in plan.segments[first:]:
+    for step, duration, eig in plan.segments[first:]:
         elapsed = 0.0
         while elapsed < duration:
-            tau, psi_at = _next_jump(h, u_full if elapsed == 0.0 else None, eig, psi, r,
-                                     duration - elapsed)
+            tau, psi_at = _next_jump(step, eig, psi, r, duration - elapsed)
             if tau is None:
                 psi = psi_at
                 break
@@ -564,8 +559,7 @@ def sample_trajectory(space: HilbertSpace, schedule: Schedule, seed,
             elapsed = min(advanced, duration)
             r = _draw_threshold(rng)
         t_offset += duration
-    nrm = np.linalg.norm(psi)
-    return Trajectory(tuple(jumps), psi / nrm)
+    return Trajectory(tuple(jumps), psi / np.linalg.norm(psi))
 
 
 def _child_pcg64_states(seed: int, indices: np.ndarray) -> np.ndarray:
@@ -634,11 +628,13 @@ def run_ensemble(space: HilbertSpace, schedule: Schedule, n_samples: int,
     The dense matrices it holds (per segment H_cond, its propagator, V and
     V^-1; two partial sums of rho_perp; the channels are entry tables) and
     the EXPM_PEAK_MATRICES of the exponential a jump search forms raise
-    DeskScaleError over DENSE_BUDGET_BYTES, before any is allocated.  The sampler plan is built next, so a schedule under
-    which the no-jump state vanishes raises ArithmeticError before any
-    sampling.  Trajectory i draws from ``SeedSequence(seed).spawn(n)[i]``:
-    the children's PCG64 states are computed in one batch
-    (_child_pcg64_states) and loaded in turn into one Generator that every
+    DeskScaleError over DENSE_BUDGET_BYTES, before any is allocated.  The
+    sampler plan is built next, so a schedule under which the no-jump
+    state vanishes raises ArithmeticError before any sampling.  Trajectory
+    i draws from ``SeedSequence(seed).spawn(n)[i]``: the children's PCG64
+    states are computed SEED_BLOCK_CHUNKS * ENSEMBLE_CHUNK at a time
+    (_child_pcg64_states), so the seeding memory does not grow with
+    n_samples, and loaded in turn into one Generator that every
     ``sample_trajectory`` call draws from.  The outer products of the
     trajectories that emitted are summed per chunk of ENSEMBLE_CHUNK
     trajectories and the chunk sums are then added in order.
@@ -651,15 +647,17 @@ def run_ensemble(space: HilbertSpace, schedule: Schedule, n_samples: int,
     plan = _sampler_plan(space, schedule)
     if plan.psi0 is None:
         raise ArithmeticError("conditional state vanished entirely")
-    child_states = _child_pcg64_states(seed, np.arange(n_samples))
     bit_generator = np.random.PCG64()
     rng = np.random.Generator(bit_generator)
     perp_sum = np.zeros((space.dim, space.dim), dtype=complex)
     survived = 0
     records: list[tuple[int, float, str]] = []
+    block = SEED_BLOCK_CHUNKS * ENSEMBLE_CHUNK
     for start in range(0, n_samples, ENSEMBLE_CHUNK):
+        if start % block == 0:
+            states = _child_pcg64_states(seed, np.arange(start, min(start + block, n_samples)))
         chunk_perp = np.zeros_like(perp_sum)
-        limbs = child_states[start:start + ENSEMBLE_CHUNK].tolist()
+        limbs = states[start % block:start % block + ENSEMBLE_CHUNK].tolist()
         for idx, (s_hi, s_lo, i_hi, i_lo) in enumerate(limbs, start):
             bit_generator.state = {"bit_generator": "PCG64", "has_uint32": 0, "uinteger": 0,
                                    "state": {"state": s_hi << 64 | s_lo,

@@ -435,7 +435,7 @@ def test_outputs_byte_identical_for_same_config_and_seed(tmp_path):
 
 
 def test_cli_bytes_independent_of_blas_threads(tmp_path):
-    # pulse/evolve: N=4 (dim 64) runs the dense exponential, N=5 (dim 128) the Krylov
+    # pulse/evolve: N=4 (dim 64) runs the dense exponential, N=5 (dim 128) the Taylor
     # steps; trajectories: N=2, 4, 5 and 6 search jump times with eigen-probes, N=5 is
     # the first dim at which a dense exponential chain was seen to change its bytes, and
     # the N=6 run emits from an atom, so its jumps gather from an atomic channel table; the

@@ -5,7 +5,7 @@ import sys
 import tracemalloc
 from functools import partial
 from pathlib import Path
-from unittest.mock import patch
+from unittest.mock import Mock, patch
 
 import numpy as np
 import pytest
@@ -117,7 +117,7 @@ def test_propagate_schedule_chains_segments(monkeypatch):
     at_end = propagate_conditional(h3, at_4, 1.5)
 
     # dim 16 steps with the dense exponential, the chain's own products; forced onto
-    # the Krylov steps, which round differently, it must agree to 1e-12
+    # the Taylor steps, which round differently, it must agree to 1e-12
     for dense_max_dim, same in ((dynamics.DENSE_MAX_DIM, np.array_equal),
                                 (0, partial(np.allclose, rtol=0, atol=1e-12))):
         monkeypatch.setattr(dynamics, "DENSE_MAX_DIM", dense_max_dim)
@@ -159,7 +159,7 @@ def test_propagate_schedule_matches_dense_expm_chain(case):
     space, params, schedule, times = case
     expected_rows = schedule_states_dense(space, params, schedule, times)
     expected_final = schedule_states_dense(space, params, schedule, [schedule.total_duration])[0]
-    # as configured (dense up to dim 64), then on the Krylov steps at every dim
+    # as configured (dense up to dim 64), then on the Taylor steps at every dim
     for dense_max_dim in (dynamics.DENSE_MAX_DIM, 0):
         with patch.object(dynamics, "DENSE_MAX_DIM", dense_max_dim):
             rows = propagate_schedule(space, schedule, times)
@@ -180,7 +180,7 @@ def two_segment_three_atom_case():
 def test_rows_at_segment_ends_hold_the_final_state_and_the_sampler_path(case):
     space, _, schedule, _ = case
     ends = np.cumsum([seg.duration for seg in schedule.segments])
-    # on the Krylov steps at every dim, then as configured (dense up to dim 64), whose
+    # on the Taylor steps at every dim, then as configured (dense up to dim 64), whose
     # rows the sampler plan's no-jump path must match
     for dense_max_dim in (0, dynamics.DENSE_MAX_DIM):
         with patch.object(dynamics, "DENSE_MAX_DIM", dense_max_dim):
@@ -196,7 +196,7 @@ def test_rows_at_segment_ends_hold_the_final_state_and_the_sampler_path(case):
 def test_propagate_schedule_leaves_the_global_rng_alone(monkeypatch):
     # ||t A||_1 is about 294 over the first segment: a step plan chosen from estimated
     # matrix-power norms (onenormest) would draw from numpy's global RNG
-    monkeypatch.setattr(dynamics, "DENSE_MAX_DIM", 0)  # Krylov steps at dim 16
+    monkeypatch.setattr(dynamics, "DENSE_MAX_DIM", 0)  # Taylor steps at dim 16
     space, params = two_atom_setup()
     schedule = Schedule((Pulse((0.05, -0.05), 45.2), Pulse.off(2, 10)))
     saved = np.random.get_state()
@@ -217,14 +217,14 @@ def test_propagate_schedule_leaves_the_global_rng_alone(monkeypatch):
 
 
 @st.composite
-def long_krylov_cases(draw):
+def long_taylor_cases(draw):
     # dim 96-256 (above DENSE_MAX_DIM) with steps of ||t A||_1 from 64 to 1000: past
     # 63.4 (condition 3.13 of Al-Mohy & Higham), the step still plans from the exact norm
     n_atoms = draw(st.integers(5, 6))
     params = SystemParams(n_atoms=n_atoms, g=1.0, n_max=draw(st.integers(7 - n_atoms, 3)),
                           kappa=draw(st.floats(0.0, 2.0)), gamma=draw(st.floats(0.0, 1.0)))
     space = build_space(params)
-    generator, _ = dynamics._krylov_stepper(space)
+    generator, _ = dynamics._taylor_stepper(space)
     drive = st.complex_numbers(max_magnitude=1.0, allow_nan=False, allow_infinity=False)
     segments = []
     for _ in range(draw(st.integers(1, 3))):
@@ -238,16 +238,46 @@ def long_krylov_cases(draw):
     return space, params, schedule, times
 
 
+class CountingProducts:
+    """Stands in for the Taylor step's sparse A and counts its products A @ b."""
+
+    def __init__(self, a):
+        self.a, self.count = a, 0
+
+    def __matmul__(self, b):
+        self.count += 1
+        return self.a @ b
+
+
 @settings(max_examples=12, deadline=None, derandomize=True, database=None)
-@given(long_krylov_cases())
+@given(long_taylor_cases())
 def test_long_krylov_steps_match_the_dense_expm_chain(case):
     space, params, schedule, times = case
     assert space.dim > dynamics.DENSE_MAX_DIM
-    rows = propagate_schedule(space, schedule, times)
-    final = propagate_schedule(space, schedule)
+    steps = []  # (products, ||t A||_1) per step
+    taylor_stepper = dynamics._taylor_stepper
+
+    def counting_stepper(space):
+        generator, advance = taylor_stepper(space)
+
+        def counted(gen, psi, t):
+            a, shifted, mu, norm = gen
+            products = CountingProducts(shifted)
+            out = advance((a, products, mu, norm), psi, t)
+            steps.append((products.count, t * norm))
+            return out
+
+        return generator, counted
+
+    with patch.object(dynamics, "_taylor_stepper", counting_stepper):
+        rows = propagate_schedule(space, schedule, times)
+        final = propagate_schedule(space, schedule)
     expected = schedule_states_dense(space, params, schedule, times + [schedule.total_duration])
     assert np.allclose(rows, expected[:-1], rtol=0, atol=1e-12)
     assert np.allclose(final, expected[-1], rtol=0, atol=1e-12)
+    # ceil(||t A||_1 / theta_55) sub-steps of at most 55 terms, theta_55 = 9.9 (table 3.1
+    # of Al-Mohy & Higham, SIAM J. Sci. Comput. 33, 488 (2011))
+    assert steps and all(n <= 55 * math.ceil(x / 9.9) for n, x in steps), steps
 
 
 def test_krylov_step_of_a_zero_hamiltonian_keeps_the_state_bytes(monkeypatch):
@@ -256,7 +286,7 @@ def test_krylov_step_of_a_zero_hamiltonian_keeps_the_state_bytes(monkeypatch):
     space = build_space(SystemParams(n_atoms=1, kappa=0.0, gamma=0.0, n_max=0))
     schedule = Schedule((Pulse.off(1, 7.5),))
     assert propagate_schedule(space, schedule).tobytes() == space.ground_state().tobytes()
-    generator, advance = dynamics._krylov_stepper(space)
+    generator, advance = dynamics._taylor_stepper(space)
     psi = np.array([-0.0 + 0.6j, 0.8 - 0.0j])
     assert advance(generator(schedule.segments[0]), psi, 7.5).tobytes() == psi.tobytes()
 
@@ -400,13 +430,18 @@ def test_next_jump_returns_the_survivor_when_the_norm_never_reaches_the_threshol
     lam, v, v_inv, delta = _eigensystem(h)
     assert np.isfinite(delta)
     exact = expm(-1j * 1.0 * h) @ psi
-    # a stand-in for the cached U(t_max), so the test sees which product is returned
+    # a stand-in for the cached full-duration propagator, so the test sees which product
+    # is returned: a step to t_max = 1 inside a segment of duration 2 forms the
+    # exponential, a full-segment step (duration 1) applies the stand-in and forms none
     u = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
+    _, advance = dynamics._dense_stepper(None)  # the advance does not read the space
     for eig in ((lam, v, v_inv, delta), (lam, v, v_inv, np.inf)):
-        tau, state = _next_jump(h, None, eig, psi, 0.5, 1.0)
+        tau, state = _next_jump(partial(advance, (h, u, 2.0)), eig, psi, 0.5, 1.0)
         assert tau is None and state.tobytes() == exact.tobytes()
-        tau, state = _next_jump(h, u, eig, psi, 0.5, 1.0)
+        with patch.object(dynamics, "expm", wraps=expm) as formed:
+            tau, state = _next_jump(partial(advance, (h, u, 1.0)), eig, psi, 0.5, 1.0)
         assert tau is None and state.tobytes() == (u @ psi).tobytes()
+        assert formed.call_count == 0
 
 
 def test_next_jump_raises_when_the_bisection_does_not_converge():
@@ -422,9 +457,11 @@ def test_next_jump_raises_when_the_bisection_does_not_converge():
         t = (1j * a[0, 0]).real  # a = -1j t h
         return math.sqrt(r + 2e-10 if t < t_max else r - 1e-3) * np.eye(2, dtype=complex)
 
+    _, advance = dynamics._dense_stepper(None)
+    step = partial(advance, (h, None, 2 * t_max))  # t_max is not the full segment
     with patch.object(dynamics, "expm", side_effect=stand_in) as exact:
         with pytest.raises(ArithmeticError):
-            _next_jump(h, None, (lam, v, v_inv, np.inf), psi, r, t_max)
+            _next_jump(step, (lam, v, v_inv, np.inf), psi, r, t_max)
     assert exact.call_count == 201  # t_max, then one per halving
 
 
@@ -456,16 +493,16 @@ def test_eigen_probe_search_matches_the_exponential_search(scenario):
     space, schedule, seed = scenario
     context, misses = {}, []
 
-    def with_context(h, u, eig, psi, r, t):
-        context.update(h=h, psi=psi, delta=eig[3])
+    def with_context(step, eig, psi, r, t):
+        context.update(step=step, psi=psi, delta=eig[3])
         try:
-            return _next_jump(h, u, eig, psi, r, t)
+            return _next_jump(step, eig, psi, r, t)
         finally:
             context.clear()
 
     def probe(lam, v, coeffs, t):
         out = eigen_probe(lam, v, coeffs, t)
-        exact = expm(-1j * t * context["h"]) @ context["psi"]
+        exact = context["step"](context["psi"], t)
         miss = abs(np.vdot(out, out).real - np.vdot(exact, exact).real)
         if not miss <= context["delta"] / 10:
             misses.append((miss, context["delta"]))
@@ -486,7 +523,7 @@ def test_ill_conditioned_segment_probes_with_the_exponential():
     # recomputed with the exponential, and the result stays the exponential search's
     space = build_space(SystemParams(1, g=1.0, kappa=2.0, gamma=0.0, n_max=1))
     schedule = Schedule((Pulse.off(1, 5.0),))
-    (_, _, _, eig), = dynamics._sampler_plan(space, schedule).segments
+    (_, _, eig), = dynamics._sampler_plan(space, schedule).segments
     assert 1e-6 <= eig[3] < np.inf
     excited = space.basis_state(0, 1)
     jumped = 0
@@ -507,16 +544,17 @@ def test_singular_eigenvectors_probe_with_the_exponential():
     space, _ = two_atom_setup(gamma=2e-3)
     schedule = Schedule((Pulse((0.1, -0.07j), 8.0),))
     with patch.object(np.linalg, "inv", side_effect=np.linalg.LinAlgError):
-        (_, _, _, eig), = dynamics._sampler_plan(space, schedule).segments
+        (_, _, eig), = dynamics._sampler_plan(space, schedule).segments
     assert eig[3] == np.inf
     counts = []
 
-    def search(h, u, eig, psi, r, t_max):
-        with patch.object(dynamics, "expm", wraps=expm) as exact, \
-                patch.object(dynamics, "_eigen_probe", wraps=dynamics._eigen_probe) as probe:
-            out = _next_jump(h, u, eig, psi, r, t_max)
-        # a product with the cached propagator u is the exponential at t_max
-        counts.append((probe.call_count, exact.call_count + (u is not None)))
+    def search(step, eig, psi, r, t_max):
+        # every step, whether it forms expm or applies the cached full-segment propagator,
+        # is the exponential
+        exact = Mock(wraps=step)
+        with patch.object(dynamics, "_eigen_probe", wraps=dynamics._eigen_probe) as probe:
+            out = _next_jump(exact, eig, psi, r, t_max)
+        counts.append((probe.call_count, exact.call_count))
         return out
 
     symmetric = pair_vector(space, 0, "s")
@@ -623,14 +661,14 @@ def test_segment_entered_after_a_jump_uses_the_cached_propagator():
     # with a jumped state: the cached full-duration propagator answers there, no expm
     space, _ = two_atom_setup()
     schedule = Schedule((Pulse((0.3, -0.2), 10.0), Pulse.off(2, 10.0)))
-    h_off, u_off = dynamics._sampler_plan(space, schedule).segments[1][:2]
+    step_off, duration_off, _ = dynamics._sampler_plan(space, schedule).segments[1]
     calls = []
 
-    def search(h, u, eig, psi, r, t_max):
+    def search(step, eig, psi, r, t_max):
         with patch.object(dynamics, "expm", wraps=expm) as exact:
-            out = _next_jump(h, u, eig, psi, r, t_max)
-        if h is h_off:
-            calls.append((u is u_off, exact.call_count, out[0]))
+            out = _next_jump(step, eig, psi, r, t_max)
+        if step is step_off:
+            calls.append((t_max == duration_off, exact.call_count, out[0]))
         return out
 
     with patch.object(dynamics, "_next_jump", search):
@@ -723,7 +761,8 @@ def test_cached_arrays_are_read_only():
     space, _ = two_atom_setup(gamma=1e-3)
     schedule = Schedule((Pulse((0.1, -0.1), 2.0),))
     plan = dynamics._sampler_plan(space, schedule)
-    (h, u, _, eig), = plan.segments
+    (step, _, eig), = plan.segments
+    h, u, _ = step.args[0]  # the segment's dense step holds H_cond and its propagator
     labels, tables = plan.channels
     channels = jump_operators(space)
     assert labels == tuple(name for name, _ in channels)
@@ -912,6 +951,40 @@ def test_ensemble_has_the_bytes_of_the_spawned_reference_loop(n_atoms, gamma, du
     assert result.rho_perp.tobytes() == reference.rho_perp.tobytes()
 
 
+def test_ensemble_seeded_block_by_block_has_the_reference_bytes(monkeypatch):
+    # one ENSEMBLE_CHUNK per seeding block: 600 trajectories take three blocks
+    monkeypatch.setattr(dynamics, "SEED_BLOCK_CHUNKS", 1)
+    space, _ = two_atom_setup(gamma=1e-3)
+    schedule = Schedule((Pulse((0.3, -0.2), 10.0), Pulse.off(2, 5.0)))
+    result = run_ensemble(space, schedule, 600, seed=11)
+    reference = oracles.run_ensemble_spawned(space, schedule, 600, seed=11)
+    assert {i // dynamics.ENSEMBLE_CHUNK for i, _, _ in reference.jump_records} == {0, 1, 2}
+    assert result.jump_records == reference.jump_records
+    assert result.p0_estimate == reference.p0_estimate
+    assert result.rho_perp.tobytes() == reference.rho_perp.tobytes()
+
+
+def test_ensemble_seeding_memory_does_not_grow_with_the_sample_count(monkeypatch):
+    # lasers off on the ground state: no trajectory jumps, so what an ensemble allocates
+    # past its cached plan is its seeding, one block of children's PCG64 states at a time
+    monkeypatch.setattr(dynamics, "SEED_BLOCK_CHUNKS", 1)
+    space, _ = two_atom_setup(gamma=1e-3)
+    schedule = Schedule((Pulse.off(2, 5.0),))
+    run_ensemble(space, schedule, 1, seed=2)  # builds the cached plan
+    peaks = []
+    for n_samples in (1_000, 10_000):
+        tracemalloc.start()
+        try:
+            result = run_ensemble(space, schedule, n_samples, seed=2)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert result.p0_estimate == 1.0 and not result.jump_records
+        peaks.append(peak)
+    # seeded in one batch, the 9 000 more children took about 2.3 MB more
+    assert peaks[1] <= peaks[0] + (1 << 16), peaks
+
+
 def test_run_ensemble_checks_the_no_jump_state_before_sampling():
     params = SystemParams(n_atoms=1, g=1.0, kappa=1.0, gamma=1.0, n_max=3)
     space = build_space(params)
@@ -1023,7 +1096,7 @@ def test_first_jumps_follow_the_waiting_time_distribution(n_atoms, n_samples):
     # has the CDF F(t) = 1 - ||U(t) psi0||^2, and channel k takes the share
     # int_0^T ||L_k U(s) psi0||^2 ds of the first jumps (Dalibard, Castin & Molmer, PRL 68,
     # 580 (1992)).  Bounds fixed before the run: the 99.9 % KS value 1.95 / sqrt(n) and a
-    # binomial |z| <= 3.3 per channel.  N = 5 (dim 128) takes the Krylov steps here.
+    # binomial |z| <= 3.3 per channel.  N = 5 (dim 128) takes the Taylor steps here.
     space = build_space(SystemParams(n_atoms=n_atoms, kappa=1.0, gamma=0.05, n_max=3))
     rabi = tuple(0.05 * (-1) ** i for i in range(n_atoms))
     schedule = Schedule((Pulse(rabi, 15.0),))

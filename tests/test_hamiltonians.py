@@ -7,7 +7,7 @@ from scipy.sparse import csr_array
 from dfs_cavity import (Pulse, SystemParams, atomic_lowering, build_space,
                         cavity_annihilation, conditional_hamiltonian, laser_hamiltonian,
                         photon_loss_density)
-from dfs_cavity.dynamics import _krylov_stepper
+from dfs_cavity.dynamics import _taylor_stepper
 from dfs_cavity.hamiltonians import _channel_entries, _scatter
 from oracles import (atomic_lowering_loops, cavity_annihilation_loops,
                      conditional_hamiltonian_products, jump_operators,
@@ -209,8 +209,8 @@ def assert_operators_match_oracle(params, pulse):
     space = build_space(params)
     expected = conditional_hamiltonian_products(space, params, pulse)
     assert conditional_hamiltonian(space, pulse).tobytes() == expected.tobytes()
-    # the Krylov steps' sparse -i H_cond, built from the entry table without a dense matrix
-    generator, _ = _krylov_stepper(space)
+    # the Taylor steps' sparse -i H_cond, built from the entry table without a dense matrix
+    generator, _ = _taylor_stepper(space)
     a, *_ = generator(Pulse.off(params.n_atoms, 1.0) if pulse is None else pulse)
     ref = csr_array(-1j * expected)
     for got, want in ((a.indptr, ref.indptr), (a.indices, ref.indices), (a.data, ref.data)):
