@@ -21,9 +21,9 @@ import configparser
 import csv
 import gc
 import json
-import math
 import shutil
 import sys
+from collections import namedtuple
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -36,16 +36,7 @@ from .dynamics import Schedule, propagate_conditional, propagate_schedule, run_e
 from .hamiltonians import Pulse, conditional_hamiltonian, laser_hamiltonian
 from .hilbert import DeskScaleError, SystemParams, build_space, check_budget
 
-# the keys load_config reads; every mode accepts each of them
-CONFIG_KEYS = frozenset({
-    "mode", "n_atoms", "kappa", "gamma", "n_max", "seed", "eta", "settle", "samples",
-    "jump_log", "evolve_points", "rabi", "duration", "omega1_list", "omega1_min",
-    "omega1_max", "omega1_points", "gamma_list"})
 GUARD_ERRORS = (DeskScaleError, OverdampedError, ArithmeticError)
-DEFAULT_OMEGA1_MIN = 1e-3
-DEFAULT_OMEGA1_MAX = 0.3
-DEFAULT_OMEGA1_POINTS = 40
-DEFAULT_GAMMA_LIST = (0.0, 1e-5, 1e-4, 1e-3)
 SWEEP_CHUNK = 256  # omega1 points per stacked exponential; bounds the stack at 1 MB
 
 
@@ -53,18 +44,58 @@ class ConfigError(ValueError):
     """Missing, malformed, or mode-inconsistent configuration."""
 
 
+def _number(text: str, kind: type = float) -> complex:
+    value = kind(text)
+    if not cmath.isfinite(value):
+        raise ValueError(f"{text!r} is not finite")
+    return value
+
+
+def _numbers(text: str) -> tuple[float, ...]:
+    return tuple(_number(tok) for tok in text.split(",") if tok.strip())
+
+
+_BOOLEANS = configparser.ConfigParser.BOOLEAN_STATES  # 1/0, true/false, yes/no, on/off
+# every key a config may set, in every mode.  read(text) raises ValueError or KeyError on a
+# malformed or non-finite value, reported as "<key> must be <must_be>"; None: no default
+ConfigKey = namedtuple("ConfigKey", "read must_be default", defaults=(None,))
+CONFIG_KEYS = {
+    "mode": ConfigKey(str.strip, "a mode name"),
+    "n_atoms": ConfigKey(int, "an integer"),
+    "kappa": ConfigKey(_number, "a finite number", 1.0),
+    "gamma": ConfigKey(_number, "a finite number", 0.0),
+    "n_max": ConfigKey(int, "an integer", 3),
+    "seed": ConfigKey(int, "an integer", 1),
+    "eta": ConfigKey(_number, "a finite number", 0.0),
+    "settle": ConfigKey(_number, "a finite number", 0.0),
+    "samples": ConfigKey(int, "an integer", 10000),
+    "jump_log": ConfigKey(lambda text: _BOOLEANS[text.strip().lower()], "a boolean", False),
+    "evolve_points": ConfigKey(int, "an integer", 200),
+    "rabi": ConfigKey(lambda text: tuple(_number(tok.strip(), complex) for tok in text.split(",")),
+                      "comma-separated finite complex numbers"),
+    "duration": ConfigKey(lambda text: text if text == "auto" else _number(text),
+                          "a finite number or auto"),
+    "omega1_list": ConfigKey(_numbers, "a comma-separated list of finite numbers"),
+    "omega1_min": ConfigKey(_number, "a finite number", 1e-3),
+    "omega1_max": ConfigKey(_number, "a finite number", 0.3),
+    "omega1_points": ConfigKey(int, "an integer", 40),
+    "gamma_list": ConfigKey(_numbers, "a comma-separated list of finite numbers",
+                            (0.0, 1e-5, 1e-4, 1e-3)),
+}
+
+
 @dataclass
 class RunConfig:
     params: SystemParams
-    seed: int = 1
-    eta: float = 0.0
+    seed: int
+    eta: float
+    settle: float
+    samples: int
+    jump_log: bool
+    evolve_points: int
+    gamma_list: tuple[float, ...]
     schedule: Schedule | None = None  # the pulse and its settle tail; evolve, pulse, trajectories
-    settle: float = 0.0
-    samples: int = 10000
-    jump_log: bool = False
-    evolve_points: int = 200
     omega1_grid: tuple[float, ...] = ()
-    gamma_list: tuple[float, ...] = DEFAULT_GAMMA_LIST
     grid_source: str = "default"
 
 
@@ -89,97 +120,49 @@ def _parse_flat(text: str) -> dict[str, str]:
     return flat
 
 
-def _get_float(raw: dict[str, str], key: str, default: float | None = None) -> float:
-    if key not in raw:
-        if default is None:
-            raise ConfigError(f"missing required key {key!r}")
-        return default
-    try:
-        val = float(raw[key])
-    except ValueError:
-        raise ConfigError(f"{key} must be a number, got {raw[key]!r}")
-    if not math.isfinite(val):
-        raise ConfigError(f"{key} must be finite, got {raw[key]!r}")
-    return val
-
-
-def _get_int(raw: dict[str, str], key: str, default: int | None = None) -> int:
-    if key not in raw:
-        if default is None:
-            raise ConfigError(f"missing required key {key!r}")
-        return default
-    try:
-        return int(raw[key])
-    except ValueError:
-        raise ConfigError(f"{key} must be an integer, got {raw[key]!r}")
-
-
-def _get_bool(raw: dict[str, str], key: str, default: bool) -> bool:
-    if key not in raw:
-        return default
-    val = raw[key].strip().lower()
-    if val in ("1", "true", "yes", "on"):
-        return True
-    if val in ("0", "false", "no", "off"):
-        return False
-    raise ConfigError(f"{key} must be a boolean, got {raw[key]!r}")
-
-
-def _get_list(raw: dict[str, str], key: str) -> tuple[float, ...] | None:
-    if key not in raw:
-        return None
-    try:
-        vals = tuple(float(tok) for tok in raw[key].split(",") if tok.strip())
-    except ValueError:
-        raise ConfigError(f"{key} must be a comma-separated number list, got {raw[key]!r}")
-    if not all(map(math.isfinite, vals)):
-        raise ConfigError(f"{key} entries must be finite, got {raw[key]!r}")
-    return vals
-
-
 def load_config(path: str | Path, mode: str, seed: int | None = None,
                 samples: int | None = None) -> RunConfig:
     """Read a config file, apply the --seed/--samples overrides and check every mode rule.
 
-    The returned run is valid for its mode, so a config error (ConfigError)
-    raises before any output or Hilbert space exists.  The schedule is built
-    here; ``duration = auto`` (two atoms, kappa > 0) takes the slow model's
-    full-rotation length, whose OverdampedError stays a guard error.
+    Every key in the file is read and checked first, whether or not the
+    mode uses it.  The returned run is valid for its mode, so a config error
+    (ConfigError) raises before any output or Hilbert space exists.  The
+    schedule is built here; ``duration = auto`` (two atoms, kappa > 0) takes
+    the slow model's full-rotation length, whose OverdampedError stays a
+    guard error.
     """
     path = Path(path)
     if not path.is_file():
         raise ConfigError(f"config file not found: {path}")
     raw = _parse_flat(path.read_text())
-    unknown = sorted(raw.keys() - CONFIG_KEYS)
+    unknown = sorted(raw.keys() - CONFIG_KEYS.keys())
     if unknown:
         raise ConfigError(f"unknown config key(s) {', '.join(unknown)}; "
                           f"accepted keys: {', '.join(sorted(CONFIG_KEYS))}")
-    if "mode" in raw and raw["mode"].strip() != mode:
+    val = {key: spec.default for key, spec in CONFIG_KEYS.items()}
+    for key, text in raw.items():
+        try:
+            val[key] = CONFIG_KEYS[key].read(text)
+        except (ValueError, KeyError):
+            raise ConfigError(f"{key} must be {CONFIG_KEYS[key].must_be}, got {text!r}") from None
+    if "mode" in raw and val["mode"] != mode:
         raise ConfigError(f"config specifies mode {raw['mode']!r} but {mode!r} was requested")
+    if val["n_atoms"] is None:
+        raise ConfigError("missing required key 'n_atoms'")
     try:
-        params = SystemParams(
-            n_atoms=_get_int(raw, "n_atoms"),
-            g=1.0,
-            kappa=_get_float(raw, "kappa", 1.0),
-            gamma=_get_float(raw, "gamma", 0.0),
-            n_max=_get_int(raw, "n_max", 3),
-        )
+        params = SystemParams(n_atoms=val["n_atoms"], g=1.0, kappa=val["kappa"],
+                              gamma=val["gamma"], n_max=val["n_max"])
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    cfg = RunConfig(params=params)
-    cfg.seed = _get_int(raw, "seed", cfg.seed)
-    cfg.eta = _get_float(raw, "eta", cfg.eta)
+    # the --seed/--samples overrides replace the file's values, which must still parse
+    cfg = RunConfig(params, seed=val["seed"] if seed is None else seed, eta=val["eta"],
+                    settle=val["settle"], samples=val["samples"] if samples is None else samples,
+                    jump_log=val["jump_log"], evolve_points=val["evolve_points"],
+                    gamma_list=val["gamma_list"])
     if not 0 <= cfg.eta <= 1:
         raise ConfigError(f"eta must lie in [0, 1], got {cfg.eta}")
-    cfg.settle = _get_float(raw, "settle", cfg.settle)
     if cfg.settle < 0:
         raise ConfigError("settle must be >= 0")
-    cfg.samples = _get_int(raw, "samples", cfg.samples)
-    cfg.jump_log = _get_bool(raw, "jump_log", cfg.jump_log)
-    cfg.evolve_points = _get_int(raw, "evolve_points", cfg.evolve_points)
-    # the --seed/--samples overrides replace the file's values, which must still parse
-    cfg.seed = cfg.seed if seed is None else seed
-    cfg.samples = cfg.samples if samples is None else samples
     if mode == "trajectories" and cfg.samples < 1:
         raise ConfigError("samples must be >= 1")
     if mode == "trajectories" and cfg.seed < 0:
@@ -188,24 +171,19 @@ def load_config(path: str | Path, mode: str, seed: int | None = None,
         raise ConfigError("evolve_points must be >= 2")
 
     if mode in ("evolve", "pulse", "trajectories"):
-        if "rabi" not in raw:
+        rabi, duration = val["rabi"], val["duration"]
+        if rabi is None:
             raise ConfigError(f"mode {mode!r} requires the 'rabi' key")
-        try:
-            rabi = tuple(complex(tok.strip()) for tok in raw["rabi"].split(","))
-        except ValueError:
-            raise ConfigError(f"rabi must be comma-separated complex numbers, got {raw['rabi']!r}")
-        if not all(map(cmath.isfinite, rabi)):
-            raise ConfigError(f"rabi entries must be finite, got {raw['rabi']!r}")
         if len(rabi) != params.n_atoms:
             raise ConfigError(f"rabi lists {len(rabi)} drives for {params.n_atoms} atoms")
-        if raw.get("duration") == "auto":
+        if duration == "auto":
             if params.n_atoms != 2 or params.kappa == 0:
                 raise ConfigError("duration = auto needs two atoms and kappa > 0")
             duration = entangling_pulse_duration(build_slow_model(params, *rabi))
-        else:
-            duration = _get_float(raw, "duration")
-            if duration < 0:
-                raise ConfigError("duration must be >= 0")
+        elif duration is None:
+            raise ConfigError("missing required key 'duration'")
+        elif duration < 0:
+            raise ConfigError("duration must be >= 0")
         segments = [Pulse(rabi, duration)]
         if cfg.settle > 0:
             segments.append(Pulse.off(params.n_atoms, cfg.settle))
@@ -214,31 +192,24 @@ def load_config(path: str | Path, mode: str, seed: int | None = None,
     if mode == "sweep":
         if params.n_atoms != 2 or params.kappa == 0:
             raise ConfigError("sweep needs two atoms and kappa > 0")
-        explicit = _get_list(raw, "omega1_list")
-        if explicit is not None:
-            grid = explicit
-            cfg.grid_source = "config"
-        else:
-            lo = _get_float(raw, "omega1_min", DEFAULT_OMEGA1_MIN)
-            hi = _get_float(raw, "omega1_max", DEFAULT_OMEGA1_MAX)
-            pts = _get_int(raw, "omega1_points", DEFAULT_OMEGA1_POINTS)
+        grid = val["omega1_list"]
+        if grid is None:
+            lo, hi, pts = val["omega1_min"], val["omega1_max"], val["omega1_points"]
             if lo <= 0 or hi <= lo or pts < 1:
                 raise ConfigError("omega1 grid must be positive with max > min")
             grid = tuple(np.geomspace(lo, hi, pts).tolist())
-            keys = {"omega1_min", "omega1_max", "omega1_points"}
-            cfg.grid_source = "config" if keys & raw.keys() else "default"
+        keys = {"omega1_list", "omega1_min", "omega1_max", "omega1_points"}
+        cfg.grid_source = "config" if keys & raw.keys() else "default"
         if not grid:
             raise ConfigError("sweep grid is empty")
         if any(o <= 0 for o in grid) or any(b <= a for a, b in zip(grid, grid[1:])):
             raise ConfigError("omega1 grid must be strictly increasing and positive")
         cfg.omega1_grid = grid
-        gammas = _get_list(raw, "gamma_list")
-        if gammas is not None:
-            if not gammas:
+        if "gamma_list" in raw:
+            if not cfg.gamma_list:
                 raise ConfigError("gamma_list is empty")
-            if any(gm < 0 for gm in gammas):
+            if any(gm < 0 for gm in cfg.gamma_list):
                 raise ConfigError("gamma_list entries must be >= 0")
-            cfg.gamma_list = gammas
         elif "gamma" in raw:
             cfg.gamma_list = (params.gamma,)
     return cfg
@@ -246,6 +217,15 @@ def load_config(path: str | Path, mode: str, seed: int | None = None,
 
 def _write_json(path: Path, payload: dict) -> None:
     path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+
+
+def _write_csv(path: Path, header: list[str], rows) -> None:
+    # floats with 17 significant digits, so they read back to the same doubles
+    with path.open("w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        for row in rows:
+            writer.writerow([f"{x:.17g}" if isinstance(x, float) else x for x in row])
 
 
 def _state_as_pairs(state: np.ndarray) -> list[list[float]]:
@@ -308,12 +288,8 @@ def cmd_sweep(cfg: RunConfig, out: Path) -> None:
             for row in _sweep_curve(gm, cfg.params.kappa, cfg.params.n_max, cfg.eta,
                                     cfg.omega1_grid)]
     csv_path = out / "sweep.csv"
-    with csv_path.open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["omega1_over_g", "gamma_over_g", "T_g", "p0_numeric",
-                         "p0_analytic", "fidelity_conditional", "fidelity_no_detection"])
-        for row in rows:
-            writer.writerow([f"{x:.17g}" for x in row])
+    _write_csv(csv_path, ["omega1_over_g", "gamma_over_g", "T_g", "p0_numeric", "p0_analytic",
+                          "fidelity_conditional", "fidelity_no_detection"], rows)
     meta = {
         "mode": "sweep",
         "kappa_over_g": cfg.params.kappa,
@@ -399,11 +375,8 @@ def cmd_trajectories(cfg: RunConfig, out: Path) -> None:
         payload["fidelity"] = float(np.vdot(target, mixture @ target).real)
     _write_json(out / "ensemble.json", payload)
     if cfg.jump_log:
-        with (out / "jumps.csv").open("w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["trajectory_id", "jump_time", "channel"])
-            for traj_id, t, channel in result.jump_records:
-                writer.writerow([traj_id, f"{t:.17g}", channel])
+        _write_csv(out / "jumps.csv", ["trajectory_id", "jump_time", "channel"],
+                   result.jump_records)
         print(f"wrote {out / 'jumps.csv'} ({len(result.jump_records)} jumps)")
     print(f"p0_estimate = {p0:.6f} +- {result.stderr:.6f} "
           f"({result.n_samples} samples)")
@@ -423,11 +396,7 @@ def cmd_evolve(cfg: RunConfig, out: Path) -> None:
         amps = basis.vectors @ psi.conj()  # conj(vectors) @ psi conjugated: the same norm
         dfs_pop = float(np.vdot(amps, amps).real / p0) if p0 > 0 else 0.0
         rows.append((float(t), p0, dfs_pop))
-    with (out / "evolve.csv").open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["time_g", "p0", "dfs_population"])
-        for row in rows:
-            writer.writerow([f"{x:.17g}" for x in row])
+    _write_csv(out / "evolve.csv", ["time_g", "p0", "dfs_population"], rows)
     final = states[-1] / np.linalg.norm(states[-1])
     _write_json(out / "evolve.json", {
         "mode": "evolve",

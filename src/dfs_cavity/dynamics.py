@@ -67,15 +67,24 @@ NORM_BISECTION_TOL = 1e-10
 # two-atom ensemble (||H t||_1 <= 300), 13 on segments with ||H t||_1 ~ 6500, and
 # 0.52 / 0.62 / 0.12 / 0.08 / 0.02 on N = 2-6 ensembles (cond_1(V) up to 146).
 PROBE_MARGIN = 64.0
-# Largest dim the schedule propagator steps with the dense exponential.  Up to here it
-# was measured faster than the sparse Taylor step at every duration, and its bytes not to
-# depend on the BLAS thread count; at dim 128 they do.
+# Largest dim the schedule propagator steps with the dense exponential: up to here its
+# bytes were measured not to depend on the BLAS thread count, and at dim 128 they do.  It
+# is not faster at every duration.  In process on a 2-vCPU Xeon, 1 BLAS thread, kappa 1,
+# gamma 1e-3, n_max 3, alternating +-0.05, T + settle 10: a final state at dim 16-64 took
+# 0.3-2.0 ms dense against 8-61 ms on the Taylor steps, but a 200-row grid at dim 64,
+# whose rows inside a segment each form an expm, took 97 ms (T = 30) and 141 ms
+# (T = 300) dense against 26 and 73 ms.
 DENSE_MAX_DIM = 64
 # Degree of the sparse step's Taylor series and theta_55, the largest ||t A||_1 / s of its s
 # sub-steps that meets the backward-error tolerance for unit roundoff 2^-53 (Al-Mohy &
 # Higham, SIAM J. Sci. Comput. 33, 488 (2011), table 3.1)
 TAYLOR_DEGREE, TAYLOR_MAX_NORM = 55, 9.9
 TAYLOR_TOL = 2.0 ** -53  # a step's series stops once two terms fall below this times ||F||
+# A sub-step whose series term grows past this times its input is redone as two halves.
+# The terms of a coherent one-atom rotation at ||h A||_1 = 9.8 reach 2.3e3 times the input
+# before they cancel: two such steps missed the dense chain by 1.0e-12, in halves (terms
+# below 25 times the input) by 7e-15.  The benchmark's steps stay below 1.0004.
+TAYLOR_MAX_HUMP = 64.0
 # Dense dim x dim matrices one expm(-1j * t * h) holds at its peak: its argument, seven
 # Pade and solve arrays and its result (tracemalloc at dim 64-1024).  A segment's eig and
 # inv hold at most 4.3 with V and V^-1 (peak RSS at dim 1024), so this is the largest
@@ -249,7 +258,9 @@ def _taylor_stepper(space: HilbertSpace):
     s = ceil(||t A||_1 / TAYLOR_MAX_NORM) sub-steps of h = t / s and in each
     sums the terms (h / j) A b up to degree TAYLOR_DEGREE, stopping early
     once two consecutive terms fall below TAYLOR_TOL times the partial sum
-    (infinity norms), then scales the sum by exp(h mu).  No norm is
+    (infinity norms), then scales the sum by exp(h mu).  A sub-step whose
+    term exceeds TAYLOR_MAX_HUMP times its input is redone as two sub-steps
+    of h / 2, each checked the same way.  No norm is
     estimated, so numpy's global RNG is never drawn from.  A step whose
     exponent t A and t mu are both zero returns the state itself.
     """
@@ -267,26 +278,30 @@ def _taylor_stepper(space: HilbertSpace):
         shifted = a - mu * identity
         return a, shifted, mu, float(abs(shifted).sum(axis=0).max())
 
+    def substep(shifted: csr_array, mu: complex, psi: np.ndarray, h: float) -> np.ndarray:
+        f = b = psi
+        c1 = np.abs(psi).max()
+        limit = TAYLOR_MAX_HUMP * c1
+        for j in range(1, TAYLOR_DEGREE + 1):
+            b = (h / j) * (shifted @ b)
+            c2 = np.abs(b).max()
+            if c2 > limit:
+                return substep(shifted, mu, substep(shifted, mu, psi, h / 2), h / 2)
+            f = f + b
+            if c1 + c2 <= TAYLOR_TOL * np.abs(f).max():
+                break
+            c1 = c2
+        return np.exp(h * mu) * f
+
     def advance(gen: tuple[csr_array, csr_array, complex, float], psi: np.ndarray,
                 t: float) -> np.ndarray:
         _, shifted, mu, norm = gen
         if not (t * norm or t * mu):
             return psi
         s = max(1, math.ceil(t * norm / TAYLOR_MAX_NORM))
-        h = t / s
-        eta = np.exp(h * mu)
-        f = psi
         for _ in range(s):
-            b, c1 = f, np.abs(f).max()
-            for j in range(1, TAYLOR_DEGREE + 1):
-                b = (h / j) * (shifted @ b)
-                c2 = np.abs(b).max()
-                f = f + b
-                if c1 + c2 <= TAYLOR_TOL * np.abs(f).max():
-                    break
-                c1 = c2
-            f = eta * f
-        return f
+            psi = substep(shifted, mu, psi, t / s)
+        return psi
 
     return generator, advance
 

@@ -11,8 +11,7 @@ from dfs_cavity import (Pulse, Schedule, SystemParams, build_slow_model, build_s
                         conditional_hamiltonian, dfs_basis, dfs_dimension,
                         entangling_pulse_duration, p0_closed_form, propagate_conditional,
                         sample_trajectory)
-from dfs_cavity.cli import (DEFAULT_GAMMA_LIST, DEFAULT_OMEGA1_MAX, DEFAULT_OMEGA1_MIN,
-                            DEFAULT_OMEGA1_POINTS, _sweep_curve)
+from dfs_cavity.cli import _sweep_curve, load_config
 from oracles import (basis_projector, collective_lowering, effective_hamiltonian,
                      embed_vacuum, four_atom_effective_matrix, four_atom_trapped_states,
                      integrate_pair_amplitudes, master_equation_evolve, no_photon_probability,
@@ -97,16 +96,18 @@ def test_criterion_05_closed_form_against_ode_integration():
            worst < 0.02 and elapsed < 30.0)
 
 
-def test_criterion_06_success_curves():
-    grid = np.geomspace(DEFAULT_OMEGA1_MIN, DEFAULT_OMEGA1_MAX, DEFAULT_OMEGA1_POINTS)
+def test_criterion_06_success_curves(tmp_path):
+    # the sweep's default grid and gamma list, as the CLI builds them
+    (tmp_path / "run.ini").write_text("n_atoms = 2\n")
+    run = load_config(tmp_path / "run.ini", "sweep")
     curves = {}
-    for gamma in DEFAULT_GAMMA_LIST:
-        rows = _sweep_curve(gamma, 1.0, 3, 0.0, grid)
+    for gamma in run.gamma_list:
+        rows = _sweep_curve(gamma, 1.0, 3, 0.0, run.omega1_grid)
         curves[gamma] = np.array([[r[3], r[5]] for r in rows])  # p0_numeric, fidelity
     lossless = curves[0.0][:, 0]
     monotone = bool(np.all(np.diff(lossless) < 0) and lossless[0] > 0.998)
     unique_peaks = True
-    for gamma in DEFAULT_GAMMA_LIST[1:]:
+    for gamma in run.gamma_list[1:]:
         vals = curves[gamma][:, 0]
         peaks = [i for i in range(1, len(vals) - 1)
                  if vals[i] > vals[i - 1] and vals[i] > vals[i + 1]]

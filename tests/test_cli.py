@@ -196,6 +196,35 @@ def test_a_leading_section_header_is_optional(tmp_path, header):
 
 TRAJ = "n_atoms = 2\nrabi = 0.05, -0.05\nduration = 1\n"
 THREE_ATOMS_AUTO = "n_atoms = 3\nrabi = 0.05, -0.05, 0.05\nduration = auto\n"
+MODES = ("basis", "evolve", "pulse", "sweep", "trajectories")
+# a value of each accepted key but mode that every mode accepts
+VALID_VALUES = {
+    "n_atoms": "2", "kappa": "1.0", "gamma": "0.001", "n_max": "1", "seed": "3", "eta": "0.5",
+    "settle": "2", "samples": "20", "jump_log": "yes", "evolve_points": "5",
+    "rabi": "0.1, -0.1", "duration": "20", "omega1_list": "0.03, 0.08", "omega1_min": "0.01",
+    "omega1_max": "0.1", "omega1_points": "3", "gamma_list": "0, 0.001",
+}
+# malformed and non-finite values of each accepted key: a config error in every mode,
+# whether or not the mode uses the key
+BAD_VALUES = {
+    "mode": ["other"], "n_atoms": ["two", "2.5"], "kappa": ["1%", "nan"],
+    "gamma": ["abc", "inf"], "n_max": ["3.0"], "seed": ["one"], "eta": ["x", "-inf"],
+    "settle": ["", "nan"], "samples": ["1e3"], "jump_log": ["maybe"],
+    "evolve_points": ["many"], "rabi": ["0.1, -0.1,", "nan, -0.1"],
+    "duration": ["automatic", "inf"], "omega1_list": ["0.03; 0.08", "0.03, nan"],
+    "omega1_min": ["small", "nan"], "omega1_max": ["big", "inf"], "omega1_points": ["4.5"],
+    "gamma_list": ["0, 1e-3x", "nan, 1"],
+}
+
+
+def every_key(mode, /, **changed):
+    """A config that sets every accepted key, to VALID_VALUES unless changed."""
+    values = {**VALID_VALUES, "mode": mode, **changed}
+    return "".join(f"{key} = {values[key]}\n" for key in cli.CONFIG_KEYS)
+
+
+BAD_KEY_CASES = [(key, bad, mode) for key in cli.CONFIG_KEYS for bad in BAD_VALUES[key]
+                 for mode in MODES]
 
 
 @pytest.mark.parametrize("mode, text, flags, code", [
@@ -210,9 +239,10 @@ THREE_ATOMS_AUTO = "n_atoms = 3\nrabi = 0.05, -0.05, 0.05\nduration = auto\n"
     ("trajectories", TRAJ + "seed = one\n", ["--seed", "3"], 2),
     # equal drives leave the slow model overdamped: no full rotation, a guard error
     ("pulse", "n_atoms = 2\nrabi = 0.05, 0.05\nduration = auto\n", [], 3),
+    *[(mode, every_key(mode, **{key: bad}), [], 2) for key, bad, mode in BAD_KEY_CASES],
 ], ids=["auto-n3-pulse", "auto-n3-evolve", "auto-n3-trajectories", "evolve-points-1",
         "samples-0", "samples-flag-0", "seed-flag-minus-1", "malformed-seed-under-flag",
-        "overdamped-auto"])
+        "overdamped-auto", *[f"{key}={bad}-{mode}" for key, bad, mode in BAD_KEY_CASES]])
 def test_config_errors_exit_before_any_output_or_space(tmp_path, monkeypatch, mode, text,
                                                        flags, code):
     def no_space(params):
@@ -502,11 +532,14 @@ CONSOLE_RUNS = {
 }
 
 
-@pytest.mark.parametrize("mode", sorted(CONSOLE_RUNS))
-def test_console_run_writes_the_outputs_of_an_in_process_run(tmp_path, capsys, mode):
+# each mode's own config, then one config that sets every accepted key, in each mode
+@pytest.mark.parametrize("mode, text", [*CONSOLE_RUNS.items(),
+                                        *((mode, every_key(mode)) for mode in MODES)],
+                         ids=[*CONSOLE_RUNS, *(f"{mode}-every-key" for mode in MODES)])
+def test_console_run_writes_the_outputs_of_an_in_process_run(tmp_path, capsys, mode, text):
     # main freezes the collector, so the console process leaves its objects to the
     # OS at exit: every output must be whole by then, with no finaliser to flush it
-    cfg = write_config(tmp_path, CONSOLE_RUNS[mode])
+    cfg = write_config(tmp_path, text)
     here, there = tmp_path / "in_process", tmp_path / "console"
     assert main([mode, "--config", cfg, "--out", str(here)]) == 0
     last = capsys.readouterr().out.splitlines()[-1]

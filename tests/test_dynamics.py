@@ -153,8 +153,18 @@ def schedule_cases(draw):
     return build_space(params), params, schedule, [min(t, span) for t in times]
 
 
+def humped_one_atom_case():
+    # ||t A||_1 = 9.81 per segment: one sub-step each, whose terms reach 2.3e3 times the
+    # state before they cancel, on the Taylor steps
+    params = SystemParams(n_atoms=1, g=1.0, kappa=1.91, gamma=2.2e-16, n_max=0)
+    pulse = Pulse((0.44652043378647976 + 0.7255356647775302j,), 23.026581809564505)
+    schedule = Schedule((pulse, pulse))
+    return build_space(params), params, schedule, [0.0, pulse.duration, schedule.total_duration]
+
+
 @settings(max_examples=40, deadline=None, derandomize=True, database=None)
 @given(schedule_cases())
+@example(humped_one_atom_case())
 def test_propagate_schedule_matches_dense_expm_chain(case):
     space, params, schedule, times = case
     expected_rows = schedule_states_dense(space, params, schedule, times)
