@@ -38,6 +38,10 @@ from .hilbert import DeskScaleError, SystemParams, build_space, check_budget
 
 GUARD_ERRORS = (DeskScaleError, OverdampedError, ArithmeticError)
 SWEEP_CHUNK = 256  # omega1 points per stacked exponential; bounds the stack at 1 MB
+# Bytes a sweep holds per row at its peak, counting the grid as one more row per point:
+# a row's tuple and floats take 224 B, the grid, its sweep.json list and the encoder's
+# chunks 151 B per point (tracemalloc slope at 20 000-80 000 points, 1 and 4 gammas)
+SWEEP_ROW_BYTES = 240
 
 
 class ConfigError(ValueError):
@@ -192,11 +196,21 @@ def load_config(path: str | Path, mode: str, seed: int | None = None,
     if mode == "sweep":
         if params.n_atoms != 2 or params.kappa == 0:
             raise ConfigError("sweep needs two atoms and kappa > 0")
+        if "gamma_list" in raw:
+            if not cfg.gamma_list:
+                raise ConfigError("gamma_list is empty")
+            if any(gm < 0 for gm in cfg.gamma_list):
+                raise ConfigError("gamma_list entries must be >= 0")
+        elif "gamma" in raw:
+            cfg.gamma_list = (params.gamma,)
         grid = val["omega1_list"]
+        lo, hi, pts = val["omega1_min"], val["omega1_max"], val["omega1_points"]
+        if grid is None and (lo <= 0 or hi <= lo or pts < 1):
+            raise ConfigError("omega1 grid must be positive with max > min")
+        n_points = pts if grid is None else len(grid)
+        check_budget(f"a sweep of {n_points} omega1 points x {len(cfg.gamma_list)} gammas",
+                     SWEEP_ROW_BYTES * n_points * (len(cfg.gamma_list) + 1))
         if grid is None:
-            lo, hi, pts = val["omega1_min"], val["omega1_max"], val["omega1_points"]
-            if lo <= 0 or hi <= lo or pts < 1:
-                raise ConfigError("omega1 grid must be positive with max > min")
             grid = tuple(np.geomspace(lo, hi, pts).tolist())
         keys = {"omega1_list", "omega1_min", "omega1_max", "omega1_points"}
         cfg.grid_source = "config" if keys & raw.keys() else "default"
@@ -205,13 +219,6 @@ def load_config(path: str | Path, mode: str, seed: int | None = None,
         if any(o <= 0 for o in grid) or any(b <= a for a, b in zip(grid, grid[1:])):
             raise ConfigError("omega1 grid must be strictly increasing and positive")
         cfg.omega1_grid = grid
-        if "gamma_list" in raw:
-            if not cfg.gamma_list:
-                raise ConfigError("gamma_list is empty")
-            if any(gm < 0 for gm in cfg.gamma_list):
-                raise ConfigError("gamma_list entries must be >= 0")
-        elif "gamma" in raw:
-            cfg.gamma_list = (params.gamma,)
     return cfg
 
 

@@ -13,8 +13,9 @@ pairs: place n disjoint atom pairs in (|10> - |01>)/sqrt(2) and every
 remaining atom in the ground state.  Only the pairings read off the
 columns of the two-row standard Young tableaux of shape (N - n, n) are
 used; there is exactly one per trapped state and they are linearly
-independent.  One Householder QR per sector, of the generators in a
-fixed enumeration order, makes the output orthonormal and deterministic.
+independent.  One array pass builds a sector's generators as the columns
+of the matrix its Householder QR factors, in a fixed enumeration order,
+which makes the output orthonormal and deterministic.
 """
 
 from __future__ import annotations
@@ -59,47 +60,36 @@ def dicke_degeneracy(n_atoms: int, l: float) -> int:
     return math.comb(n_atoms, n) - math.comb(n_atoms, n - 1)
 
 
-def _tableau_pairings(n_atoms: int, n_pairs: int):
-    """Column pairs of the two-row standard Young tableaux of shape (N - n, n).
-
-    The lower row b_1 < ... < b_n runs over combinations in lexicographic
-    order; the upper row a_1 < a_2 < ... holds the remaining atoms.  The
-    filling is standard iff a_k < b_k for every k; the pairs (a_k, b_k)
-    then come out sorted.  There are dicke_degeneracy(N, N/2 - n) of them.
-    """
-    atoms = range(1, n_atoms + 1)
-    for lower in itertools.combinations(atoms, n_pairs):
-        upper = [a for a in atoms if a not in lower]
-        if all(a < b for a, b in zip(upper, lower)):
-            yield tuple(zip(upper, lower))
-
-
-def _singlet_product(n_atoms: int, pairs: tuple[tuple[int, int], ...]) -> np.ndarray:
-    """Atomic-sector vector: singlets on ``pairs``, all other atoms ground."""
-    vec = np.zeros(1 << n_atoms, dtype=complex)
-    amp = 2.0 ** (-len(pairs) / 2.0)
-    for choice in itertools.product((0, 1), repeat=len(pairs)):
-        bits = 0
-        sign = 1.0
-        for (i, j), c in zip(pairs, choice):
-            excited = i if c == 0 else j
-            if c == 1:
-                sign = -sign
-            bits |= 1 << (n_atoms - excited)
-        vec[bits] += sign * amp
-    return vec
-
-
-def generating_states(n_atoms: int, n_pairs: int) -> list[np.ndarray]:
+def generating_states(n_atoms: int, n_pairs: int) -> np.ndarray:
     """Standard-tableau singlet generators of the excitation-n sector (atomic part).
 
-    Returns ``dicke_degeneracy(N, N/2 - n_pairs)`` linearly independent
-    vectors of length 2**N, each annihilated by J_minus, so they span the
-    sector exactly.
+    Column j is a product of n_pairs singlets (|10> - |01>)/sqrt(2) on the
+    pairs (a_k, b_k), every other atom in the ground state.  The pairs are
+    the columns of a two-row standard Young tableau of shape (N - n, n):
+    the lower row b_1 < ... < b_n runs over combinations in lexicographic
+    order, the upper row a_1 < a_2 < ... holds the remaining atoms, and
+    the filling is standard iff a_k < b_k for every k.  Returns the
+    ``(2**N, dicke_degeneracy(N, N/2 - n_pairs))`` complex array, in
+    Fortran order, of linearly independent vectors, each annihilated by
+    J_minus, so they span the sector exactly.
     """
     if not 0 <= n_pairs <= n_atoms // 2:
         raise ValueError(f"n_pairs = {n_pairs} outside [0, {n_atoms // 2}]")
-    return [_singlet_product(n_atoms, p) for p in _tableau_pairings(n_atoms, n_pairs)]
+    atoms = np.arange(1, n_atoms + 1)
+    lower = np.array(list(itertools.combinations(atoms.tolist(), n_pairs)), dtype=int)
+    # nonzero walks each row left to right, so every upper row comes out sorted
+    upper = atoms[np.nonzero((lower[:, :, None] != atoms).all(axis=1))[1]].reshape(len(lower), -1)
+    standard = (upper[:, :n_pairs] < lower).all(axis=1)
+    weight_a = 1 << (n_atoms - upper[standard, :n_pairs])
+    weight_b = 1 << (n_atoms - lower[standard])
+    # choices[c, k] = 1 excites b_k instead of a_k and flips the sign; the rows run in
+    # itertools.product order.  The pairs are disjoint, so no two terms share a row
+    choices = (np.arange(1 << n_pairs)[:, None] >> np.arange(n_pairs - 1, -1, -1)) & 1
+    signs = 2.0 ** (-n_pairs / 2.0) * (1 - 2 * (choices.sum(axis=1) % 2))
+    gens = np.zeros((1 << n_atoms, len(weight_a)), dtype=complex, order="F")
+    gens[weight_a.sum(axis=1) + choices @ (weight_b - weight_a).T,
+         np.arange(len(weight_a))] = signs[:, None]
+    return gens
 
 
 @dataclass(frozen=True, eq=False)
@@ -153,7 +143,7 @@ def dfs_basis(space: HilbertSpace) -> DfsBasis:
     vectors = np.zeros((count, space.dim), dtype=complex)
     excitations: list[int] = []
     for n in range(n_atoms // 2 + 1):
-        q, r = np.linalg.qr(np.array(generating_states(n_atoms, n)).T)
+        q, r = np.linalg.qr(generating_states(n_atoms, n))
         diag = r.diagonal()
         if not np.abs(diag).min() >= RANK_TOL:
             raise RuntimeError(f"dependent generator in excitation sector {n}")

@@ -10,8 +10,9 @@ Conventions used throughout the package:
   reads atom 1 ... atom N left to right.
 * States are complex vectors of length ``dim``.  There is no cap on N or
   ``dim``: each allocation that grows with the space (the sigma_i entry
-  table, a dense dim x dim operator, the trapped basis, ``evolve``'s rows)
-  checks its own bytes with :func:`check_budget` before it is made.
+  table, a dense dim x dim operator, the trapped basis, ``evolve``'s rows,
+  the sweep's grid and rows) checks its own bytes with :func:`check_budget`
+  before it is made.
 * Operators are scattered onto zeros, never multiplied out.  sigma_i and the
   drive land on the positions :func:`lowering_entries` lists, the coupling
   b J_plus on them shifted by one photon block, b one block above the diagonal.

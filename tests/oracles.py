@@ -5,8 +5,9 @@ explicit product states, series expansions, black-box ODE integration)
 so the package paths are checked against genuinely independent
 arithmetic rather than against themselves.  The inverse flat index and
 configuration bitstrings, the pair-basis amplitude equations, the
-exact-exponential Lindblad evolution, the greedy all-pairings trapped
-basis, the loop- and product-built operators and jump channels, the
+exact-exponential Lindblad evolution, the standard-tableau singlet
+products built term by term, the greedy all-pairings trapped basis, the
+loop- and product-built operators and jump channels, the
 dense-exponential schedule chain and quantum-jump sampler, the trajectory ensemble over
 numpy-spawned child seeds, the slow model's propagator
 and amplitudes, the sweep row built point by point, the no-emission
@@ -15,6 +16,7 @@ trapped-subspace projector and a few operator helpers that only the
 tests use live here as well.
 """
 
+import itertools
 from functools import lru_cache
 
 import numpy as np
@@ -27,7 +29,7 @@ from dfs_cavity import (DfsBasis, EnsembleResult, HilbertSpace, Pulse, Schedule,
                         entangling_pulse_duration, omega_pm, p0_closed_form,
                         propagate_conditional, sample_trajectory)
 from dfs_cavity.analytic import _sin_over_s
-from dfs_cavity.dfs import RANK_TOL, _singlet_product
+from dfs_cavity.dfs import RANK_TOL
 from dfs_cavity.dynamics import ENSEMBLE_CHUNK, NORM_BISECTION_TOL
 from dfs_cavity.hamiltonians import _check_pulse
 
@@ -122,6 +124,37 @@ def four_atom_trapped_states():
     return {"gg": gg, "ga": ga, "ag": ag, "aa": aa, "x1": x1, "x2": x2}
 
 
+def tableau_pairings(n_atoms: int, n_pairs: int):
+    """Column pairs of the two-row standard Young tableaux of shape (N - n, n).
+
+    The lower row b_1 < ... < b_n runs over combinations in lexicographic
+    order; the upper row a_1 < a_2 < ... holds the remaining atoms.  The
+    filling is standard iff a_k < b_k for every k; the pairs (a_k, b_k)
+    then come out sorted.  There are dicke_degeneracy(N, N/2 - n) of them.
+    """
+    atoms = range(1, n_atoms + 1)
+    for lower in itertools.combinations(atoms, n_pairs):
+        upper = [a for a in atoms if a not in lower]
+        if all(a < b for a, b in zip(upper, lower)):
+            yield tuple(zip(upper, lower))
+
+
+def singlet_product(n_atoms: int, pairs: tuple[tuple[int, int], ...]) -> np.ndarray:
+    """Atomic-sector vector: singlets on ``pairs``, all other atoms ground."""
+    vec = np.zeros(1 << n_atoms, dtype=complex)
+    amp = 2.0 ** (-len(pairs) / 2.0)
+    for choice in itertools.product((0, 1), repeat=len(pairs)):
+        bits = 0
+        sign = 1.0
+        for (i, j), c in zip(pairs, choice):
+            excited = i if c == 0 else j
+            if c == 1:
+                sign = -sign
+            bits |= 1 << (n_atoms - excited)
+        vec[bits] += sign * amp
+    return vec
+
+
 def _pairings(atoms: tuple[int, ...], n_pairs: int):
     """All ways to pick n_pairs disjoint ordered pairs (i < j), lexicographic.
 
@@ -153,7 +186,7 @@ def greedy_pairing_basis(n_atoms):
     accepted = []
     for n in range(n_atoms // 2 + 1):
         for pairs in _pairings(atoms, n):
-            v = _singlet_product(n_atoms, pairs)
+            v = singlet_product(n_atoms, pairs)
             for _ in range(2):
                 for u in accepted:
                     v -= np.vdot(u, v) * u

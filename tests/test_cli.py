@@ -118,6 +118,17 @@ def test_sweep_over_the_dense_budget_exits_before_allocating(tmp_path):
     assert not (tmp_path / "sweep.csv").exists()
 
 
+def test_sweep_grid_over_the_budget_exits_before_allocating(tmp_path, capsys):
+    # 10^15 grid points: np.geomspace alone would take 7.11 PiB
+    cfg = write_config(tmp_path, "n_atoms = 2\nomega1_points = 1000000000000000\n")
+    out = tmp_path / "out"
+    code, peak = run_traced(["sweep", "--config", cfg, "--out", str(out)])
+    assert code == 3 and peak < 1 << 20
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert err.count("numerical guard:") == 1 and "Traceback" not in err
+
+
 def test_evolve_rows_over_the_budget_exit_before_allocating(tmp_path):
     # 10 000 000 rows of dim 4096 would take 610 GiB
     rabi = ", ".join(["0.05", "-0.05"] * 5)

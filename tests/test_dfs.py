@@ -14,7 +14,8 @@ from dfs_cavity import (Pulse, SystemParams, build_space, conditional_hamiltonia
                         generating_states, laser_hamiltonian)
 from oracles import (basis_projector, collective_lowering, dfs_projector,
                      effective_hamiltonian, embed_vacuum, four_atom_effective_matrix,
-                     four_atom_trapped_states, greedy_pairing_basis, pair_vector)
+                     four_atom_trapped_states, greedy_pairing_basis, pair_vector,
+                     singlet_product, tableau_pairings)
 
 
 def space_of(n_atoms, n_max=1, **rates):
@@ -62,18 +63,28 @@ def test_dicke_degeneracies_sum_to_dimension():
 
 
 def test_generating_states_counts():
-    assert len(generating_states(4, 1)) == 3
-    assert len(generating_states(2, 1)) == 1
-    assert len(generating_states(3, 1)) == 2
-    assert len(generating_states(4, 2)) == 2
+    assert generating_states(4, 1).shape[1] == 3
+    assert generating_states(2, 1).shape[1] == 1
+    assert generating_states(3, 1).shape[1] == 2
+    assert generating_states(4, 2).shape[1] == 2
     with pytest.raises(ValueError):
         generating_states(4, 3)
+
+
+@pytest.mark.parametrize("n_atoms, n_pairs", [(n_atoms, n_pairs) for n_atoms in range(1, 13)
+                                              for n_pairs in range(n_atoms // 2 + 1)])
+def test_generating_states_have_the_bytes_of_the_loop_products(n_atoms, n_pairs):
+    gens = generating_states(n_atoms, n_pairs)
+    loop = np.array([singlet_product(n_atoms, pairs)
+                     for pairs in tableau_pairings(n_atoms, n_pairs)]).T
+    assert gens.shape == loop.shape and gens.dtype == loop.dtype
+    assert gens.tobytes() == loop.tobytes()
 
 
 def test_generating_states_are_trapped():
     for n_atoms, n_pairs in [(2, 1), (3, 1), (4, 2), (5, 2)]:
         jm = atomic_collective_lowering(n_atoms)
-        for vec in generating_states(n_atoms, n_pairs):
+        for vec in generating_states(n_atoms, n_pairs).T:
             assert np.linalg.norm(jm @ vec) < 1e-12
 
 
@@ -81,8 +92,8 @@ def test_generating_states_span_rank():
     # one independent generator per trapped state, in every sector
     for n_atoms in range(1, 12):
         for n_pairs in range(n_atoms // 2 + 1):
-            gens = np.array(generating_states(n_atoms, n_pairs))
-            assert (len(gens) == np.linalg.matrix_rank(gens, tol=1e-10)
+            gens = generating_states(n_atoms, n_pairs)
+            assert (gens.shape[1] == np.linalg.matrix_rank(gens, tol=1e-10)
                     == dicke_degeneracy(n_atoms, n_atoms / 2 - n_pairs))
 
 
