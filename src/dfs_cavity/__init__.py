@@ -5,6 +5,11 @@ the trapped (decoherence-free) subspace, propagates the no-emission
 conditional dynamics, samples quantum-jump trajectories, and carries a
 closed-form weak-driving model of the two-atom system used to
 cross-validate the numerics.
+
+Only ``dynamics`` imports scipy.  Its six public names here load it on
+first access (PEP 562), so ``import dfs_cavity`` and the trapped basis
+need numpy alone; ``from dfs_cavity import *`` binds every name and so
+loads it.
 """
 
 from .analytic import (OverdampedError, SlowModel, ZenoReport, build_slow_model,
@@ -12,14 +17,23 @@ from .analytic import (OverdampedError, SlowModel, ZenoReport, build_slow_model,
                        zeno_timescale_check)
 from .dfs import (DfsBasis, dfs_basis, dfs_dimension, dicke_degeneracy, export_basis,
                   generating_states)
-from .dynamics import (EnsembleResult, Schedule, Trajectory, propagate_conditional,
-                       propagate_schedule, run_ensemble, sample_trajectory)
-from .hamiltonians import (Pulse, conditional_hamiltonian, laser_hamiltonian,
+from .hamiltonians import (Pulse, Schedule, conditional_hamiltonian, laser_hamiltonian,
                            photon_loss_density)
 from .hilbert import (DeskScaleError, HilbertSpace, SystemParams, atomic_lowering,
                       build_space, cavity_annihilation)
 
 __version__ = "0.1.0"
+
+_DYNAMICS_NAMES = frozenset({"EnsembleResult", "Trajectory", "propagate_conditional",
+                             "propagate_schedule", "run_ensemble", "sample_trajectory"})
+
+
+def __getattr__(name: str):
+    if name not in _DYNAMICS_NAMES:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from . import dynamics
+    return getattr(dynamics, name)
+
 
 __all__ = [
     "DeskScaleError", "DfsBasis", "EnsembleResult", "HilbertSpace", "OverdampedError",

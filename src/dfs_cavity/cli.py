@@ -32,8 +32,7 @@ import numpy as np
 from .analytic import (OverdampedError, build_slow_model, entangling_pulse_duration,
                        p0_closed_form, zeno_timescale_check)
 from .dfs import dfs_basis, dfs_dimension, dicke_degeneracy, export_basis
-from .dynamics import Schedule, propagate_conditional, propagate_schedule, run_ensemble
-from .hamiltonians import Pulse, conditional_hamiltonian, laser_hamiltonian
+from .hamiltonians import Pulse, Schedule, conditional_hamiltonian, laser_hamiltonian
 from .hilbert import DeskScaleError, SystemParams, build_space, check_budget
 
 GUARD_ERRORS = (DeskScaleError, OverdampedError, ArithmeticError)
@@ -46,6 +45,15 @@ SWEEP_ROW_BYTES = 240
 
 class ConfigError(ValueError):
     """Missing, malformed, or mode-inconsistent configuration."""
+
+
+def __getattr__(name: str):
+    # the commands import dynamics, and with it scipy, when they run; cli.propagate_conditional
+    # still resolves, because perfbench/test_perfbench.py reads it
+    if name != "propagate_conditional":
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from .dynamics import propagate_conditional
+    return propagate_conditional
 
 
 def _number(text: str, kind: type = float) -> complex:
@@ -261,6 +269,8 @@ def _sweep_curve(gamma: float, kappa: float, n_max: int, eta: float,
     on sigma_i entries, which hold +0.0 in h0, so every slice has the bytes
     of conditional_hamiltonian(space, Pulse((omega1, -omega1), T)).
     """
+    from .dynamics import propagate_conditional
+
     params = SystemParams(2, 1.0, kappa, gamma, n_max)
     space = build_space(params)
     # h0, the drive and, per chunk, the H_cond stack, its scaled copy and the exponentials
@@ -314,6 +324,8 @@ def cmd_sweep(cfg: RunConfig, out: Path) -> None:
 
 
 def cmd_pulse(cfg: RunConfig, out: Path) -> None:
+    from .dynamics import propagate_schedule
+
     space = build_space(cfg.params)
     basis = dfs_basis(space)
     pulse = cfg.schedule.segments[0]
@@ -350,6 +362,8 @@ def cmd_pulse(cfg: RunConfig, out: Path) -> None:
 
 
 def cmd_trajectories(cfg: RunConfig, out: Path) -> None:
+    from .dynamics import run_ensemble
+
     space = build_space(cfg.params)
     result = run_ensemble(space, cfg.schedule, cfg.samples, cfg.seed)
     p0, eta = result.p0_estimate, cfg.eta
@@ -391,6 +405,8 @@ def cmd_trajectories(cfg: RunConfig, out: Path) -> None:
 
 
 def cmd_evolve(cfg: RunConfig, out: Path) -> None:
+    from .dynamics import propagate_schedule
+
     space = build_space(cfg.params)
     check_budget(f"{cfg.evolve_points} state rows and the trapped basis",
                  16 * (cfg.evolve_points + dfs_dimension(space.n_atoms)) * space.dim)
@@ -426,19 +442,22 @@ COMMANDS = {
 def main(argv: list[str] | None = None) -> int:
     """Run one command; returns the exit code (0, 2 config error, 3 guard abort).
 
-    The first statement freezes the collector: every object alive when main
-    starts, about 40 000 tracked ones from the numpy/scipy/package imports,
-    moves to the permanent generation, which the collections at interpreter
-    exit skip.  So a CLI process leaves its import-time cycles to the OS
-    instead of freeing them one by one (from main's return to exit, about
-    110 ms -> 25 ms).  Reference counting still frees a frozen object; an
-    in-process caller keeps the collector, but cycles alive when it called
-    main are no longer collected.
+    The mode's imports come first: every mode but ``basis`` imports
+    ``dynamics``, and with it scipy, right after argv is parsed, so
+    ``basis`` runs on numpy alone.  Then main freezes the collector: every
+    object alive at that point, about 40 000 tracked ones from the
+    numpy/scipy/package imports, moves to the permanent generation, which
+    the collections during the run and at interpreter exit skip.  So a CLI
+    process leaves its import-time cycles to the OS instead of freeing them
+    one by one (from main's return to exit, about 110 ms -> 25 ms).  An
+    import after the freeze would leave scipy's objects to the collector.
+    Reference counting still frees a frozen object; an in-process caller
+    keeps the collector, but cycles alive when it called main are no longer
+    collected.
 
     A guard abort removes the topmost directory this run made for --out, so
     it leaves no output; a directory that existed before keeps its files.
     """
-    gc.freeze()
     parser = argparse.ArgumentParser(
         prog="dfs-cavity-sim",
         description="Trapped-state (decoherence-free) subspace simulator for "
@@ -450,6 +469,9 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--samples", type=int, default=None,
                         help="override the trajectory sample count")
     args = parser.parse_args(argv)
+    if args.mode != "basis":
+        from . import dynamics  # noqa: F401  (scipy's import-time objects are frozen next)
+    gc.freeze()
     out = Path(args.out)
     created = next((p for p in reversed((out, *out.parents)) if not p.exists()), None)
     try:

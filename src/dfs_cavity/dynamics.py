@@ -46,6 +46,10 @@ average rho_perp of the trajectories that emitted; its state is
 p0 |psi0><psi0| + (1 - p0) rho_perp.  Its trajectory i draws from child i
 of ``SeedSequence(seed).spawn(n)``; the children's PCG64 states are
 computed in blocks of 65 536 and loaded into one reused Generator.
+
+This is the package's one module that imports scipy (``scipy.linalg.expm``,
+and ``scipy.sparse`` on a Taylor step); ``Schedule`` lives in
+``hamiltonians`` and is re-exported here.
 """
 
 from __future__ import annotations
@@ -57,7 +61,7 @@ from functools import lru_cache, partial
 import numpy as np
 from scipy.linalg import expm
 
-from .hamiltonians import (Pulse, _channel_entries, _conditional_entries,
+from .hamiltonians import (Pulse, Schedule, _channel_entries, _conditional_entries,
                            conditional_hamiltonian)
 from .hilbert import HilbertSpace, _read_only, check_budget
 
@@ -104,26 +108,6 @@ _HASH_INIT_B, _HASH_MULT_B = 0x8B51F9DD, 0x58F38DED
 _MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
 _PCG64_MULT_HI, _PCG64_MULT_LO = 0x2360ED051FC65DA4, 0x4385DF649FCCF645
 _LOW32 = 0xFFFFFFFF
-
-
-@dataclass(frozen=True)
-class Schedule:
-    """Ordered piecewise-constant drive segments (all-zero rabi = lasers off)."""
-
-    segments: tuple[Pulse, ...]
-
-    def __post_init__(self):
-        segments = tuple(self.segments)
-        object.__setattr__(self, "segments", segments)
-        if not segments:
-            raise ValueError("schedule needs at least one segment")
-        n = segments[0].n_atoms
-        if any(seg.n_atoms != n for seg in segments):
-            raise ValueError("all schedule segments must drive the same atom count")
-
-    @property
-    def total_duration(self) -> float:
-        return float(sum(seg.duration for seg in self.segments))
 
 
 @dataclass(frozen=True, eq=False)
@@ -201,9 +185,10 @@ def propagate_schedule(space: HilbertSpace, schedule: Schedule,
     also has the bytes of its no-jump state, and _taylor_stepper's above,
     within 1e-12 of the dense exponential.  Raises DeskScaleError, before
     it allocates them, when the rows exceed DENSE_BUDGET_BYTES,
-    ArithmeticError when the squared norm at the schedule end underflows
-    to zero, and ValueError (from the H_cond builder) when the schedule
-    drives another atom count than the space holds.
+    ArithmeticError when the state at the schedule end is not finite or
+    its squared norm underflows to zero, and ValueError (from the H_cond
+    builder) when the schedule drives another atom count than the space
+    holds.
     """
     generator, advance = (_dense_stepper if space.dim <= DENSE_MAX_DIM else _taylor_stepper)(space)
     grid = np.asarray([] if times is None else times, dtype=float)
@@ -222,9 +207,17 @@ def propagate_schedule(space: HilbertSpace, schedule: Schedule,
             psi, at = advance(gen, psi, t - at), t
             out[k], k = psi, k + 1
         psi, start = advance(gen, psi, seg.duration - at), end
-    if not np.vdot(psi, psi).real > 0:
-        raise ArithmeticError("conditional state vanished entirely")
+    _check_final_state(psi)
     return psi if times is None else out
+
+
+def _check_final_state(psi: np.ndarray | None) -> None:
+    """ArithmeticError unless the no-jump final state is finite and nonzero (None: zero)."""
+    norm = 0.0 if psi is None else np.vdot(psi, psi).real
+    if not np.isfinite(norm):
+        raise ArithmeticError("conditional state is not finite: the propagation overflowed")
+    if not norm > 0:
+        raise ArithmeticError("conditional state vanished entirely")
 
 
 def _dense_stepper(space: HilbertSpace):
@@ -312,7 +305,7 @@ class _SamplerPlan:
     starts: tuple[np.ndarray, ...]  # no-jump state entering each segment
     offsets: tuple[float, ...]  # schedule time at which each segment starts
     end_norms: tuple[float, ...]  # no-jump squared norm at each segment end; inf if duration 0
-    psi0: np.ndarray | None  # normalized no-jump final state; None if it vanished
+    psi0: np.ndarray | None  # normalized no-jump end state; None if it vanished, NaN if not finite
     channels: tuple[tuple[str, ...], tuple[tuple, ...]]  # labels, (rows, cols, values) each
 
 
@@ -345,7 +338,7 @@ def _sampler_plan(space: HilbertSpace, schedule: Schedule) -> _SamplerPlan:
             psi = step(psi, seg.duration)
         end_norms.append(np.vdot(psi, psi).real if seg.duration > 0 else np.inf)
         t_offset += seg.duration
-    psi0 = _read_only(psi / np.linalg.norm(psi)) if np.vdot(psi, psi).real > 0 else None
+    psi0 = None if np.vdot(psi, psi).real == 0 else _read_only(psi / np.linalg.norm(psi))
     labels, tables = _channel_entries(space)
     tables = tuple(tuple(map(_read_only, table)) for table in tables)
     return _SamplerPlan(tuple(segments), tuple(starts), tuple(offsets), tuple(end_norms), psi0,
@@ -645,12 +638,12 @@ def run_ensemble(space: HilbertSpace, schedule: Schedule, n_samples: int,
     the EXPM_PEAK_MATRICES of the exponential a jump search forms raise
     DeskScaleError over DENSE_BUDGET_BYTES, before any is allocated.  The
     sampler plan is built next, so a schedule under which the no-jump
-    state vanishes raises ArithmeticError before any sampling.  Trajectory
-    i draws from ``SeedSequence(seed).spawn(n)[i]``: the children's PCG64
-    states are computed SEED_BLOCK_CHUNKS * ENSEMBLE_CHUNK at a time
-    (_child_pcg64_states), so the seeding memory does not grow with
-    n_samples, and loaded in turn into one Generator that every
-    ``sample_trajectory`` call draws from.  The outer products of the
+    state vanishes or is not finite raises ArithmeticError before any
+    sampling.  Trajectory i draws from ``SeedSequence(seed).spawn(n)[i]``:
+    the children's PCG64 states are computed SEED_BLOCK_CHUNKS *
+    ENSEMBLE_CHUNK at a time (_child_pcg64_states), so the seeding memory
+    does not grow with n_samples, and loaded in turn into one Generator
+    that every ``sample_trajectory`` call draws from.  The outer products of the
     trajectories that emitted are summed per chunk of ENSEMBLE_CHUNK
     trajectories and the chunk sums are then added in order.
     """
@@ -660,8 +653,7 @@ def run_ensemble(space: HilbertSpace, schedule: Schedule, n_samples: int,
                  16 * (4 * len(schedule.segments) + 2 + EXPM_PEAK_MATRICES)
                  * space.dim * space.dim)
     plan = _sampler_plan(space, schedule)
-    if plan.psi0 is None:
-        raise ArithmeticError("conditional state vanished entirely")
+    _check_final_state(plan.psi0)
     bit_generator = np.random.PCG64()
     rng = np.random.Generator(bit_generator)
     perp_sum = np.zeros((space.dim, space.dim), dtype=complex)

@@ -67,6 +67,26 @@ class Pulse:
         return len(self.rabi)
 
 
+@dataclass(frozen=True)
+class Schedule:
+    """Ordered piecewise-constant drive segments (all-zero rabi = lasers off)."""
+
+    segments: tuple[Pulse, ...]
+
+    def __post_init__(self):
+        segments = tuple(self.segments)
+        object.__setattr__(self, "segments", segments)
+        if not segments:
+            raise ValueError("schedule needs at least one segment")
+        n = segments[0].n_atoms
+        if any(seg.n_atoms != n for seg in segments):
+            raise ValueError("all schedule segments must drive the same atom count")
+
+    @property
+    def total_duration(self) -> float:
+        return float(sum(seg.duration for seg in self.segments))
+
+
 def _check_pulse(space: HilbertSpace, pulse: Pulse) -> None:
     if pulse.n_atoms != space.n_atoms:
         raise ValueError(

@@ -533,6 +533,41 @@ def test_sweep_and_trajectories_do_not_load_sparse_linalg(tmp_path):
     assert loaded.splitlines()[-1] == "absent"
 
 
+def test_package_import_and_basis_leave_scipy_unloaded(tmp_path):
+    # only dynamics imports scipy, and the package exports its names lazily
+    cfg = write_config(tmp_path, "n_atoms = 2\n")
+    out = run_python("-c", (
+        "import sys\n"
+        "import dfs_cavity\n"
+        "from dfs_cavity.cli import main\n"
+        f"assert main(['basis', '--config', {cfg!r}, '--out', {str(tmp_path)!r}]) == 0\n"
+        "print(sorted(m for m in sys.modules if m.partition('.')[0] == 'scipy'))\n"
+        "from dfs_cavity import *\n"  # binds every name, so it loads dynamics and scipy
+        "assert all(name in globals() for name in dfs_cavity.__all__)\n"
+        "assert dfs_cavity.propagate_schedule is dfs_cavity.dynamics.propagate_schedule\n"
+        "assert dfs_cavity.Schedule is dfs_cavity.dynamics.Schedule\n"))
+    assert out.splitlines()[-1] == "[]"
+
+
+def test_stepping_modes_import_scipy_before_the_freeze(tmp_path):
+    # main imports dynamics before gc.freeze(), so scipy's import-time objects are frozen
+    # and the collector does not see them during the run; gc.get_objects() leaves the
+    # frozen ones out.  Importing after the freeze leaves about 900 scipy callables there
+    sweep = write_config(tmp_path, "n_atoms = 2\nomega1_list = 0.05\ngamma_list = 0\n",
+                         name="sweep.ini")
+    pulse = write_config(tmp_path, TRAJ, name="pulse.ini")
+    out = run_python("-c", (
+        "import gc\n"
+        "from dfs_cavity.cli import main\n"
+        "counts = []\n"
+        f"for mode, cfg in (('sweep', {sweep!r}), ('pulse', {pulse!r})):\n"
+        f"    assert main([mode, '--config', cfg, '--out', {str(tmp_path)!r}]) == 0\n"
+        "    counts.append(sum(callable(o) and str(getattr(o, '__module__', '')).startswith("
+        "'scipy') for o in gc.get_objects()))\n"
+        "print(counts)\n"))
+    assert out.splitlines()[-1] == "[0, 0]"
+
+
 CONSOLE_RUNS = {
     "basis": "n_atoms = 4\nn_max = 1\n",
     "evolve": TRAJ + "settle = 2\nevolve_points = 20\n",
@@ -604,6 +639,18 @@ def test_vanished_state_exits_with_guard_code(tmp_path):
     for mode in ("pulse", "evolve", "trajectories"):
         assert main([mode, "--config", cfg, "--out", str(tmp_path)]) == 3
     assert not (tmp_path / "evolve.json").exists()
+
+
+def test_non_finite_state_exits_with_guard_code(tmp_path, capsys):
+    # at Rabi frequencies of 1e20 the exponential overflows to NaN: the guard says so
+    # instead of reporting a vanished state, in the propagator and in the sampler plan
+    cfg = write_config(tmp_path, "n_atoms = 2\nrabi = 1e20, 1e20\nduration = 1\nsamples = 5\n")
+    for mode in ("pulse", "evolve", "trajectories"):
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert main([mode, "--config", cfg, "--out", str(tmp_path / mode)]) == 3
+        assert capsys.readouterr().err == ("numerical guard: conditional state is not finite: "
+                                           "the propagation overflowed\n")
+        assert not (tmp_path / mode).exists()
 
 
 def test_no_survivor_at_full_detection_efficiency_exits_with_guard_code(tmp_path, capsys):
