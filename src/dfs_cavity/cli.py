@@ -23,6 +23,7 @@ import gc
 import json
 import shutil
 import sys
+import warnings
 from collections import namedtuple
 from dataclasses import dataclass
 from pathlib import Path
@@ -420,7 +421,7 @@ def cmd_evolve(cfg: RunConfig, out: Path) -> None:
         dfs_pop = float(np.vdot(amps, amps).real / p0) if p0 > 0 else 0.0
         rows.append((float(t), p0, dfs_pop))
     _write_csv(out / "evolve.csv", ["time_g", "p0", "dfs_population"], rows)
-    final = states[-1] / np.linalg.norm(states[-1])
+    final = states[-1] / np.sqrt(rows[-1][1])  # as pulse normalizes: the same bytes
     _write_json(out / "evolve.json", {
         "mode": "evolve",
         "total_duration_g": cfg.schedule.total_duration,
@@ -457,6 +458,11 @@ def main(argv: list[str] | None = None) -> int:
 
     A guard abort removes the topmost directory this run made for --out, so
     it leaves no output; a directory that existed before keeps its files.
+    The warnings raised while the config is read and the command runs are
+    held back: a config error or guard abort drops them, so its one stderr
+    line is the error (numpy's overflow warnings precede most
+    non-finite-state aborts), and any other end shows them, a run that
+    succeeds when it ends and one that raises before its traceback.
     """
     parser = argparse.ArgumentParser(
         prog="dfs-cavity-sim",
@@ -475,17 +481,23 @@ def main(argv: list[str] | None = None) -> int:
     out = Path(args.out)
     created = next((p for p in reversed((out, *out.parents)) if not p.exists()), None)
     try:
-        cfg = load_config(args.config, args.mode, args.seed, args.samples)
-        out.mkdir(parents=True, exist_ok=True)
-        COMMANDS[args.mode](cfg, out)
+        with warnings.catch_warnings(record=True) as held:
+            cfg = load_config(args.config, args.mode, args.seed, args.samples)
+            out.mkdir(parents=True, exist_ok=True)
+            COMMANDS[args.mode](cfg, out)
     except ConfigError as exc:
+        held.clear()
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except GUARD_ERRORS as exc:
+        held.clear()
         if created is not None:
             shutil.rmtree(created, ignore_errors=True)
         print(f"numerical guard: {exc}", file=sys.stderr)
         return 3
+    finally:
+        for w in held:
+            warnings.showwarning(w.message, w.category, w.filename, w.lineno, w.file, w.line)
     return 0
 
 

@@ -174,16 +174,16 @@ def propagate_schedule(space: HilbertSpace, schedule: Schedule,
 
     Returns the unnormalized final state or, given finite non-decreasing
     ``times`` inside the schedule span (else ValueError), one row per
-    time.  Both come from one walk to the schedule end.  It takes times as
-    offsets from each segment's start and steps from row to row, then on
-    to the segment end, so a segment without rows is one step of exactly
-    its duration.  A row at a segment end has the bytes of the final state
-    there only when no earlier row falls inside that segment: ``evolve``'s
-    last p0 can differ from ``pulse``'s in the last digits.  A time up to
-    1e-12 past a segment end is taken at that end.  The steps are
-    _dense_stepper's up to DENSE_MAX_DIM, the sampler's own, so such a row
-    also has the bytes of its no-jump state, and _taylor_stepper's above,
-    within 1e-12 of the dense exponential.  Raises DeskScaleError, before
+    time.  Each segment end is reached one way: one step of the segment's
+    full duration from its start state.  Rows are read off the walk and
+    never feed it: the rows inside a segment step from that start state
+    from row to row, taking times as offsets from the segment's start, and
+    a row at a segment end (or up to 1e-12 past it) is the state there.
+    So the final state, and every row at a segment end, has the same bytes
+    whichever rows were asked for.  The steps are _dense_stepper's up to
+    DENSE_MAX_DIM, the sampler's own, so a row at a segment end also has
+    the bytes of its no-jump state, and _taylor_stepper's above, within
+    1e-12 of the dense exponential.  Raises DeskScaleError, before
     it allocates them, when the rows exceed DENSE_BUDGET_BYTES,
     ArithmeticError when the state at the schedule end is not finite or
     its squared norm underflows to zero, and ValueError (from the H_cond
@@ -199,14 +199,14 @@ def propagate_schedule(space: HilbertSpace, schedule: Schedule,
     check_budget(f"{grid.size} rows of {space.dim} complex amplitudes",
                  16 * grid.size * space.dim)
     out = np.empty((grid.size, space.dim), dtype=complex)
-    psi, start, k = space.ground_state(), 0.0, 0
+    psi, end, k = space.ground_state(), 0.0, 0
     for seg in schedule.segments:
-        gen, at, end = generator(seg), 0.0, start + seg.duration
+        gen, row, at, start, end = generator(seg), psi, 0.0, end, end + seg.duration
+        psi = advance(gen, psi, seg.duration)
         while k < grid.size and grid[k] <= end + 1e-12:
-            t = seg.duration if grid[k] >= end else grid[k] - start
-            psi, at = advance(gen, psi, t - at), t
-            out[k], k = psi, k + 1
-        psi, start = advance(gen, psi, seg.duration - at), end
+            t = grid[k] - start
+            row, at = (psi, t) if grid[k] >= end else (advance(gen, row, t - at), t)
+            out[k], k = row, k + 1
     _check_final_state(psi)
     return psi if times is None else out
 

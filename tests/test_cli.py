@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+import warnings
 import weakref
 from pathlib import Path
 from unittest.mock import patch
@@ -643,14 +644,68 @@ def test_vanished_state_exits_with_guard_code(tmp_path):
 
 def test_non_finite_state_exits_with_guard_code(tmp_path, capsys):
     # at Rabi frequencies of 1e20 the exponential overflows to NaN: the guard says so
-    # instead of reporting a vanished state, in the propagator and in the sampler plan
-    cfg = write_config(tmp_path, "n_atoms = 2\nrabi = 1e20, 1e20\nduration = 1\nsamples = 5\n")
+    # instead of reporting a vanished state, in the propagator and in the sampler plan,
+    # and its line is all the abort prints: numpy's overflow warnings are dropped
+    cfg = write_config(tmp_path, "n_atoms = 2\nrabi = 1e20, 1e20\nduration = 1\nsamples = 10\n")
     for mode in ("pulse", "evolve", "trajectories"):
-        with np.errstate(over="ignore", invalid="ignore"):
+        with warnings.catch_warnings(record=True) as shown:
+            warnings.simplefilter("always")
             assert main([mode, "--config", cfg, "--out", str(tmp_path / mode)]) == 3
+        assert shown == []
         assert capsys.readouterr().err == ("numerical guard: conditional state is not finite: "
                                            "the propagation overflowed\n")
         assert not (tmp_path / mode).exists()
+
+
+def test_a_run_that_ends_still_shows_its_warnings(tmp_path, monkeypatch):
+    def warn_and_write(cfg, out):
+        warnings.warn("overflow encountered", RuntimeWarning)
+        (out / "done.txt").write_text("done\n")
+
+    monkeypatch.setitem(cli.COMMANDS, "basis", warn_and_write)
+    cfg = write_config(tmp_path, "n_atoms = 2\n")
+    with pytest.warns(RuntimeWarning, match="overflow encountered"):
+        assert main(["basis", "--config", cfg, "--out", str(tmp_path / "out")]) == 0
+    assert (tmp_path / "out" / "done.txt").exists()
+
+
+def test_a_run_that_raises_shows_its_warnings_before_the_error(tmp_path):
+    # only a config error or guard abort drops the held warnings: an unhandled error
+    # still prints them, to stderr and before it propagates
+    cfg = write_config(tmp_path, "n_atoms = 2\n")
+    out = run_python("-c", (
+        "import sys, warnings\n"
+        "from dfs_cavity import cli\n"
+        "def warn_and_fail(cfg, out):\n"
+        "    warnings.warn('overflow encountered', RuntimeWarning)\n"
+        "    raise OSError('disk full')\n"
+        "cli.COMMANDS['basis'] = warn_and_fail\n"
+        "sys.stderr = sys.stdout\n"
+        "try:\n"
+        f"    cli.main(['basis', '--config', {cfg!r}, '--out', {str(tmp_path / 'out')!r}])\n"
+        "except OSError as exc:\n"
+        "    print('raised:', exc)\n"))
+    lines = out.splitlines()
+    assert "RuntimeWarning: overflow encountered" in lines[0]
+    assert lines[-1] == "raised: disk full"
+
+
+@pytest.mark.parametrize("text", [
+    # N=2 on the dense steps, the 17.3 + 4.1 split that once rounded apart, and N=5 on
+    # the Taylor steps; each grid puts rows inside both segments
+    "n_atoms = 2\nrabi = 0.1, -0.1\nduration = 10\nsettle = 5\nevolve_points = 8\n",
+    "n_atoms = 3\nrabi = 0.05, -0.05, 0.05\nduration = 17.3\nsettle = 4.1\nevolve_points = 57\n",
+    "n_atoms = 5\nrabi = 0.05, -0.05, 0.05, -0.05, 0.05\nduration = 30\nsettle = 5\n"
+    "evolve_points = 20\n",
+], ids=["dense-n2", "dense-n3", "taylor-n5"])
+def test_pulse_and_evolve_report_the_same_final_state(tmp_path, text):
+    cfg = write_config(tmp_path, "kappa = 1.0\ngamma = 0.001\nn_max = 3\n" + text)
+    for mode in ("pulse", "evolve"):
+        assert main([mode, "--config", cfg, "--out", str(tmp_path)]) == 0
+    pulse = json.loads((tmp_path / "pulse.json").read_text())
+    evolve = json.loads((tmp_path / "evolve.json").read_text())
+    assert pulse["p0"] == evolve["p0_final"]
+    assert pulse["final_state_re_im"] == evolve["final_state_re_im"]
 
 
 def test_no_survivor_at_full_detection_efficiency_exits_with_guard_code(tmp_path, capsys):

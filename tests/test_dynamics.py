@@ -109,23 +109,27 @@ def test_propagate_schedule_chains_segments(monkeypatch):
     chained = space.ground_state()
     for h, seg in zip((h1, h2, h3), segments):
         chained = propagate_conditional(h, chained, seg.duration)
-    # time grid: a step ends at each segment end it passes, as evolve steps
+    # time grid: rows are read off the walk and never feed it, so the rows at 3.0 and
+    # 5.5 are full-duration steps from each segment's start, and the rows inside a
+    # segment step from row to row, starting at the segment's start state
+    after_1 = propagate_conditional(h1, space.ground_state(), 3.0)
     at_start = propagate_conditional(h1, space.ground_state(), 0.0)
-    at_boundary = propagate_conditional(h1, propagate_conditional(h1, at_start, 1.5), 1.5)
-    at_4 = propagate_conditional(h1, at_boundary, 0.0)
-    at_4 = propagate_conditional(h3, propagate_conditional(h2, at_4, 0.0), 1.0)
-    at_end = propagate_conditional(h3, at_4, 1.5)
+    at_1_5 = propagate_conditional(h1, at_start, 1.5)
+    at_4 = propagate_conditional(h3, propagate_conditional(h2, after_1, 0.0), 1.0)
+    expected = np.array([at_start, at_1_5, after_1, at_4, chained])
 
     # dim 16 steps with the dense exponential, the chain's own products; forced onto
     # the Taylor steps, which round differently, it must agree to 1e-12
     for dense_max_dim, same in ((dynamics.DENSE_MAX_DIM, np.array_equal),
                                 (0, partial(np.allclose, rtol=0, atol=1e-12))):
         monkeypatch.setattr(dynamics, "DENSE_MAX_DIM", dense_max_dim)
-        assert same(propagate_schedule(space, schedule), chained)
+        final = propagate_schedule(space, schedule)
+        assert same(final, chained)
         rows = propagate_schedule(space, schedule, [0.0, 1.5, 3.0, 4.0, 5.5])
-        assert same(rows[2], at_boundary)
-        assert same(rows[4], at_end)
-        assert np.allclose(rows[4], chained, rtol=0, atol=1e-12)
+        assert same(rows, expected)
+        # on either stepper the rows at segment ends are the row-free walk's states
+        assert rows[2].tobytes() == propagate_schedule(space, Schedule(segments[:1])).tobytes()
+        assert rows[4].tobytes() == final.tobytes()
         # a time up to 1e-12 past a segment end is taken at that end, and its row written
         late = propagate_schedule(space, schedule, [0.0, 1.5, 3.0 + 5e-13, 4.0, 5.5 + 5e-13])
         assert np.array_equal(late, rows)
@@ -188,19 +192,31 @@ def two_segment_three_atom_case():
 @given(schedule_cases())
 @example(two_segment_three_atom_case())  # 17.3 + 4.1 - 17.3 is not 4.1
 def test_rows_at_segment_ends_hold_the_final_state_and_the_sampler_path(case):
-    space, _, schedule, _ = case
-    ends = np.cumsum([seg.duration for seg in schedule.segments])
-    # on the Taylor steps at every dim, then as configured (dense up to dim 64), whose
-    # rows the sampler plan's no-jump path must match
+    space, _, schedule, times = case
+    segments = schedule.segments
+    ends = np.cumsum([seg.duration for seg in segments])
+    # the drawn times, interior ones among them, and every segment end
+    grid = np.sort(np.concatenate([times, ends]))
+    # the segment that takes each row, and whether the row is at (or just past) its end
+    taken_by = np.searchsorted(ends + 1e-12, grid)
+    at_end = grid >= ends[taken_by]
+    # on the Taylor steps at every dim, then as configured (dense up to dim 64): a row at
+    # a segment end has the bytes of the row-free walk's state there, whatever rows
+    # came before it in that segment
     for dense_max_dim in (0, dynamics.DENSE_MAX_DIM):
         with patch.object(dynamics, "DENSE_MAX_DIM", dense_max_dim):
-            rows = propagate_schedule(space, schedule, ends)
-            final = propagate_schedule(space, schedule)
-        assert rows[-1].tobytes() == final.tobytes()
+            rows = propagate_schedule(space, schedule, grid)
+            walk = [propagate_schedule(space, Schedule(segments[:j + 1]))
+                    for j in range(len(segments))]
+        for row, j in zip(rows[at_end], taken_by[at_end]):
+            assert row.tobytes() == walk[j].tobytes()
+        assert rows[-1].tobytes() == walk[-1].tobytes()
+    # up to dim 64 the walk, and so each such row, is also the sampler plan's no-jump
+    # state at every segment end, zero-duration segments among them
     if space.dim <= dynamics.DENSE_MAX_DIM:
         starts = dynamics._sampler_plan(space, schedule).starts
-        for k, row in enumerate(rows[:-1]):
-            assert np.array_equal(row, starts[k + 1])
+        for j in range(len(segments) - 1):
+            assert np.array_equal(walk[j], starts[j + 1])
 
 
 def test_propagate_schedule_leaves_the_global_rng_alone(monkeypatch):
