@@ -44,8 +44,8 @@ one that emits nothing costs a single draw and ends in the same no-jump
 state psi0.  An ensemble keeps psi0, the survival fraction p0 and the
 average rho_perp of the trajectories that emitted; its state is
 p0 |psi0><psi0| + (1 - p0) rho_perp.  Its trajectory i draws from child i
-of ``SeedSequence(seed).spawn(n)``; the children's PCG64 states are
-computed in blocks of 65 536 and loaded into one reused Generator.
+of ``SeedSequence(seed).spawn(n)``; the children's seeding words are
+computed in blocks of 65 536, and numpy's PCG64 seeds itself from each.
 
 This is the package's one module that imports scipy (``scipy.linalg.expm``,
 and ``scipy.sparse`` on a Taylor step); ``Schedule`` lives in
@@ -89,6 +89,10 @@ TAYLOR_TOL = 2.0 ** -53  # a step's series stops once two terms fall below this 
 # before they cancel: two such steps missed the dense chain by 1.0e-12, in halves (terms
 # below 25 times the input) by 7e-15.  The benchmark's steps stay below 1.0004.
 TAYLOR_MAX_HUMP = 64.0
+# Most sub-steps a Taylor step takes, so a runaway drive (Rabi 1e20 at N = 5 asks for 7.6e20)
+# aborts instead of stepping on.  Desk runs took 32-92 (N = 5-12) and 5.1e5 (N = 5, Omega =
+# 0.001, T = 5e5); at 0.31 ms a sub-step there (1 BLAS thread, 2-vCPU Xeon) that is 160 s
+TAYLOR_MAX_SUBSTEPS = 2 ** 20
 # Dense dim x dim matrices one expm(-1j * t * h) holds at its peak: its argument, seven
 # Pade and solve arrays and its result (tracemalloc at dim 64-1024).  A segment's eig and
 # inv hold at most 4.3 with V and V^-1 (peak RSS at dim 1024), so this is the largest
@@ -98,15 +102,13 @@ EXPM_PEAK_MATRICES = 9
 # depend on them
 BRACKET_ITERATIONS = 12
 ENSEMBLE_CHUNK = 256  # trajectories summed per partial sum; fixes the summation order
-# ENSEMBLE_CHUNKs whose children's PCG64 states are computed in one batch: 65 536 children,
-# about 16 MB of transients, so an ensemble's seeding memory does not grow with n_samples
+# ENSEMBLE_CHUNKs whose children's seeding words are computed in one batch: 65 536 children,
+# about 6.6 MB of transients, so an ensemble's seeding memory does not grow with n_samples
 SEED_BLOCK_CHUNKS = 256
-# numpy's SeedSequence hash constants (numpy/random/bit_generator.pyx) and the 128-bit
-# multiplier of PCG64's seeding LCG; numpy's stream policy (NEP 19) keeps both fixed
+# numpy's SeedSequence hash constants (numpy/random/bit_generator.pyx), fixed by NEP 19
 _HASH_INIT_A, _HASH_MULT_A = 0x43B0D7E5, 0x931E8875
 _HASH_INIT_B, _HASH_MULT_B = 0x8B51F9DD, 0x58F38DED
 _MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
-_PCG64_MULT_HI, _PCG64_MULT_LO = 0x2360ED051FC65DA4, 0x4385DF649FCCF645
 _LOW32 = 0xFFFFFFFF
 
 
@@ -253,9 +255,10 @@ def _taylor_stepper(space: HilbertSpace):
     once two consecutive terms fall below TAYLOR_TOL times the partial sum
     (infinity norms), then scales the sum by exp(h mu).  A sub-step whose
     term exceeds TAYLOR_MAX_HUMP times its input is redone as two sub-steps
-    of h / 2, each checked the same way.  No norm is
-    estimated, so numpy's global RNG is never drawn from.  A step whose
-    exponent t A and t mu are both zero returns the state itself.
+    of h / 2, each checked the same way.  A step whose s exceeds
+    TAYLOR_MAX_SUBSTEPS raises ArithmeticError before its first sub-step.
+    No norm is estimated, so numpy's global RNG is never drawn from.  A step
+    whose exponent t A and t mu are both zero returns the state itself.
     """
     # imported on first use, so a process that never steps here does not load scipy.sparse
     from scipy.sparse import csr_array, eye_array
@@ -291,6 +294,8 @@ def _taylor_stepper(space: HilbertSpace):
         _, shifted, mu, norm = gen
         if not (t * norm or t * mu):
             return psi
+        if not t * norm <= TAYLOR_MAX_SUBSTEPS * TAYLOR_MAX_NORM:
+            raise ArithmeticError(f"a Taylor step of 1-norm {t * norm:.3g} has too many sub-steps")
         s = max(1, math.ceil(t * norm / TAYLOR_MAX_NORM))
         for _ in range(s):
             psi = substep(shifted, mu, psi, t / s)
@@ -518,7 +523,7 @@ def sample_trajectory(space: HilbertSpace, schedule: Schedule, seed,
     Identical seeds reproduce identical jump records and final states
     bit-exactly.  ``seed`` may be an int, a numpy SeedSequence or a numpy
     Generator, which is drawn from as it stands (``run_ensemble`` passes
-    one Generator loaded with each child's state).  From
+    each child's own Generator).  From
     the ground state, the trajectory follows the plan's no-jump path up to
     the first segment whose end norm is not above its threshold; one that
     never reaches such a segment returns psi0 without a product.  The
@@ -570,28 +575,22 @@ def sample_trajectory(space: HilbertSpace, schedule: Schedule, seed,
     return Trajectory(tuple(jumps), psi / np.linalg.norm(psi))
 
 
-def _child_pcg64_states(seed: int, indices: np.ndarray) -> np.ndarray:
-    """PCG64 states of the children ``SeedSequence(seed).spawn(n)[i]`` for i in ``indices``.
+def _child_seed_words(seed: int, indices: np.ndarray) -> np.ndarray:
+    """Row k: ``SeedSequence(seed, spawn_key=(i,)).generate_state(4, np.uint64)``, i = indices[k].
 
-    Returns uint64 limbs of shape (len(indices), 4): the 128-bit state and
-    increment as (state_hi, state_lo, inc_hi, inc_lo), exactly the
-    ``np.random.PCG64(SeedSequence(seed, spawn_key=(i,))).state`` that
-    ``default_rng`` of the i-th spawned child starts in.  One pass over
-    arrays replaces a SeedSequence and a PCG64 per child: numpy's
+    The words numpy's PCG64 seeds child i with, from one pass over arrays:
     SeedSequence mixes the seed's 32-bit words (zero-padded to the four-word
     pool) before the spawn key's, so every child starts from the parent's
-    ``pool`` and the hash constants that follow; the key's words (one, or
-    two for i >= 2^32) are mixed into each pool word, eight state words are
-    drawn from the pool, and PCG64 seeds its LCG (O'Neill, HMC-CS-2014-0905)
-    with them.  Raises what ``SeedSequence(seed)`` raises for a bad seed.
+    ``pool`` and hash constants; the key's words (one, or two for i >= 2^32)
+    are mixed into each pool word, and eight words are drawn from the pool.
+    Raises what ``SeedSequence(seed)`` raises.
     """
-    pool_words = np.random.SeedSequence(seed).pool
     idx = np.asarray(indices, dtype=np.uint64)
+    pool = np.tile(np.random.SeedSequence(seed).pool, (idx.size, 1))
     seed_words = max(4, -(-int(seed).bit_length() // 32))
     # hash constant after the parent's hashmix calls: 4 to fill the pool, 12 to mix it
     # and 4 per seed word beyond the fourth
     hash_const = _HASH_INIT_A * pow(_HASH_MULT_A, 4 * seed_words, 1 << 32) & _LOW32
-    pool = np.tile(pool_words, (idx.size, 1))
     for word, rows in ((idx & _LOW32, slice(None)), (idx >> 32, idx > _LOW32)):
         key = word[rows].astype(np.uint32)
         for dst in range(4):
@@ -601,7 +600,7 @@ def _child_pcg64_states(seed: int, indices: np.ndarray) -> np.ndarray:
             hashed ^= hashed >> 16
             mixed = np.uint32(_MIX_MULT_L) * pool[rows, dst] - np.uint32(_MIX_MULT_R) * hashed
             pool[rows, dst] = mixed ^ (mixed >> 16)
-    # generate_state(4, np.uint64): eight words cycled from the pool, read little-endian
+    # generate_state(4, np.uint64): eight 32-bit words cycled from the pool
     state_words = np.empty((idx.size, 8), dtype=np.uint32)
     hash_const = _HASH_INIT_B
     for dst in range(8):
@@ -609,24 +608,20 @@ def _child_pcg64_states(seed: int, indices: np.ndarray) -> np.ndarray:
         hash_const = hash_const * _HASH_MULT_B & _LOW32
         drawn *= np.uint32(hash_const)
         state_words[:, dst] = drawn ^ (drawn >> 16)
-    lo32, hi32 = state_words[:, 0::2].astype(np.uint64), state_words[:, 1::2].astype(np.uint64)
-    init_hi, init_lo, seq_hi, seq_lo = (lo32 | (hi32 << 32)).T
-    # pcg_setseq_128_srandom_r: inc = 2 seq + 1, state = (inc + init) * MULT + inc mod 2^128
-    inc_hi, inc_lo = (seq_hi << 1) | (seq_lo >> 63), (seq_lo << 1) | 1
-    lo = inc_lo + init_lo
-    hi = inc_hi + init_hi + (lo < inc_lo)
-    hi = _mul_hi64(lo, _PCG64_MULT_LO) + lo * _PCG64_MULT_HI + hi * _PCG64_MULT_LO
-    lo = lo * _PCG64_MULT_LO
-    state_lo = lo + inc_lo
-    state_hi = hi + inc_hi + (state_lo < lo)
-    return np.stack([state_hi, state_lo, inc_hi, inc_lo], axis=1)
+    # read little-endian, as generate_state does, then in the native byte order
+    return state_words.astype("<u4", copy=False).view("<u8").astype(np.uint64, copy=False)
 
 
-def _mul_hi64(a: np.ndarray, b: int) -> np.ndarray:
-    """High 64 bits of the 128-bit products a * b, from 32-bit halves."""
-    a0, a1, b0, b1 = a & _LOW32, a >> 32, b & _LOW32, b >> 32
-    cross = ((a0 * b0) >> 32) + ((a1 * b0) & _LOW32) + ((a0 * b1) & _LOW32)
-    return a1 * b1 + ((a1 * b0) >> 32) + ((a0 * b1) >> 32) + (cross >> 32)
+@dataclass
+class _SeedWords(np.random.bit_generator.ISeedSequence):
+    """One child's row of _child_seed_words, handed to numpy's PCG64 as its seed sequence."""
+
+    words: np.ndarray
+
+    def generate_state(self, n_words: int, dtype=np.uint32) -> np.ndarray:
+        if n_words != 4 or np.dtype(dtype) != np.uint64:
+            raise ValueError(f"seed words are four uint64, not {n_words} {np.dtype(dtype)}")
+        return self.words
 
 
 def run_ensemble(space: HilbertSpace, schedule: Schedule, n_samples: int,
@@ -640,12 +635,12 @@ def run_ensemble(space: HilbertSpace, schedule: Schedule, n_samples: int,
     sampler plan is built next, so a schedule under which the no-jump
     state vanishes or is not finite raises ArithmeticError before any
     sampling.  Trajectory i draws from ``SeedSequence(seed).spawn(n)[i]``:
-    the children's PCG64 states are computed SEED_BLOCK_CHUNKS *
-    ENSEMBLE_CHUNK at a time (_child_pcg64_states), so the seeding memory
-    does not grow with n_samples, and loaded in turn into one Generator
-    that every ``sample_trajectory`` call draws from.  The outer products of the
-    trajectories that emitted are summed per chunk of ENSEMBLE_CHUNK
-    trajectories and the chunk sums are then added in order.
+    the children's seeding words are computed SEED_BLOCK_CHUNKS *
+    ENSEMBLE_CHUNK at a time (_child_seed_words), so the seeding memory
+    does not grow with n_samples, and each seeds numpy's own PCG64 through
+    _SeedWords.  The outer products of the trajectories that emitted are
+    summed per chunk of ENSEMBLE_CHUNK trajectories and the chunk sums are
+    then added in order.
     """
     if n_samples < 1:
         raise ValueError(f"n_samples must be >= 1, got {n_samples}")
@@ -654,21 +649,16 @@ def run_ensemble(space: HilbertSpace, schedule: Schedule, n_samples: int,
                  * space.dim * space.dim)
     plan = _sampler_plan(space, schedule)
     _check_final_state(plan.psi0)
-    bit_generator = np.random.PCG64()
-    rng = np.random.Generator(bit_generator)
     perp_sum = np.zeros((space.dim, space.dim), dtype=complex)
     survived = 0
     records: list[tuple[int, float, str]] = []
     block = SEED_BLOCK_CHUNKS * ENSEMBLE_CHUNK
     for start in range(0, n_samples, ENSEMBLE_CHUNK):
         if start % block == 0:
-            states = _child_pcg64_states(seed, np.arange(start, min(start + block, n_samples)))
+            words = _child_seed_words(seed, np.arange(start, min(start + block, n_samples)))
         chunk_perp = np.zeros_like(perp_sum)
-        limbs = states[start % block:start % block + ENSEMBLE_CHUNK].tolist()
-        for idx, (s_hi, s_lo, i_hi, i_lo) in enumerate(limbs, start):
-            bit_generator.state = {"bit_generator": "PCG64", "has_uint32": 0, "uinteger": 0,
-                                   "state": {"state": s_hi << 64 | s_lo,
-                                             "inc": i_hi << 64 | i_lo}}
+        for idx, child in enumerate(words[start % block:start % block + ENSEMBLE_CHUNK], start):
+            rng = np.random.Generator(np.random.PCG64(_SeedWords(child)))
             traj = sample_trajectory(space, schedule, rng)
             if not traj.jumps:
                 survived += 1

@@ -520,6 +520,17 @@ def test_cli_bytes_independent_of_blas_threads(tmp_path):
     assert b",atom_" in outputs["1"][6, "jumps.csv"]
 
 
+def test_p0_sum_has_the_same_bytes_on_one_and_two_blas_threads():
+    # a vector as long as the N=12 state (dim 16 384), on which np.vdot's sum, split over
+    # the threads, differs in its last bit between 1 and 2 threads
+    code = ("import numpy as np; from dfs_cavity.cli import _squared_norm"
+            "; z = np.random.default_rng(0).standard_normal((2, 16384))"
+            "; print(_squared_norm((z[0] + 1j * z[1]) / 200).hex())")
+    sums = {threads: run_python("-c", code, OPENBLAS_NUM_THREADS=threads)
+            for threads in ("1", "2")}
+    assert sums["1"] == sums["2"]
+
+
 def test_sweep_and_trajectories_do_not_load_sparse_linalg(tmp_path):
     # the package never imports scipy.sparse.linalg, and scipy.sparse only on a sparse step
     sweep = write_config(tmp_path, "n_atoms = 2\nomega1_list = 0.05\ngamma_list = 0\n",
@@ -655,6 +666,25 @@ def test_non_finite_state_exits_with_guard_code(tmp_path, capsys):
         assert capsys.readouterr().err == ("numerical guard: conditional state is not finite: "
                                            "the propagation overflowed\n")
         assert not (tmp_path / mode).exists()
+
+
+def test_a_runaway_taylor_step_exits_with_guard_code(tmp_path):
+    # at N=5 (dim 128) pulse and evolve take Taylor steps, whose sub-step count grows with
+    # the drive: Rabi frequencies of 1e20 ask for 7.6e20, so the step aborts before its
+    # first.  Each run is a child process with a timeout, so a step that runs on fails
+    # the test instead of hanging the suite
+    cfg = write_config(tmp_path, "n_atoms = 5\nrabi = 1e20, 1e20, 1e20, 1e20, 1e20\n"
+                                 "duration = 30\n")
+    env = dict(os.environ, PYTHONPATH=PACKAGE_ROOT)
+    for mode in ("pulse", "evolve"):
+        out = tmp_path / mode
+        result = subprocess.run([sys.executable, "-m", "dfs_cavity.cli", mode, "--config", cfg,
+                                 "--out", str(out)], env=env, capture_output=True, text=True,
+                                timeout=60)
+        assert result.returncode == 3
+        assert result.stderr == ("numerical guard: a Taylor step of 1-norm 7.5e+21 has too many "
+                                 "sub-steps\n")
+        assert not out.exists()
 
 
 def test_a_run_that_ends_still_shows_its_warnings(tmp_path, monkeypatch):

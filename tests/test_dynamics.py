@@ -946,14 +946,20 @@ def test_ensemble_hands_out_copies_of_the_cached_no_jump_state():
                         min_size=1, max_size=8))
 @example(seed=0, indices=[0, 2**32 - 1, 2**32])  # the spawn key's word boundary
 @example(seed=2**128, indices=[10**5])  # a five-word seed
-def test_child_pcg64_states_are_numpys_spawned_children(seed, indices):
-    # pins the batch against numpy's own SeedSequence and PCG64: a change to either
-    # stream (NEP 19 forbids one) fails here
-    limbs = dynamics._child_pcg64_states(seed, np.array(indices, dtype=np.uint64))
-    assert limbs.dtype == np.uint64 and limbs.shape == (len(indices), 4)
-    for i, (s_hi, s_lo, i_hi, i_lo) in zip(indices, limbs.tolist()):
-        state = np.random.PCG64(np.random.SeedSequence(seed, spawn_key=(i,))).state["state"]
-        assert (s_hi << 64 | s_lo, i_hi << 64 | i_lo) == (state["state"], state["inc"])
+def test_child_seed_words_are_numpys_spawned_children(seed, indices):
+    # pins the batch against numpy's own SeedSequence: a change to its stream (NEP 19
+    # forbids one) fails here, and a generator seeded through _SeedWords draws what
+    # default_rng of the child draws
+    words = dynamics._child_seed_words(seed, np.array(indices, dtype=np.uint64))
+    assert words.dtype == np.uint64 and words.shape == (len(indices), 4)
+    for i, row in zip(indices, words):
+        child = np.random.SeedSequence(seed, spawn_key=(i,))
+        assert row.tobytes() == child.generate_state(4, np.uint64).tobytes()
+    rng = np.random.Generator(np.random.PCG64(dynamics._SeedWords(words[-1])))
+    expected = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(indices[-1],)))
+    assert rng.random(4).tobytes() == expected.random(4).tobytes()
+    with pytest.raises(ValueError):  # PCG64 takes four uint64 words, and nothing else
+        dynamics._SeedWords(words[-1]).generate_state(8, np.uint32)
 
 
 @pytest.mark.parametrize("n_atoms, gamma, duration, n_samples, seed", [
@@ -992,7 +998,7 @@ def test_ensemble_seeded_block_by_block_has_the_reference_bytes(monkeypatch):
 
 def test_ensemble_seeding_memory_does_not_grow_with_the_sample_count(monkeypatch):
     # lasers off on the ground state: no trajectory jumps, so what an ensemble allocates
-    # past its cached plan is its seeding, one block of children's PCG64 states at a time
+    # past its cached plan is its seeding, one block of children's seeding words at a time
     monkeypatch.setattr(dynamics, "SEED_BLOCK_CHUNKS", 1)
     space, _ = two_atom_setup(gamma=1e-3)
     schedule = Schedule((Pulse.off(2, 5.0),))
@@ -1007,7 +1013,7 @@ def test_ensemble_seeding_memory_does_not_grow_with_the_sample_count(monkeypatch
             tracemalloc.stop()
         assert result.p0_estimate == 1.0 and not result.jump_records
         peaks.append(peak)
-    # seeded in one batch, the 9 000 more children took about 2.3 MB more
+    # seeded in one batch, the 9 000 more children took about 1.0 MB more
     assert peaks[1] <= peaks[0] + (1 << 16), peaks
 
 
