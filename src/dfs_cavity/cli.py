@@ -282,7 +282,7 @@ def _sweep_curve(gamma: float, kappa: float, n_max: int, eta: float,
     space = build_space(params)
     # h0, the drive and, per chunk, the H_cond stack, its scaled copy and the exponentials
     check_budget("sweep", 16 * (2 + 3 * min(SWEEP_CHUNK, len(grid))) * space.dim * space.dim)
-    trapped_g, trapped_a = dfs_basis(space).vectors[:2]  # ground and antisymmetric trapped states
+    basis = dfs_basis(space)  # the ground and the antisymmetric trapped state
     psi0 = space.ground_state()
     h0 = conditional_hamiltonian(space)
     drive = laser_hamiltonian(space, Pulse((1.0, -1.0), 0.0))
@@ -294,14 +294,13 @@ def _sweep_curve(gamma: float, kappa: float, n_max: int, eta: float,
         stack = h0 + np.array(omegas)[:, None, None] * drive
         states = propagate_conditional(stack, psi0, np.array(durations))
         for omega1, model, duration, psi in zip(omegas, models, durations, states):
-            c_g = np.vdot(trapped_g, psi)
-            c_a = np.vdot(trapped_a, psi)
+            pop_g, pop_a = basis.populations(psi)
             # Success probability of the full protocol: no emission during the
             # pulse and the atoms settle into the trapped subspace (the leaked
             # transient amplitude decays right after the pulse ends).
-            p0_num = abs(c_g) ** 2 + abs(c_a) ** 2
+            p0_num = pop_g + pop_a
             p0_ana = p0_closed_form(model, duration)
-            fid_cond = abs(c_a) ** 2 / p0_num
+            fid_cond = pop_a / p0_num
             fid_nodet = fid_cond * p0_num / (1.0 - eta * (1.0 - p0_num))
             rows.append((omega1, gamma, duration, p0_num, p0_ana, fid_cond, fid_nodet))
     return rows
@@ -339,8 +338,7 @@ def cmd_pulse(cfg: RunConfig, out: Path) -> None:
     psi = propagate_schedule(space, cfg.schedule)
     p0 = _squared_norm(psi)
     psi_hat = psi / np.sqrt(p0)
-    overlaps = [float(abs(np.vdot(basis.vectors[k], psi_hat)) ** 2)
-                for k in range(len(basis))]
+    overlaps = basis.populations(psi_hat)
     report = zeno_timescale_check(cfg.params, pulse)
     payload = {
         "mode": "pulse",
@@ -358,7 +356,7 @@ def cmd_pulse(cfg: RunConfig, out: Path) -> None:
              "dicke_l": basis.dicke_l[k], "population": overlaps[k]}
             for k in range(len(basis))
         ],
-        "dfs_population": float(sum(overlaps)),
+        "dfs_population": sum(overlaps),
         "zeno_check": {"drive_ratio": report.drive_ratio,
                        "spontaneous_ratio": report.spontaneous_ratio,
                        "passed": report.passed},
@@ -399,7 +397,7 @@ def cmd_trajectories(cfg: RunConfig, out: Path) -> None:
             rho_perp = np.outer(psi0, psi0.conj())
         mixture = (p0 * np.outer(psi0, psi0.conj())
                    + (1.0 - eta) * (1.0 - p0) * rho_perp) / denom
-        payload["fidelity_conditional"] = float(abs(np.vdot(target, psi0)) ** 2)
+        payload["fidelity_conditional"] = basis.populations(psi0)[1]
         payload["fidelity"] = float(np.vdot(target, mixture @ target).real)
     _write_json(out / "ensemble.json", payload)
     if cfg.jump_log:
@@ -423,8 +421,8 @@ def cmd_evolve(cfg: RunConfig, out: Path) -> None:
     rows = []
     for t, psi in zip(times, states):
         p0 = _squared_norm(psi)
-        amps = basis.vectors @ psi.conj()  # conj(vectors) @ psi conjugated: the same norm
-        dfs_pop = float(np.vdot(amps, amps).real / p0) if p0 > 0 else 0.0
+        # normalized as pulse normalizes, so the last row reads pulse's population
+        dfs_pop = sum(basis.populations(psi / np.sqrt(p0))) if p0 > 0 else 0.0
         rows.append((float(t), p0, dfs_pop))
     _write_csv(out / "evolve.csv", ["time_g", "p0", "dfs_population"], rows)
     final = states[-1] / np.sqrt(rows[-1][1])  # as pulse normalizes: the same bytes
@@ -464,6 +462,7 @@ def main(argv: list[str] | None = None) -> int:
 
     A guard abort removes the topmost directory this run made for --out, so
     it leaves no output; a directory that existed before keeps its files.
+    An --out that is a file, or lies under one, is a config error.
     The warnings raised while the config is read and the command runs are
     held back: a config error or guard abort drops them, so its one stderr
     line is the error (numpy's overflow warnings precede most
@@ -489,7 +488,10 @@ def main(argv: list[str] | None = None) -> int:
     try:
         with warnings.catch_warnings(record=True) as held:
             cfg = load_config(args.config, args.mode, args.seed, args.samples)
-            out.mkdir(parents=True, exist_ok=True)
+            try:
+                out.mkdir(parents=True, exist_ok=True)
+            except (FileExistsError, NotADirectoryError) as exc:
+                raise ConfigError(f"--out {out} cannot be a directory: {exc.strerror}") from None
             COMMANDS[args.mode](cfg, out)
     except ConfigError as exc:
         held.clear()

@@ -117,6 +117,17 @@ class DfsBasis:
             counts[n] = counts.get(n, 0) + 1
         return counts
 
+    def populations(self, state: np.ndarray) -> list[float]:
+        """Population of each basis vector in ``state``, in basis order.
+
+        Entry k is ``float(abs(np.vdot(vectors[k], state)) ** 2)``, one
+        np.vdot per full-length row; the CLI reads the trapped subspace
+        through this alone, so its outputs keep the bytes of that
+        expression.  Their sum is the squared norm of the trapped component
+        of ``state``.
+        """
+        return [float(abs(np.vdot(v, state)) ** 2) for v in self.vectors]
+
 
 @lru_cache(maxsize=32)
 def dfs_basis(space: HilbertSpace) -> DfsBasis:

@@ -45,7 +45,8 @@ state psi0.  An ensemble keeps psi0, the survival fraction p0 and the
 average rho_perp of the trajectories that emitted; its state is
 p0 |psi0><psi0| + (1 - p0) rho_perp.  Its trajectory i draws from child i
 of ``SeedSequence(seed).spawn(n)``; the children's seeding words are
-computed in blocks of 65 536, and numpy's PCG64 seeds itself from each.
+computed per chunk of 256 trajectories, and numpy's PCG64 seeds itself
+from each.
 
 This is the package's one module that imports scipy (``scipy.linalg.expm``,
 and ``scipy.sparse`` on a Taylor step); ``Schedule`` lives in
@@ -102,9 +103,6 @@ EXPM_PEAK_MATRICES = 9
 # depend on them
 BRACKET_ITERATIONS = 12
 ENSEMBLE_CHUNK = 256  # trajectories summed per partial sum; fixes the summation order
-# ENSEMBLE_CHUNKs whose children's seeding words are computed in one batch: 65 536 children,
-# about 6.6 MB of transients, so an ensemble's seeding memory does not grow with n_samples
-SEED_BLOCK_CHUNKS = 256
 # numpy's SeedSequence hash constants (numpy/random/bit_generator.pyx), fixed by NEP 19
 _HASH_INIT_A, _HASH_MULT_A = 0x43B0D7E5, 0x931E8875
 _HASH_INIT_B, _HASH_MULT_B = 0x8B51F9DD, 0x58F38DED
@@ -635,12 +633,11 @@ def run_ensemble(space: HilbertSpace, schedule: Schedule, n_samples: int,
     sampler plan is built next, so a schedule under which the no-jump
     state vanishes or is not finite raises ArithmeticError before any
     sampling.  Trajectory i draws from ``SeedSequence(seed).spawn(n)[i]``:
-    the children's seeding words are computed SEED_BLOCK_CHUNKS *
-    ENSEMBLE_CHUNK at a time (_child_seed_words), so the seeding memory
-    does not grow with n_samples, and each seeds numpy's own PCG64 through
-    _SeedWords.  The outer products of the trajectories that emitted are
-    summed per chunk of ENSEMBLE_CHUNK trajectories and the chunk sums are
-    then added in order.
+    the trajectories run in chunks of ENSEMBLE_CHUNK, and each chunk's
+    seeding words are computed with it (_child_seed_words), so the seeding
+    memory does not grow with n_samples; each seeds numpy's own PCG64
+    through _SeedWords.  The outer products of the trajectories that
+    emitted are summed per chunk and the chunk sums are then added in order.
     """
     if n_samples < 1:
         raise ValueError(f"n_samples must be >= 1, got {n_samples}")
@@ -652,12 +649,10 @@ def run_ensemble(space: HilbertSpace, schedule: Schedule, n_samples: int,
     perp_sum = np.zeros((space.dim, space.dim), dtype=complex)
     survived = 0
     records: list[tuple[int, float, str]] = []
-    block = SEED_BLOCK_CHUNKS * ENSEMBLE_CHUNK
     for start in range(0, n_samples, ENSEMBLE_CHUNK):
-        if start % block == 0:
-            words = _child_seed_words(seed, np.arange(start, min(start + block, n_samples)))
+        words = _child_seed_words(seed, np.arange(start, min(start + ENSEMBLE_CHUNK, n_samples)))
         chunk_perp = np.zeros_like(perp_sum)
-        for idx, child in enumerate(words[start % block:start % block + ENSEMBLE_CHUNK], start):
+        for idx, child in enumerate(words, start):
             rng = np.random.Generator(np.random.PCG64(_SeedWords(child)))
             traj = sample_trajectory(space, schedule, rng)
             if not traj.jumps:

@@ -196,6 +196,20 @@ def test_config_errors_exit_code(tmp_path):
         assert main(["sweep", "--config", path, "--out", str(tmp_path)]) == 2, name
 
 
+@pytest.mark.parametrize("out", ["taken", "taken/sub"])
+def test_an_out_that_cannot_be_a_directory_is_a_config_error(tmp_path, capsys, out):
+    # an existing file, and a path under one: mkdir raises FileExistsError and
+    # NotADirectoryError there
+    cfg = write_config(tmp_path, "n_atoms = 2\n")
+    (tmp_path / "taken").write_text("kept\n")
+    before = sorted(tmp_path.iterdir())
+    assert main(["basis", "--config", cfg, "--out", str(tmp_path / out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and err.count("\n") == 1
+    assert sorted(tmp_path.iterdir()) == before
+    assert (tmp_path / "taken").read_text() == "kept\n"
+
+
 @pytest.mark.parametrize("header", ["[run]\n", "# a comment\n\n[run]\n", "[sim]\n"])
 def test_a_leading_section_header_is_optional(tmp_path, header):
     text = "n_atoms = 2\nkappa = 0.5\nrabi = 0.05, -0.05\nduration = 3\nsettle = 1\n"
@@ -736,6 +750,9 @@ def test_pulse_and_evolve_report_the_same_final_state(tmp_path, text):
     evolve = json.loads((tmp_path / "evolve.json").read_text())
     assert pulse["p0"] == evolve["p0_final"]
     assert pulse["final_state_re_im"] == evolve["final_state_re_im"]
+    with (tmp_path / "evolve.csv").open() as fh:
+        last = list(csv.DictReader(fh))[-1]
+    assert pulse["dfs_population"] == float(last["dfs_population"])
 
 
 def test_no_survivor_at_full_detection_efficiency_exits_with_guard_code(tmp_path, capsys):

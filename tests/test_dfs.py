@@ -276,3 +276,24 @@ def test_basis_build_stays_within_the_bytes_it_checks(n_atoms, n_max):
         peak, basis = traced_peak(dfs_basis.__wrapped__, space)  # not the cached basis
     assert len(checked) == 1 and len(basis) == dfs_dimension(n_atoms)
     assert peak <= checked[0]
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(st.integers(1, 8), st.integers(0, 3), st.integers(0, 2**32 - 1))
+@example(1, 0, 0)
+@example(8, 3, 0)
+def test_populations_read_the_trapped_component(n_atoms, n_max, seed):
+    space = space_of(n_atoms, n_max=n_max)
+    basis = dfs_basis(space)
+    rng = np.random.default_rng(seed)
+    psi = rng.normal(size=space.dim) + 1j * rng.normal(size=space.dim)
+    norm2 = np.vdot(psi, psi).real
+    pops = basis.populations(psi)
+    assert len(pops) == len(basis) and all(type(p) is float for p in pops)
+    assert all(0.0 <= p <= norm2 for p in pops)
+    projected = dfs_projector(space) @ psi
+    assert abs(sum(pops) - np.vdot(projected, projected).real) <= 1e-14 * norm2
+    # a normalized state inside the trapped subspace is read whole
+    coeffs = rng.normal(size=len(basis)) + 1j * rng.normal(size=len(basis))
+    trapped = (coeffs / np.linalg.norm(coeffs)) @ basis.vectors
+    assert abs(sum(basis.populations(trapped)) - 1.0) <= 1e-14

@@ -983,9 +983,8 @@ def test_ensemble_has_the_bytes_of_the_spawned_reference_loop(n_atoms, gamma, du
     assert result.rho_perp.tobytes() == reference.rho_perp.tobytes()
 
 
-def test_ensemble_seeded_block_by_block_has_the_reference_bytes(monkeypatch):
-    # one ENSEMBLE_CHUNK per seeding block: 600 trajectories take three blocks
-    monkeypatch.setattr(dynamics, "SEED_BLOCK_CHUNKS", 1)
+def test_ensemble_seeded_block_by_block_has_the_reference_bytes():
+    # each ENSEMBLE_CHUNK computes its own seeding words: 600 trajectories take three chunks
     space, _ = two_atom_setup(gamma=1e-3)
     schedule = Schedule((Pulse((0.3, -0.2), 10.0), Pulse.off(2, 5.0)))
     result = run_ensemble(space, schedule, 600, seed=11)
@@ -996,10 +995,9 @@ def test_ensemble_seeded_block_by_block_has_the_reference_bytes(monkeypatch):
     assert result.rho_perp.tobytes() == reference.rho_perp.tobytes()
 
 
-def test_ensemble_seeding_memory_does_not_grow_with_the_sample_count(monkeypatch):
+def test_ensemble_seeding_memory_does_not_grow_with_the_sample_count():
     # lasers off on the ground state: no trajectory jumps, so what an ensemble allocates
-    # past its cached plan is its seeding, one block of children's seeding words at a time
-    monkeypatch.setattr(dynamics, "SEED_BLOCK_CHUNKS", 1)
+    # past its cached plan is its seeding, one chunk of children's seeding words at a time
     space, _ = two_atom_setup(gamma=1e-3)
     schedule = Schedule((Pulse.off(2, 5.0),))
     run_ensemble(space, schedule, 1, seed=2)  # builds the cached plan
