@@ -7,7 +7,9 @@ of 1/g.  Outputs are plain CSV/JSON written with full double precision
 so identical (config, seed) pairs produce byte-identical files.
 
 A key outside CONFIG_KEYS, or one set twice (in one section or in two),
-is a config error; a ``%`` in a value is read as it stands.
+is a config error; a ``%`` in a value is read as it stands.  A key's own
+rule (form, finiteness, range) is its CONFIG_KEYS reader and holds in every
+mode; load_config checks the rules that join keys, SystemParams its own.
 
 Exit codes: 0 success, 2 config error, 3 numerical-guard abort (an
 allocation over the byte budget of ``hilbert.check_budget`` included).
@@ -68,9 +70,18 @@ def _numbers(text: str) -> tuple[float, ...]:
     return tuple(_number(tok) for tok in text.split(",") if tok.strip())
 
 
+def _checked(read, ok):
+    def checked(text: str):
+        if ok(value := read(text)):
+            return value
+        raise ValueError(f"{value!r} is out of range")
+    return checked
+
+
 _BOOLEANS = configparser.ConfigParser.BOOLEAN_STATES  # 1/0, true/false, yes/no, on/off
-# every key a config may set, in every mode.  read(text) raises ValueError or KeyError on a
-# malformed or non-finite value, reported as "<key> must be <must_be>"; None: no default
+# every key a config may set, in every mode, with its whole rule: read(text) raises ValueError
+# or KeyError on a malformed, non-finite or out-of-range value, reported as "<key> must be
+# <must_be>"; None: no default.  Rules that join keys live in load_config, not here
 ConfigKey = namedtuple("ConfigKey", "read must_be default", defaults=(None,))
 CONFIG_KEYS = {
     "mode": ConfigKey(str.strip, "a mode name"),
@@ -78,21 +89,25 @@ CONFIG_KEYS = {
     "kappa": ConfigKey(_number, "a finite number", 1.0),
     "gamma": ConfigKey(_number, "a finite number", 0.0),
     "n_max": ConfigKey(int, "an integer", 3),
-    "seed": ConfigKey(int, "an integer", 1),
-    "eta": ConfigKey(_number, "a finite number", 0.0),
-    "settle": ConfigKey(_number, "a finite number", 0.0),
-    "samples": ConfigKey(int, "an integer", 10000),
+    "seed": ConfigKey(_checked(int, lambda v: v >= 0), "an integer >= 0", 1),
+    "eta": ConfigKey(_checked(_number, lambda v: 0 <= v <= 1), "a number in [0, 1]", 0.0),
+    "settle": ConfigKey(_checked(_number, lambda v: v >= 0), "a finite number >= 0", 0.0),
+    "samples": ConfigKey(_checked(int, lambda v: v >= 1), "an integer >= 1", 10000),
     "jump_log": ConfigKey(lambda text: _BOOLEANS[text.strip().lower()], "a boolean", False),
-    "evolve_points": ConfigKey(int, "an integer", 200),
+    "evolve_points": ConfigKey(_checked(int, lambda v: v >= 2), "an integer >= 2", 200),
     "rabi": ConfigKey(lambda text: tuple(_number(tok.strip(), complex) for tok in text.split(",")),
                       "comma-separated finite complex numbers"),
-    "duration": ConfigKey(lambda text: text if text == "auto" else _number(text),
-                          "a finite number or auto"),
-    "omega1_list": ConfigKey(_numbers, "a comma-separated list of finite numbers"),
-    "omega1_min": ConfigKey(_number, "a finite number", 1e-3),
+    "duration": ConfigKey(_checked(lambda text: text if text == "auto" else _number(text),
+                                   lambda v: v == "auto" or v >= 0),
+                          "a finite number >= 0 or auto"),
+    "omega1_list": ConfigKey(_checked(_numbers, lambda v: bool(v) and v[0] > 0 and all(
+                                 b > a for a, b in zip(v, v[1:]))),
+                             "a comma-separated, strictly increasing list of finite numbers > 0"),
+    "omega1_min": ConfigKey(_checked(_number, lambda v: v > 0), "a finite number > 0", 1e-3),
     "omega1_max": ConfigKey(_number, "a finite number", 0.3),
-    "omega1_points": ConfigKey(int, "an integer", 40),
-    "gamma_list": ConfigKey(_numbers, "a comma-separated list of finite numbers",
+    "omega1_points": ConfigKey(_checked(int, lambda v: v >= 1), "an integer >= 1", 40),
+    "gamma_list": ConfigKey(_checked(_numbers, lambda v: bool(v) and min(v) >= 0),
+                            "a comma-separated, non-empty list of finite numbers >= 0",
                             (0.0, 1e-5, 1e-4, 1e-3)),
 }
 
@@ -112,18 +127,25 @@ class RunConfig:
     grid_source: str = "default"
 
 
-def _parse_flat(text: str) -> dict[str, str]:
-    # values are read as they stand (no % interpolation), and every header, [DEFAULT]
-    # included, starts an ordinary section, so a key set in two sections is seen.  Keys
-    # before the first header go into an implicit [run] section, which is added only
-    # when the first line that is neither blank nor a comment is not a header
-    parser = configparser.ConfigParser(interpolation=None, default_section=None)
-    lines = (line.strip() for line in text.splitlines())
-    first = next((line for line in lines if line and not line.startswith(("#", ";"))), "")
+def _parse_flat(path: Path) -> dict[str, str]:
+    # UTF-8 on every machine; values are read as they stand (no % interpolation), and every
+    # header, [DEFAULT] included, starts an ordinary section, so a key set in two sections is
+    # seen.  Keys before the first header go into an implicit [run] section, added only when
+    # the first line that is neither blank nor a comment is not a header
     try:
-        parser.read_string(text if first.startswith("[") else "[run]\n" + text)
+        text = path.read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"cannot read config file {path}: {exc}") from None
+    parser = configparser.ConfigParser(interpolation=None, default_section=None)
+    first = next((ln for ln in map(str.strip, text.splitlines()) if ln and ln[0] not in "#;"), "")
+    added = 0 if first.startswith("[") else 1
+    try:
+        parser.read_string("[run]\n" * added + text)
     except configparser.Error as exc:
-        raise ConfigError(f"cannot parse config: {exc}") from exc
+        lineno = (getattr(exc, "lineno", None) or exc.errors[0][0]) - added
+        twice = getattr(exc, "option", None) or getattr(exc, "section", None)
+        problem = f"{twice!r} is set twice" if twice else "not key = value or a section header"
+        raise ConfigError(f"{path}, line {lineno}: {problem}") from None
     flat: dict[str, str] = {}
     for section in parser.sections():
         for key, value in parser[section].items():
@@ -138,22 +160,21 @@ def load_config(path: str | Path, mode: str, seed: int | None = None,
     """Read a config file, apply the --seed/--samples overrides and check every mode rule.
 
     Every key in the file is read and checked first, whether or not the
-    mode uses it.  The returned run is valid for its mode, so a config error
-    (ConfigError) raises before any output or Hilbert space exists.  The
-    schedule is built here; ``duration = auto`` (two atoms, kappa > 0) takes
-    the slow model's full-rotation length, whose OverdampedError stays a
-    guard error.
+    mode uses it, and so are the overrides, by the same CONFIG_KEYS rows.
+    The returned run is valid for its mode, so a config error (ConfigError)
+    raises before any output or Hilbert space exists.  The schedule is
+    built here; ``duration = auto`` (two atoms, kappa > 0) takes the slow
+    model's full-rotation length, whose OverdampedError stays a guard error.
     """
-    path = Path(path)
-    if not path.is_file():
-        raise ConfigError(f"config file not found: {path}")
-    raw = _parse_flat(path.read_text())
+    raw = _parse_flat(Path(path))
     unknown = sorted(raw.keys() - CONFIG_KEYS.keys())
     if unknown:
         raise ConfigError(f"unknown config key(s) {', '.join(unknown)}; "
                           f"accepted keys: {', '.join(sorted(CONFIG_KEYS))}")
     val = {key: spec.default for key, spec in CONFIG_KEYS.items()}
-    for key, text in raw.items():
+    # the --seed/--samples overrides replace the file's values, which must still be valid
+    flags = [(key, str(v)) for key, v in (("seed", seed), ("samples", samples)) if v is not None]
+    for key, text in [*raw.items(), *flags]:
         try:
             val[key] = CONFIG_KEYS[key].read(text)
         except (ValueError, KeyError):
@@ -167,21 +188,9 @@ def load_config(path: str | Path, mode: str, seed: int | None = None,
                               gamma=val["gamma"], n_max=val["n_max"])
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    # the --seed/--samples overrides replace the file's values, which must still parse
-    cfg = RunConfig(params, seed=val["seed"] if seed is None else seed, eta=val["eta"],
-                    settle=val["settle"], samples=val["samples"] if samples is None else samples,
-                    jump_log=val["jump_log"], evolve_points=val["evolve_points"],
-                    gamma_list=val["gamma_list"])
-    if not 0 <= cfg.eta <= 1:
-        raise ConfigError(f"eta must lie in [0, 1], got {cfg.eta}")
-    if cfg.settle < 0:
-        raise ConfigError("settle must be >= 0")
-    if mode == "trajectories" and cfg.samples < 1:
-        raise ConfigError("samples must be >= 1")
-    if mode == "trajectories" and cfg.seed < 0:
-        raise ConfigError("seed must be >= 0")
-    if mode == "evolve" and cfg.evolve_points < 2:
-        raise ConfigError("evolve_points must be >= 2")
+    cfg = RunConfig(params, seed=val["seed"], eta=val["eta"], settle=val["settle"],
+                    samples=val["samples"], jump_log=val["jump_log"],
+                    evolve_points=val["evolve_points"], gamma_list=val["gamma_list"])
 
     if mode in ("evolve", "pulse", "trajectories"):
         rabi, duration = val["rabi"], val["duration"]
@@ -195,8 +204,6 @@ def load_config(path: str | Path, mode: str, seed: int | None = None,
             duration = entangling_pulse_duration(build_slow_model(params, *rabi))
         elif duration is None:
             raise ConfigError("missing required key 'duration'")
-        elif duration < 0:
-            raise ConfigError("duration must be >= 0")
         segments = [Pulse(rabi, duration)]
         if cfg.settle > 0:
             segments.append(Pulse.off(params.n_atoms, cfg.settle))
@@ -205,28 +212,20 @@ def load_config(path: str | Path, mode: str, seed: int | None = None,
     if mode == "sweep":
         if params.n_atoms != 2 or params.kappa == 0:
             raise ConfigError("sweep needs two atoms and kappa > 0")
-        if "gamma_list" in raw:
-            if not cfg.gamma_list:
-                raise ConfigError("gamma_list is empty")
-            if any(gm < 0 for gm in cfg.gamma_list):
-                raise ConfigError("gamma_list entries must be >= 0")
-        elif "gamma" in raw:
+        if "gamma" in raw and "gamma_list" not in raw:
             cfg.gamma_list = (params.gamma,)
         grid = val["omega1_list"]
         lo, hi, pts = val["omega1_min"], val["omega1_max"], val["omega1_points"]
-        if grid is None and (lo <= 0 or hi <= lo or pts < 1):
-            raise ConfigError("omega1 grid must be positive with max > min")
+        if grid is None and hi <= lo:
+            raise ConfigError(f"omega1_max must be > omega1_min, got {hi} <= {lo}")
         n_points = pts if grid is None else len(grid)
         check_budget(f"a sweep of {n_points} omega1 points x {len(cfg.gamma_list)} gammas",
                      SWEEP_ROW_BYTES * n_points * (len(cfg.gamma_list) + 1))
         if grid is None:
             grid = tuple(np.geomspace(lo, hi, pts).tolist())
-        keys = {"omega1_list", "omega1_min", "omega1_max", "omega1_points"}
-        cfg.grid_source = "config" if keys & raw.keys() else "default"
-        if not grid:
-            raise ConfigError("sweep grid is empty")
-        if any(o <= 0 for o in grid) or any(b <= a for a, b in zip(grid, grid[1:])):
-            raise ConfigError("omega1 grid must be strictly increasing and positive")
+            if any(b <= a for a, b in zip(grid, grid[1:])):  # max within rounding of min
+                raise ConfigError("omega1_min and omega1_max are too close for omega1_points")
+        cfg.grid_source = "config" if any(key.startswith("omega1_") for key in raw) else "default"
         cfg.omega1_grid = grid
     return cfg
 

@@ -220,6 +220,36 @@ def test_a_leading_section_header_is_optional(tmp_path, header):
     assert (tmp_path / "out" / "dfs_basis.csv").is_file()
 
 
+@pytest.mark.parametrize("header", ["", "[run]\n", "# a comment\n\n[sim]\n"],
+                         ids=["bare", "run", "comment-sim"])
+@pytest.mark.parametrize("body, line, problem", [
+    ("n_atoms = 2\njust some words\n", 2, "not key = value or a section header"),
+    ("n_atoms = 2\nkappa = 0.5\nkappa = 0.7\n", 3, "'kappa' is set twice"),
+], ids=["words", "kappa-twice"])
+def test_a_parse_error_is_one_line_that_names_the_file_and_its_line(tmp_path, capsys, header,
+                                                                     body, line, problem):
+    cfg = write_config(tmp_path, header + body)
+    out = tmp_path / "out"
+    assert main(["basis", "--config", cfg, "--out", str(out)]) == 2
+    line += header.count("\n")
+    assert capsys.readouterr().err == f"config error: {cfg}, line {line}: {problem}\n"
+    assert not out.exists()
+
+
+def test_an_undecodable_config_is_a_config_error(tmp_path, capsys):
+    # a config is UTF-8 on every machine, whatever the locale's encoding
+    path = tmp_path / "run.ini"
+    path.write_bytes(b"n_atoms = 2\nkappa = 1.0\xff\n")
+    out = tmp_path / "out"
+    assert main(["basis", "--config", str(path), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: cannot read config file {path}: ")
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert not out.exists()
+    path.write_bytes("n_atoms = 2\n# κ in units of g\nkappa = 0.5\n".encode())
+    assert cli.load_config(path, "basis").params.kappa == 0.5
+
+
 TRAJ = "n_atoms = 2\nrabi = 0.05, -0.05\nduration = 1\n"
 THREE_ATOMS_AUTO = "n_atoms = 3\nrabi = 0.05, -0.05, 0.05\nduration = auto\n"
 MODES = ("basis", "evolve", "pulse", "sweep", "trajectories")
@@ -230,16 +260,17 @@ VALID_VALUES = {
     "rabi": "0.1, -0.1", "duration": "20", "omega1_list": "0.03, 0.08", "omega1_min": "0.01",
     "omega1_max": "0.1", "omega1_points": "3", "gamma_list": "0, 0.001",
 }
-# malformed and non-finite values of each accepted key: a config error in every mode,
-# whether or not the mode uses the key
+# malformed, non-finite and out-of-range values of each accepted key: a config error in
+# every mode, whether or not the mode uses the key
 BAD_VALUES = {
     "mode": ["other"], "n_atoms": ["two", "2.5"], "kappa": ["1%", "nan"],
-    "gamma": ["abc", "inf"], "n_max": ["3.0"], "seed": ["one"], "eta": ["x", "-inf"],
-    "settle": ["", "nan"], "samples": ["1e3"], "jump_log": ["maybe"],
-    "evolve_points": ["many"], "rabi": ["0.1, -0.1,", "nan, -0.1"],
-    "duration": ["automatic", "inf"], "omega1_list": ["0.03; 0.08", "0.03, nan"],
-    "omega1_min": ["small", "nan"], "omega1_max": ["big", "inf"], "omega1_points": ["4.5"],
-    "gamma_list": ["0, 1e-3x", "nan, 1"],
+    "gamma": ["abc", "inf"], "n_max": ["3.0"], "seed": ["one", "-1"], "eta": ["x", "-inf", "1.5"],
+    "settle": ["", "nan", "-1"], "samples": ["1e3", "0"], "jump_log": ["maybe"],
+    "evolve_points": ["many", "1"], "rabi": ["0.1, -0.1,", "nan, -0.1"],
+    "duration": ["automatic", "inf", "-1"],
+    "omega1_list": ["0.03; 0.08", "0.03, nan", "0.08, 0.03"],
+    "omega1_min": ["small", "nan", "0"], "omega1_max": ["big", "inf"],
+    "omega1_points": ["4.5", "0"], "gamma_list": ["0, 1e-3x", "nan, 1", "-1"],
 }
 
 
@@ -251,6 +282,7 @@ def every_key(mode, /, **changed):
 
 BAD_KEY_CASES = [(key, bad, mode) for key in cli.CONFIG_KEYS for bad in BAD_VALUES[key]
                  for mode in MODES]
+FLAG_CASES = [("--samples", "0"), ("--seed", "-1")]
 
 
 @pytest.mark.parametrize("mode, text, flags, code", [
@@ -259,16 +291,22 @@ BAD_KEY_CASES = [(key, bad, mode) for key in cli.CONFIG_KEYS for bad in BAD_VALU
     ("trajectories", THREE_ATOMS_AUTO, [], 2),
     ("evolve", TRAJ + "evolve_points = 1\n", [], 2),
     ("trajectories", TRAJ + "samples = 0\n", [], 2),
-    ("trajectories", TRAJ, ["--samples", "0"], 2),
-    ("trajectories", TRAJ, ["--seed", "-1"], 2),
     # an override replaces the file's value, which must still parse
     ("trajectories", TRAJ + "seed = one\n", ["--seed", "3"], 2),
     # equal drives leave the slow model overdamped: no full rotation, a guard error
     ("pulse", "n_atoms = 2\nrabi = 0.05, 0.05\nduration = auto\n", [], 3),
+    # the rules that join keys: a grid from omega1_min up to omega1_max, and one whose ends
+    # lie within rounding, so np.geomspace repeats points
+    ("sweep", "n_atoms = 2\nomega1_min = 0.1\nomega1_max = 0.05\n", [], 2),
+    ("sweep", "n_atoms = 2\nomega1_min = 0.1\nomega1_max = 0.10000000000000002\n", [], 2),
     *[(mode, every_key(mode, **{key: bad}), [], 2) for key, bad, mode in BAD_KEY_CASES],
+    # the overrides go through the keys' own rules, in every mode
+    *[(mode, every_key(mode), [flag, bad], 2) for flag, bad in FLAG_CASES for mode in MODES],
 ], ids=["auto-n3-pulse", "auto-n3-evolve", "auto-n3-trajectories", "evolve-points-1",
-        "samples-0", "samples-flag-0", "seed-flag-minus-1", "malformed-seed-under-flag",
-        "overdamped-auto", *[f"{key}={bad}-{mode}" for key, bad, mode in BAD_KEY_CASES]])
+        "samples-0", "malformed-seed-under-flag", "overdamped-auto", "omega1-max-below-min",
+        "omega1-ends-within-rounding",
+        *[f"{key}={bad}-{mode}" for key, bad, mode in BAD_KEY_CASES],
+        *[f"{flag}={bad}-{mode}" for flag, bad in FLAG_CASES for mode in MODES]])
 def test_config_errors_exit_before_any_output_or_space(tmp_path, monkeypatch, mode, text,
                                                        flags, code):
     def no_space(params):

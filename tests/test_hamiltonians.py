@@ -144,6 +144,15 @@ def test_photon_loss_density(two_atom):
         photon_loss_density(space, 0.5 * space.ground_state())
 
 
+def test_photon_loss_density_at_ten_atoms_forms_no_dense_operator():
+    # dim 4096: N + 1 = 11 dense operators of 256 MiB would be over the 2 GiB byte budget
+    params = SystemParams(n_atoms=10, g=1.0, kappa=0.7, gamma=0.02, n_max=3)
+    space = build_space(params)
+    two_photons_three_excited = space.basis_state(2, 0b1000100010)
+    assert photon_loss_density(space, two_photons_three_excited) == pytest.approx(
+        2 * params.kappa * 2 + 2 * params.gamma * 3, rel=1e-15)
+
+
 def test_photon_loss_density_equals_norm_decay():
     params = SystemParams(n_atoms=2, g=1.0, kappa=0.9, gamma=4e-3, n_max=3)
     space = build_space(params)

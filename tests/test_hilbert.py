@@ -5,8 +5,7 @@ import numpy as np
 import pytest
 
 from dfs_cavity import (DeskScaleError, SystemParams, atomic_lowering, build_space,
-                        cavity_annihilation, conditional_hamiltonian, dfs_basis,
-                        photon_loss_density)
+                        cavity_annihilation, conditional_hamiltonian, dfs_basis)
 from oracles import basis_labels, collective_lowering, config_string, expectation
 
 
@@ -25,12 +24,9 @@ def test_desk_scale_guard():
         build_space(SystemParams(n_atoms=23, n_max=0))  # its entry table: 2.3 GB
     build_space(SystemParams(n_atoms=22, n_max=0))  # 1.1 GB, built only when used
     space = build_space(SystemParams(n_atoms=12, n_max=15))  # dim 65536
-    small = space_of(10, 3)  # dim 4096
     with pytest.raises(DeskScaleError):
         conditional_hamiltonian(space)  # 68.7 GB, scattered from a 50 MB entry table
     for build in (partial(atomic_lowering, space, 1), partial(cavity_annihilation, space),
-                  # one dense dim-4096 operator fits, N + 1 = 11 of them (2.8 GB) do not
-                  partial(photon_loss_density, small, small.ground_state()),
                   partial(dfs_basis, space_of(13, 9))):  # 2.25 GB for the basis alone
         tracemalloc.start()
         try:
